@@ -10,6 +10,7 @@ known answers.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -328,7 +329,7 @@ def load_csv(path) -> ObservationalDataset:
                 values = [float(v) for v in row]
             except ValueError:
                 raise ValueError(f"malformed row at row {line_no}: unparseable number") from None
-            if not all(np.isfinite(values)):
+            if not all(map(math.isfinite, values)):
                 raise ValueError(f"non-finite value at row {line_no}")
             if values[d] not in (0.0, 1.0):
                 raise ValueError(f"non-binary treatment at row {line_no}")
@@ -378,7 +379,7 @@ def load_points_csv(path) -> np.ndarray:
                 rows.append([float(v) for v in row])
             except ValueError:
                 raise ValueError(f"malformed row at row {line_no}: unparseable number") from None
-            if not all(np.isfinite(rows[-1])):
+            if not all(map(math.isfinite, rows[-1])):
                 raise ValueError(f"non-finite value at row {line_no}")
     if not rows:
         raise ValueError(f"{path}: no data rows")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import ObservationalDataset
 from .lsif import polynomial_feature_matrix
-from .neighbors import Metric, matching_structures
+from .neighbors import MatchStructures, Metric, matching_structures
 from .riesz import nn_representer_values, nn_weights
 
 
@@ -79,7 +79,10 @@ def impute(dataset: ObservationalDataset, metric: Metric | None, m: int) -> np.n
     The observed arm keeps the observed outcome exactly; the opposite arm is
     the mean outcome of the unit's M nearest opposite-arm matches.
     """
-    structures = matching_structures(dataset, metric, m)
+    return _impute_from(dataset, matching_structures(dataset, metric, m))
+
+
+def _impute_from(dataset: ObservationalDataset, structures: MatchStructures) -> np.ndarray:
     matched_mean = dataset.outcome[structures.neighbor_sets].mean(axis=1)
     out = np.empty((dataset.n, 2))
     treated = dataset.treatment == 1
@@ -92,11 +95,13 @@ def impute(dataset: ObservationalDataset, metric: Metric | None, m: int) -> np.n
 
 def ate_matching(dataset: ObservationalDataset, metric: Metric | None, m: int) -> AteEstimate:
     """Mean imputed treated-minus-control contrast."""
-    pairs = impute(dataset, metric, m)
+    structures = matching_structures(dataset, metric, m)
+    pairs = _impute_from(dataset, structures)
     tau = float(np.mean(pairs[:, 1] - pairs[:, 0]))
-    weights = nn_weights(dataset, metric, m)
     return AteEstimate(
-        tau=tau, variant="matching", diagnostics=_diagnostics(dataset, m, weights.max())
+        tau=tau,
+        variant="matching",
+        diagnostics=_diagnostics(dataset, m, structures.weights.max()),
     )
 
 

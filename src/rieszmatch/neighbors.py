@@ -2,7 +2,9 @@
 
 Queries run against a static kd-tree built once per reference set, with exact
 deterministic tie-breaking: candidates are ordered by nondecreasing distance
-and equal distances are resolved by ascending reference index.  A vectorized
+and equal distances are resolved by ascending reference index.  Rows the tree
+returns in that order are left as they are; only tied or out-of-order rows
+are re-sorted, which on continuous data is almost none.  A vectorized
 brute-force path is kept both as the test oracle and as the fallback for
 dimensions above 16, where the tree stops paying off.
 
@@ -105,12 +107,28 @@ def _sq_to_candidates(queries: np.ndarray, reference: np.ndarray, idx: np.ndarra
     return out
 
 
+def _sort_each_row(sq: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort every row by (squared distance, reference index)."""
+    order = np.lexsort((idx, sq), axis=1)
+    return np.take_along_axis(sq, order, axis=1), np.take_along_axis(idx, order, axis=1)
+
+
 def _row_sort(sq: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort each row by (squared distance, reference index)."""
-    n_rows, n_cols = sq.shape
-    rows = np.repeat(np.arange(n_rows), n_cols)
-    order = np.lexsort((idx.ravel(), sq.ravel(), rows))
-    return sq.ravel()[order].reshape(sq.shape), idx.ravel()[order].reshape(idx.shape)
+    """Put each kd-tree row in (squared distance, reference index) order.
+
+    Rows the tree already returned in that order are left as they are; only
+    rows with an index-order tie or a distance inversion between adjacent
+    columns are re-sorted.  Indices are distinct within a row, so the key is
+    unique and an in-order row is already its own sorted form.
+    """
+    head, tail = sq[:, :-1], sq[:, 1:]
+    broken = (head > tail) | ((head == tail) & (idx[:, :-1] > idx[:, 1:]))
+    rows = np.flatnonzero(broken.any(axis=1))
+    if len(rows) == 0:
+        return sq, idx
+    sq, idx = sq.copy(), idx.copy()
+    sq[rows], idx[rows] = _sort_each_row(sq[rows], idx[rows])
+    return sq, idx
 
 
 class NeighborModel:
@@ -172,7 +190,7 @@ def _knn_sq_batch(model: NeighborModel, queries) -> tuple[np.ndarray, np.ndarray
 def _brute_knn_sq(scaled_queries: np.ndarray, scaled_ref: np.ndarray, m: int):
     sq = _sq_dists(scaled_queries, scaled_ref)
     idx = np.broadcast_to(np.arange(scaled_ref.shape[0]), sq.shape)
-    sq, idx = _row_sort(sq, np.ascontiguousarray(idx))
+    sq, idx = _sort_each_row(sq, idx)
     return sq[:, :m], idx[:, :m]
 
 
@@ -249,6 +267,11 @@ class MatchStructures:
     neighbor_sets: np.ndarray  # (n, m) int
     matched_times: np.ndarray  # (n,) int
     m: int
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Matching weights 1 + K_M(i)/M for every unit."""
+        return 1.0 + self.matched_times / self.m
 
 
 def matching_structures(

@@ -136,8 +136,7 @@ def evaluate_representer(rep: RieszRepresenter, d: int, x) -> float:
 
 def nn_weights(dataset: ObservationalDataset, metric: Metric | None, m: int) -> np.ndarray:
     """Matching weights 1 + K_M(i)/M for every unit."""
-    structures = matching_structures(dataset, metric, m)
-    return 1.0 + structures.matched_times / m
+    return matching_structures(dataset, metric, m).weights
 
 
 def nn_weight(dataset: ObservationalDataset, metric: Metric | None, m: int, i: int) -> float:

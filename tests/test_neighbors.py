@@ -15,7 +15,7 @@ from rieszmatch import (
     mth_radius,
 )
 from rieszmatch.dataset import ObservationalDataset
-from rieszmatch.neighbors import _knn_sq_batch, matched_times_at
+from rieszmatch.neighbors import _brute_knn_sq, _knn_sq_batch, _row_sort, matched_times_at
 
 
 class TestKnn:
@@ -176,6 +176,75 @@ class TestMatchingStructures:
         treated = data.treatment == 1
         assert structures.matched_times[treated].sum() == m * data.n_control
         assert structures.matched_times[~treated].sum() == m * data.n_treated
+
+    def test_tie_heavy_grid_equals_brute_force(self):
+        # 16 grid cells hold ~150 units per arm each, so every query widens
+        # the kd-tree candidate set and every row is re-sorted on index.
+        rng = np.random.default_rng(11)
+        n, m = 5000, 20
+        x = rng.integers(0, 4, size=(n, 2)).astype(float)
+        treat = (rng.random(n) < 0.5).astype(int)
+        data = ObservationalDataset(covariates=x, treatment=treat, outcome=np.zeros(n))
+        structures = matching_structures(data, None, m)
+        expected = np.empty((n, m), dtype=np.int64)
+        treated, control = np.flatnonzero(treat == 1), np.flatnonzero(treat == 0)
+        for queries, reference in ((treated, control), (control, treated)):
+            for start in range(0, len(queries), 500):
+                rows = queries[start : start + 500]
+                _, local = _brute_knn_sq(x[rows], x[reference], m)
+                expected[rows] = reference[local]
+        np.testing.assert_array_equal(structures.neighbor_sets, expected)
+
+
+def _lexsort_rows(sq, idx):
+    """Oracle: sort each row on its own by (squared distance, index)."""
+    out_sq, out_idx = np.empty_like(sq), np.empty_like(idx)
+    for r in range(len(sq)):
+        order = np.lexsort((idx[r], sq[r]))
+        out_sq[r], out_idx[r] = sq[r][order], idx[r][order]
+    return out_sq, out_idx
+
+
+class TestRowSort:
+    def _check(self, sq, idx):
+        sq_before, idx_before = sq.copy(), idx.copy()
+        got_sq, got_idx = _row_sort(sq, idx)
+        want_sq, want_idx = _lexsort_rows(sq_before, idx_before)
+        np.testing.assert_array_equal(got_sq, want_sq)
+        np.testing.assert_array_equal(got_idx, want_idx)
+        np.testing.assert_array_equal(sq, sq_before)
+        np.testing.assert_array_equal(idx, idx_before)
+        return got_sq, got_idx
+
+    def test_mixed_batch(self):
+        rng = np.random.default_rng(3)
+        in_order = np.sort(rng.random((4, 7)), axis=1)
+        reversed_rows = in_order[:, ::-1]
+        ties = np.sort(rng.integers(0, 3, (4, 7)), axis=1).astype(float)
+        sq = np.concatenate([in_order, reversed_rows, ties, ties])
+        idx = np.stack([rng.permutation(50)[:7] for _ in range(len(sq))])
+        idx[-4:] = np.sort(idx[-4:], axis=1)  # tied rows already in index order
+        _, got_idx = self._check(sq, idx)
+        np.testing.assert_array_equal(got_idx[:4], idx[:4])
+        np.testing.assert_array_equal(got_idx[-4:], idx[-4:])
+
+    def test_all_equal_rows(self):
+        rng = np.random.default_rng(4)
+        sq = np.full((5, 6), 2.5)
+        idx = np.stack([rng.permutation(6) for _ in range(5)])
+        self._check(sq, idx)
+
+    def test_single_column(self):
+        sq = np.array([[0.5], [0.0], [3.0]])
+        idx = np.array([[4], [0], [2]])
+        self._check(sq, idx)
+
+    def test_no_row_out_of_order_returns_input(self):
+        sq = np.array([[0.0, 1.0, 1.0, 4.0], [2.0, 2.0, 2.0, 2.0]])
+        idx = np.array([[7, 1, 3, 0], [0, 2, 5, 9]])
+        got_sq, got_idx = _row_sort(sq, idx)
+        np.testing.assert_array_equal(got_sq, sq)
+        np.testing.assert_array_equal(got_idx, idx)
 
 
 class TestSpatialIndexOracle:
