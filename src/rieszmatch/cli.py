@@ -138,10 +138,7 @@ def cmd_dre(args) -> tuple[str, int]:
     metric = Metric()
     if args.basis == "indicator":
         lam = 0.0 if args.lam is None else args.lam
-        values = []
-        for point in points:
-            fit_result = lsif.fit(data, lsif.indicator_basis(data, metric, args.m, point), lam)
-            values.append(lsif.predict(fit_result, point))
+        values = lsif.indicator_dre(data, metric, args.m, points, lam)
     else:
         if args.basis == "poly":
             basis = lsif.polynomial_basis(data.d, args.degree)

@@ -2,10 +2,11 @@
 
 Each suite computes the gap between two independently coded routes to the
 same quantity: indicator-basis LSIF vs the one-step count formula, matching
-imputation vs its weight form, per-point LSIF arm fits vs matched-times
-weights, the joint Riesz block solve vs arm-wise solves, and the doubly
-robust score form vs the bias-corrected form.  The command-line ``verify``
-subcommand and the acceptance tests both run on top of these helpers.
+imputation vs its weight form, indicator-basis LSIF arm fits vs matched-times
+weights (these two share one batched catchment count, bit for bit the
+per-point ``catchment_indicator`` fits kept as the test oracle), the joint
+Riesz block solve vs arm-wise solves, and the doubly robust score form vs the
+bias-corrected form.  ``verify`` and the acceptance tests run on these.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .dataset import ObservationalDataset, TwoSampleData
 from .lsif import (
-    catchment_indicator,
+    _indicator_values,
     monomial_exponents,
     polynomial_basis,
     verify_theorem1_all,
@@ -28,7 +29,7 @@ from .matching import (
     ate_weight_form,
     fit_outcome,
 )
-from .neighbors import Metric
+from .neighbors import Metric, NeighborModel
 from .riesz import (
     dr_score,
     fit_weight_arm,
@@ -83,15 +84,17 @@ def eq1_gap(dataset: ObservationalDataset, metric: Metric | None, m: int) -> flo
 
 
 def weight_identity_max_gap(dataset: ObservationalDataset, metric: Metric | None, m: int) -> float:
-    """Per-unit gap between the indicator-basis LSIF weight and 1 + K_M(i)/M."""
+    """Per-unit gap between the indicator-basis LSIF weight and 1 + K_M(i)/M.
+
+    One pass per arm, whose rows are both the anchors and the reference.
+    """
     weights = nn_weights(dataset, metric, m)
+    x, n = dataset.covariates, dataset.n
     worst = 0.0
-    for i in range(dataset.n):
-        arm = int(dataset.treatment[i])
-        reference = dataset.covariates[dataset.treatment == arm]
-        basis = catchment_indicator(reference, metric, m, dataset.covariates[i])
-        theta = fit_weight_arm(dataset, arm, basis, lam=0.0)
-        worst = max(worst, abs(float(theta[0]) - weights[i]))
+    for arm in (0, 1):
+        rows = dataset.treatment == arm
+        theta = _indicator_values(NeighborModel(x[rows], metric, m), x[rows], x, n, n)
+        worst = max(worst, float(np.abs(theta - weights[rows]).max()))
     return worst
 
 

@@ -13,7 +13,9 @@ detection (nothing is silently regularized).
 The catchment indicator basis turns this machinery into the one-step
 nearest-neighbor ratio estimate: with that single feature and lambda = 0 the
 fitted value at the anchor equals (N0/N1) K_M(c) / M exactly, where K_M(c) is
-the matched-times count.  ``verify_theorem1`` exercises that identity.
+the matched-times count.  ``verify_theorem1`` exercises that identity.  The
+batched routes share one catchment count for both moments, bit for bit the
+per-point fits; the per-point ``catchment_indicator`` is the test oracle.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .neighbors import (
     NeighborModel,
     _as_matrix,
     _as_points,
+    _catchment_counts,
     _mth_sq_radius_batch,
     _sq_dists,
     matched_times_at,
@@ -320,45 +323,34 @@ class Theorem1Batch:
         return float(self.gaps.max())
 
 
-def verify_theorem1_all(data: TwoSampleData, metric: Metric | None, m: int) -> Theorem1Batch:
-    """Run the indicator-LSIF vs one-step comparison at every numerator point.
+def _indicator_values(model: NeighborModel, anchors, numerator, n_den, n_num, lam=0.0):
+    """Indicator-LSIF fits at every anchor c at once, bit for bit the fit on
+    ``catchment_indicator(reference, metric, m, c)`` predicted at c: the squared
+    moment sums the reference rows and divides by ``n_den``, the linear one
+    sums ``numerator`` and divides by ``n_num``."""
+    ref = model.reference_points
+    ref_rows = set(map(tuple, ref.tolist()))  # float ==, as catchment_indicator
+    is_ref = np.array([row in ref_rows for row in map(tuple, numerator.tolist())], dtype=bool)
+    h_mat = _catchment_counts(model, anchors, ref, np.ones(len(ref), bool)) / n_den
+    h_vec = _catchment_counts(model, anchors, numerator, is_ref) / n_num
+    # h_mat >= M / n_den > 0; scalar Cholesky solve by the reciprocal pivot, as LAPACK's
+    inv_chol = 1.0 / np.sqrt(h_mat + lam)
+    return h_vec * inv_chol * inv_chol
 
-    This batched path reproduces the per-point arithmetic of
-    ``verify_theorem1`` exactly (same counts, same scalar Cholesky solve) but
-    shares the neighbor radii across evaluation points.
-    """
+
+def indicator_dre(data: TwoSampleData, metric: Metric | None, m: int, points, lam=0.0):
+    """``predict(fit(data, indicator_basis(data, metric, m, p), lam), p)`` at each point p."""
     if m > data.n_denominator:
         raise ValueError(f"m={m} exceeds the denominator sample size {data.n_denominator}")
-    metric = metric if metric is not None else EUCLIDEAN
-    den = data.denominator
-    num = data.numerator
-    model = NeighborModel(den, metric, m)
-    radii_sq_num = _mth_sq_radius_batch(model, num)  # radius at each numerator point
-    den_s = metric.scale(den)
-    num_s = metric.scale(num)
-    sq_num_den = _sq_dists(num_s, den_s)  # (N1, N0)
-    sq_num_num = _sq_dists(num_s, num_s)  # (N1, N1)
-    # anchors are the numerator points; an anchor that coincides with a
-    # denominator row still gets its radius as a query, which is then 0
-    num_is_ref = (num[:, None, :] == den[None, :, :]).all(axis=2).any(axis=1)
+    if lam < 0:
+        raise ValueError("lambda must be nonnegative")
+    model, pts = NeighborModel(data.denominator, metric, m), _as_points(points, data.d)
+    return _indicator_values(model, pts, data.numerator, data.n_denominator, data.n_numerator, lam)
 
-    h_counts = (sq_num_den <= radii_sq_num[:, None]).sum(axis=1)  # reference side
-    covered = sq_num_num <= radii_sq_num[None, :]  # [t, j]: dist(c_t, Z_j) vs radius at Z_j
-    k_counts = covered.sum(axis=1)  # matched-times count at each anchor
-    if num_is_ref.any():
-        # numerator points that equal a reference row take the anchor-side test
-        covered = covered.copy()
-        covered[:, num_is_ref] = sq_num_num[:, num_is_ref] <= radii_sq_num[:, None]
 
-    h_mat = h_counts / data.n_denominator
-    h_vec = covered.sum(axis=1) / data.n_numerator
-    if np.any(h_mat == 0.0):
-        raise np.linalg.LinAlgError("singular moment matrix in batched theorem check")
-    # scalar Cholesky solve; LAPACK's triangular solve multiplies by the
-    # reciprocal pivot, so do the same to match the per-point path bit for bit
-    inv_chol = 1.0 / np.sqrt(h_mat)
-    beta = h_vec * inv_chol * inv_chol
+def verify_theorem1_all(data: TwoSampleData, metric: Metric | None, m: int) -> Theorem1Batch:
+    """Bit for bit ``verify_theorem1`` at every numerator point, from batched counts."""
+    lsif_values = indicator_dre(data, metric, m, data.numerator)
+    k_counts = matched_times_at(data, metric, m, data.numerator)
     one_step = data.n_denominator / data.n_numerator * k_counts / m
-    return Theorem1Batch(
-        lsif_values=beta, one_step_values=one_step, gaps=np.abs(beta - one_step)
-    )
+    return Theorem1Batch(lsif_values, one_step, np.abs(lsif_values - one_step))

@@ -23,6 +23,8 @@ from scipy.spatial import cKDTree
 from .dataset import ObservationalDataset, TwoSampleData
 
 _MAX_TREE_DIM = 16
+# Distances held at once by a blocked catchment count: 8 MB of float64.
+_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -180,9 +182,9 @@ def _knn_sq_batch(model: NeighborModel, queries) -> tuple[np.ndarray, np.ndarray
         sq, idx = _row_sort(sq, idx)
         if k_req == n_ref:
             return sq[:, :m], idx[:, :m]
-        # A tie across the m-th position means the candidate set may be
-        # incomplete; widen until the boundary is strict.
-        if not np.any(sq[:, m - 1] == sq[:, m]):
+        # Points not returned lie at least as far as the last candidate, so
+        # widen only while a tie at the m-th distance reaches it.
+        if not np.any(sq[:, m - 1] == sq[:, -1]):
             return sq[:, :m], idx[:, :m]
         k_req = min(n_ref, 2 * k_req)
 
@@ -233,6 +235,26 @@ def catchment_contains(model: NeighborModel, x, z) -> bool:
     return bool(sq <= _mth_sq_radius_batch(model, zm)[0])
 
 
+def _catchment_counts(model: NeighborModel, anchors, points, anchor_side) -> np.ndarray:
+    """Per anchor c, count the points x with dist(c, x) <= the M-th radius of c
+    where ``anchor_side[x]`` holds, and <= that of x elsewhere.  With
+    ``anchor_side`` marking the reference rows this sums the feature of
+    ``lsif.catchment_indicator``; anchors go in blocks of _BLOCK_ENTRIES distances."""
+    anchor_radii, point_radii = np.zeros(len(anchors)), np.zeros(len(points))
+    if anchor_side.any():
+        anchor_radii = _mth_sq_radius_batch(model, anchors)
+    if not anchor_side.all():
+        point_radii[~anchor_side] = _mth_sq_radius_batch(model, points[~anchor_side])
+    anchors_s, points_s = model.metric.scale(anchors), model.metric.scale(points)
+    counts = np.empty(len(anchors), dtype=np.int64)
+    step = max(1, _BLOCK_ENTRIES // len(points))
+    for start in range(0, len(anchors), step):
+        block = slice(start, start + step)
+        radii = np.where(anchor_side, anchor_radii[block, None], point_radii)
+        counts[block] = (_sq_dists(anchors_s[block], points_s) <= radii).sum(axis=1)
+    return counts
+
+
 def matched_times_at(data: TwoSampleData, metric: Metric | None, m: int, points) -> np.ndarray:
     """Matched-times counts at arbitrary points.
 
@@ -241,12 +263,8 @@ def matched_times_at(data: TwoSampleData, metric: Metric | None, m: int, points)
     """
     if m > data.n_denominator:
         raise ValueError(f"m={m} exceeds the denominator sample size {data.n_denominator}")
-    metric = metric if metric is not None else EUCLIDEAN
-    model = NeighborModel(data.denominator, metric, m)
-    radii_sq = _mth_sq_radius_batch(model, data.numerator)
-    pts = _as_points(points, data.d)
-    sq = _sq_dists(metric.scale(pts), metric.scale(data.numerator))
-    return (sq <= radii_sq[None, :]).sum(axis=1)
+    model, num = NeighborModel(data.denominator, metric, m), data.numerator
+    return _catchment_counts(model, _as_points(points, data.d), num, np.zeros(len(num), bool))
 
 
 def matched_times_two_sample(data: TwoSampleData, metric: Metric | None, m: int) -> np.ndarray:
@@ -281,7 +299,6 @@ def matching_structures(
         raise ValueError(
             f"m={m} exceeds an arm size (treated {dataset.n_treated}, control {dataset.n_control})"
         )
-    metric = metric if metric is not None else EUCLIDEAN
     x = dataset.covariates
     treated = np.flatnonzero(dataset.treatment == 1)
     control = np.flatnonzero(dataset.treatment == 0)

@@ -9,7 +9,7 @@ is block diagonal, so the coefficients coincide with the two arm-wise fits.
 
 With the per-point catchment indicator basis and no ridge penalty the fitted
 weight at unit i is exactly 1 + K_M(i)/M, the matched-times weight of
-nearest-neighbor matching; ``nn_weight`` computes that value directly.
+nearest-neighbor matching; ``nn_weights`` computes those values directly.
 """
 
 from __future__ import annotations
@@ -137,13 +137,6 @@ def evaluate_representer(rep: RieszRepresenter, d: int, x) -> float:
 def nn_weights(dataset: ObservationalDataset, metric: Metric | None, m: int) -> np.ndarray:
     """Matching weights 1 + K_M(i)/M for every unit."""
     return matching_structures(dataset, metric, m).weights
-
-
-def nn_weight(dataset: ObservationalDataset, metric: Metric | None, m: int, i: int) -> float:
-    """Matching weight of a single unit; always at least 1."""
-    if not 0 <= i < dataset.n:
-        raise ValueError("unit index out of range")
-    return float(nn_weights(dataset, metric, m)[i])
 
 
 def nn_representer_values(dataset: ObservationalDataset, metric: Metric | None, m: int) -> np.ndarray:

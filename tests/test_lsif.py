@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rieszmatch import (
+    Metric,
     TwoSampleData,
     constant_basis,
     fit,
@@ -15,11 +16,14 @@ from rieszmatch import (
     verify_theorem1,
     verify_theorem1_all,
 )
+from rieszmatch import neighbors
 from rieszmatch.equivalence import random_two_sample_instance
+from rieszmatch.neighbors import matched_times_at
 from rieszmatch.lsif import (
     Basis,
     default_ridge,
     evaluate_matrix,
+    indicator_dre,
     objective_gradient,
     objective_value,
     solve_spd,
@@ -169,6 +173,60 @@ class TestTheorem1:
                 single = verify_theorem1(data, metric, m, data.numerator[t])
                 assert single.lsif_value == batch.lsif_values[t]
                 assert single.one_step_value == batch.one_step_values[t]
+
+
+def grid_two_sample(n0, n1, d, seed):
+    rng = np.random.default_rng(seed)
+    den = rng.integers(0, 3, size=(n0, d)).astype(float)
+    num = rng.integers(0, 3, size=(n1, d)).astype(float)
+    return TwoSampleData(denominator=den, numerator=num)
+
+
+def dense_matched_times(data, metric, m, points):
+    """Brute-force count: squared distances accumulated coordinate by coordinate."""
+    def sq(a, b):
+        a, b = metric.scale(a), metric.scale(b)
+        out = np.zeros((len(a), len(b)))
+        for k in range(a.shape[1]):
+            out += (a[:, k, None] - b[None, :, k]) ** 2
+        return out
+
+    radii = np.sort(sq(data.numerator, data.denominator), axis=1)[:, m - 1]
+    return (sq(np.asarray(points, dtype=float), data.numerator) <= radii[None, :]).sum(axis=1)
+
+
+class TestIndicatorDre:
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 2.5])
+    def test_equals_per_point_fit_exactly(self, lam):
+        rng = np.random.default_rng(53)
+        cases = [random_two_sample_instance(rng, max_n=50) for _ in range(3)]
+        grid = grid_two_sample(40, 30, 2, seed=3)
+        cases += [(grid, Metric(), 4), (grid, Metric(), 40)]
+        for data, metric, m in cases:
+            points = np.vstack([data.numerator[:8], data.denominator[:4], [[7.0] * data.d]])
+            values = indicator_dre(data, metric, m, points, lam)
+            for t, point in enumerate(points):
+                single = predict(fit(data, indicator_basis(data, metric, m, point), lam), point)
+                assert values[t] == single
+
+    def test_rejects_bad_m_and_lambda(self, running_two_sample, euclidean):
+        with pytest.raises(ValueError, match="exceeds"):
+            indicator_dre(running_two_sample, euclidean, 5, [[0.0]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            indicator_dre(running_two_sample, euclidean, 1, [[0.0]], lam=-1.0)
+
+    def test_matched_times_at_equals_dense_count(self, monkeypatch):
+        rng = np.random.default_rng(59)
+        grid = grid_two_sample(50, 45, 2, seed=11)
+        cases = [(grid, Metric(), 1), (grid, Metric(), 6), (grid, Metric(), 50)]
+        cases += [random_two_sample_instance(rng, max_n=60) for _ in range(4)]
+        for data, metric, m in cases:
+            points = np.vstack([data.numerator, data.denominator, rng.normal(size=(5, data.d))])
+            expected = dense_matched_times(data, metric, m, points)
+            np.testing.assert_array_equal(matched_times_at(data, metric, m, points), expected)
+            monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 7)
+            np.testing.assert_array_equal(matched_times_at(data, metric, m, points), expected)
+            monkeypatch.undo()
 
 
 class TestOptimality:

@@ -13,12 +13,14 @@ from rieszmatch import (
     evaluate_representer,
     fit_weight_arm,
     nn_representer_values,
-    nn_weight,
     nn_weights,
     polynomial_basis,
     riesz_fit,
 )
+from rieszmatch import neighbors
 from rieszmatch.equivalence import random_observational_instance
+from rieszmatch.lsif import _indicator_values
+from rieszmatch.neighbors import Metric, NeighborModel
 from rieszmatch.riesz import arm_objective_gradient, arm_objective_value
 
 
@@ -71,6 +73,59 @@ class TestFitWeightArm:
             fit_weight_arm(data, 2, constant_basis(2), 0.0)
 
 
+def assert_batched_weights_exact(data, metric, m):
+    """Each arm's batched indicator fit equals the per-unit fit with ==."""
+    x = data.covariates
+    for arm in (0, 1):
+        rows = data.treatment == arm
+        theta = _indicator_values(NeighborModel(x[rows], metric, m), x[rows], x, data.n, data.n)
+        for j, i in enumerate(np.flatnonzero(rows)):
+            basis = catchment_indicator(x[rows], metric, m, x[i])
+            assert theta[j] == fit_weight_arm(data, arm, basis, lam=0.0)[0]
+
+
+def grid_dataset(n, d, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 3, size=(n, d)).astype(float)
+    return ObservationalDataset(covariates=x, treatment=np.arange(n) % 2, outcome=np.zeros(n))
+
+
+class TestBatchedWeightIdentity:
+    def test_continuous_instances(self):
+        rng = np.random.default_rng(37)
+        for _ in range(6):
+            data, metric, m = random_observational_instance(rng, max_n=70)
+            assert_batched_weights_exact(data, metric, m)
+
+    @pytest.mark.parametrize("d,m", [(1, 1), (2, 3), (2, 7), (3, 4)])
+    def test_integer_grid(self, d, m):
+        assert_batched_weights_exact(grid_dataset(60, d, seed=d + m), Metric(), m)
+
+    def test_control_row_equals_treated_row(self):
+        rng = np.random.default_rng(43)
+        x = rng.normal(size=(40, 2))
+        treat = np.arange(40) % 2
+        x[0] = [0.0, 0.5]
+        x[1] = x[0]
+        x[3] = [-0.0, 0.5]  # equal to x[0] under ==
+        x[6] = x[5]
+        data = ObservationalDataset(covariates=x, treatment=treat, outcome=np.zeros(40))
+        for m in (1, 2, 5):
+            assert_batched_weights_exact(data, Metric(weights=np.array([1.0, 2.5])), m)
+
+    def test_m_equals_arm_size(self):
+        rng = np.random.default_rng(47)
+        x = rng.normal(size=(20, 2))
+        treat = np.array([1] * 6 + [0] * 14)
+        data = ObservationalDataset(covariates=x, treatment=treat, outcome=np.zeros(20))
+        assert_batched_weights_exact(data, Metric(), 6)
+        assert_batched_weights_exact(grid_dataset(24, 2, seed=5), Metric(), 12)
+
+    def test_blocks_of_one_row(self, monkeypatch):
+        monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 1)
+        assert_batched_weights_exact(grid_dataset(30, 2, seed=9), Metric(), 3)
+
+
 class TestNnWeight:
     def test_unmatched_unit_weight_one(self, euclidean):
         data = ObservationalDataset(
@@ -79,11 +134,11 @@ class TestNnWeight:
             outcome=np.zeros(3),
         )
         # the far control is never used as a match
-        assert nn_weight(data, euclidean, 1, 2) == 1.0
+        assert nn_weights(data, euclidean, 1)[2] == 1.0
 
     def test_four_unit_instance(self, four_unit_dataset, euclidean):
         for i in range(4):
-            assert nn_weight(four_unit_dataset, euclidean, 1, i) == 2.0
+            assert nn_weights(four_unit_dataset, euclidean, 1)[i] == 2.0
 
     def test_k_equals_m_gives_two(self, euclidean):
         data = ObservationalDataset(
