@@ -26,6 +26,7 @@ from rieszmatch import (
     fit_outcome,
     generate,
     logistic_dgp,
+    matching_structures,
 )
 
 
@@ -52,11 +53,12 @@ def main() -> None:
     for rep in range(args.reps):
         data = generate(spec, args.n, seed=args.seed0 + rep)
         outcome = fit_outcome(data, args.degree)
-        columns["matching"].append(ate_matching(data, metric, m).tau)
-        columns["weight_form"].append(ate_weight_form(data, metric, m).tau)
+        structures = matching_structures(data, metric, m)
+        columns["matching"].append(ate_matching(data, structures).tau)
+        columns["weight_form"].append(ate_weight_form(data, structures).tau)
         columns["regression"].append(ate_regression(data, outcome).tau)
-        columns["bias_corrected"].append(ate_bias_corrected(data, metric, m, outcome).tau)
-        columns["dr_riesz"].append(ate_dr_riesz(data, metric, m, outcome).tau)
+        columns["bias_corrected"].append(ate_bias_corrected(data, structures, outcome).tau)
+        columns["dr_riesz"].append(ate_dr_riesz(data, structures, outcome).tau)
 
     print(f"n={args.n} M={m} degree={args.degree} reps={args.reps} true_ate={spec.true_ate}")
     print(f"{'estimator':>16} {'mean':>9} {'sd':>9} {'bias':>9} {'rmse':>9}")

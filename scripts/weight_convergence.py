@@ -14,7 +14,7 @@ import argparse
 
 import numpy as np
 
-from rieszmatch import Metric, generate, logistic_dgp, nn_weights
+from rieszmatch import Metric, generate, logistic_dgp, matching_structures
 
 
 def main() -> None:
@@ -32,7 +32,7 @@ def main() -> None:
         errors = []
         for s in range(args.seeds):
             data = generate(spec, n, seed=args.seed0 + s)
-            weights = nn_weights(data, metric, m)
+            weights = matching_structures(data, metric, m).weights
             e = spec.propensity(data.covariates)
             treated = data.treatment == 1
             errors.append(np.median(np.abs(weights[treated] - 1.0 / e[treated])))

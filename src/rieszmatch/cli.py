@@ -99,17 +99,16 @@ def _pool_map(worker, args_list, jobs: int) -> list:
 def cmd_ate(args) -> tuple[str, int]:
     data = ds.load_csv(args.input)
     m = args.m if args.m is not None else default_match_count(data.n)
-    metric = Metric()
+    outcome = matching.fit_outcome(data, args.degree) if args.estimator in ("bc", "dr") else None
+    structures = matching_structures(data, Metric(), m)
     if args.estimator == "matching":
-        est = matching.ate_matching(data, metric, m)
+        est = matching.ate_matching(data, structures)
     elif args.estimator == "weight":
-        est = matching.ate_weight_form(data, metric, m)
+        est = matching.ate_weight_form(data, structures)
+    elif args.estimator == "bc":
+        est = matching.ate_bias_corrected(data, structures, outcome)
     else:
-        outcome = matching.fit_outcome(data, args.degree)
-        if args.estimator == "bc":
-            est = matching.ate_bias_corrected(data, metric, m, outcome)
-        else:
-            est = matching.ate_dr_riesz(data, metric, m, outcome)
+        est = matching.ate_dr_riesz(data, structures, outcome)
     header = [
         ("command", "ate"),
         ("input", args.input),
@@ -183,7 +182,7 @@ def cmd_weights(args) -> tuple[str, int]:
         source = [("dgp", args.dgp), ("n", args.n), ("seed", args.seed)]
     m = args.m if args.m is not None else default_match_count(data.n)
     structures = matching_structures(data, Metric(), m)
-    weights = 1.0 + structures.matched_times / m
+    weights = structures.weights
     header = [("command", "weights")] + source + [
         ("m", m),
         ("metric", args.metric),
@@ -207,16 +206,16 @@ def _simulate_replication(task: tuple) -> dict:
     rep, rep_seed, dgp_name, n, m, degree = task
     spec = ds.builtin_dgp(dgp_name)
     data = ds.generate(spec, n, rep_seed)
-    metric = Metric()
     outcome = matching.fit_outcome(data, degree)
+    structures = matching_structures(data, Metric(), m)
     return {
         "rep": rep,
         "seed": rep_seed,
-        "tau_matching": matching.ate_matching(data, metric, m).tau,
-        "tau_weight_form": matching.ate_weight_form(data, metric, m).tau,
+        "tau_matching": matching.ate_matching(data, structures).tau,
+        "tau_weight_form": matching.ate_weight_form(data, structures).tau,
         "tau_regression": matching.ate_regression(data, outcome).tau,
-        "tau_bias_corrected": matching.ate_bias_corrected(data, metric, m, outcome).tau,
-        "tau_dr_riesz": matching.ate_dr_riesz(data, metric, m, outcome).tau,
+        "tau_bias_corrected": matching.ate_bias_corrected(data, structures, outcome).tau,
+        "tau_dr_riesz": matching.ate_dr_riesz(data, structures, outcome).tau,
     }
 
 

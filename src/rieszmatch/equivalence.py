@@ -6,7 +6,9 @@ imputation vs its weight form, indicator-basis LSIF arm fits vs matched-times
 weights (these two share one batched catchment count, bit for bit the
 per-point ``catchment_indicator`` fits kept as the test oracle), the joint
 Riesz block solve vs arm-wise solves, and the doubly robust score form vs the
-bias-corrected form.  ``verify`` and the acceptance tests run on these.
+bias-corrected form.  ``run_instance`` builds one match and one outcome model
+per observational instance and hands them to every suite that needs them.
+``verify`` and the acceptance tests run on these.
 """
 
 from __future__ import annotations
@@ -23,20 +25,17 @@ from .lsif import (
     verify_theorem1_all,
 )
 from .matching import (
+    OutcomeModel,
     ate_bias_corrected,
     ate_dr_riesz,
     ate_matching,
     ate_weight_form,
     fit_outcome,
 )
-from .neighbors import Metric, NeighborModel
-from .riesz import (
-    dr_score,
-    fit_weight_arm,
-    nn_representer_values,
-    nn_weights,
-    riesz_fit,
+from .neighbors import (
+    MatchStructures, Metric, NeighborModel, _mth_sq_radius_batch, matching_structures
 )
+from .riesz import dr_score, fit_weight_arm, nn_representer_values, riesz_fit
 
 GAP_THRESHOLD = 1e-12
 
@@ -78,22 +77,26 @@ def theorem1_max_gap(data: TwoSampleData, metric: Metric | None, m: int) -> floa
     return verify_theorem1_all(data, metric, m).max_gap
 
 
-def eq1_gap(dataset: ObservationalDataset, metric: Metric | None, m: int) -> float:
+def eq1_gap(dataset: ObservationalDataset, structures: MatchStructures) -> float:
     """Gap between imputation-form and weight-form matching estimates."""
-    return abs(ate_matching(dataset, metric, m).tau - ate_weight_form(dataset, metric, m).tau)
+    return abs(ate_matching(dataset, structures).tau - ate_weight_form(dataset, structures).tau)
 
 
-def weight_identity_max_gap(dataset: ObservationalDataset, metric: Metric | None, m: int) -> float:
+def weight_identity_max_gap(
+    dataset: ObservationalDataset, metric: Metric | None, structures: MatchStructures
+) -> float:
     """Per-unit gap between the indicator-basis LSIF weight and 1 + K_M(i)/M.
 
-    One pass per arm, whose rows are both the anchors and the reference.
+    One pass per arm, whose rows are both the anchors and the reference; the
+    match was built with ``metric``.
     """
-    weights = nn_weights(dataset, metric, m)
-    x, n = dataset.covariates, dataset.n
+    weights, x, n = structures.weights, dataset.covariates, dataset.n
     worst = 0.0
     for arm in (0, 1):
         rows = dataset.treatment == arm
-        theta = _indicator_values(NeighborModel(x[rows], metric, m), x[rows], x, n, n)
+        model = NeighborModel(x[rows], metric, structures.m)
+        radii = _mth_sq_radius_batch(model, x)
+        theta = _indicator_values(model, x[rows], radii[rows], x, radii, n, n)
         worst = max(worst, float(np.abs(theta - weights[rows]).max()))
     return worst
 
@@ -121,17 +124,15 @@ def separability_max_gap(dataset: ObservationalDataset, lam: float, degree: int 
 
 
 def dr_identity_gaps(
-    dataset: ObservationalDataset, metric: Metric | None, m: int, degree: int = 1
+    dataset: ObservationalDataset, structures: MatchStructures, outcome: OutcomeModel
 ) -> tuple[float, float]:
     """Gap between the DR-score and bias-corrected estimates, and the mean score."""
-    outcome = fit_outcome(dataset, degree)
-    bc = ate_bias_corrected(dataset, metric, m, outcome)
-    dr = ate_dr_riesz(dataset, metric, m, outcome)
-    x = dataset.covariates
-    contrast = outcome.mean_treated(x) - outcome.mean_control(x)
-    gamma = outcome.mean_observed(x, dataset.treatment)
-    alpha = nn_representer_values(dataset, metric, m)
-    psi = dr_score(contrast, gamma, alpha, dataset.outcome, dr.tau)
+    bc = ate_bias_corrected(dataset, structures, outcome)
+    dr = ate_dr_riesz(dataset, structures, outcome)
+    mu1, mu0 = outcome.means(dataset.covariates)
+    gamma = np.where(dataset.treatment == 1, mu1, mu0)
+    alpha = nn_representer_values(dataset, structures)
+    psi = dr_score(mu1 - mu0, gamma, alpha, dataset.outcome, dr.tau)
     return abs(dr.tau - bc.tau), abs(float(np.mean(psi)))
 
 
@@ -163,11 +164,13 @@ def run_instance(index: int, seed: int, max_n: int = 160) -> InstanceRecord:
     two_sample, metric2, m2 = random_two_sample_instance(rng, max_n=max_n)
     dataset, metric_obs, m_obs = random_observational_instance(rng, max_n=max_n)
     th1 = theorem1_max_gap(two_sample, metric2, m2)
-    eq1 = eq1_gap(dataset, metric_obs, m_obs)
-    wid = weight_identity_max_gap(dataset, metric_obs, m_obs)
+    structures = matching_structures(dataset, metric_obs, m_obs)
+    eq1 = eq1_gap(dataset, structures)
+    wid = weight_identity_max_gap(dataset, metric_obs, structures)
     sep = separability_max_gap(dataset, lam=1e-3)
     degree = 1 if min(dataset.n_treated, dataset.n_control) > dataset.d + 1 else 0
-    dr_gap, score_mean = dr_identity_gaps(dataset, metric_obs, m_obs, degree=degree)
+    outcome = fit_outcome(dataset, degree)
+    dr_gap, score_mean = dr_identity_gaps(dataset, structures, outcome)
     return InstanceRecord(
         index=index,
         theorem1_gap=th1,

@@ -47,9 +47,10 @@ _PIVOT_RTOL = 1e-12
 class Basis:
     """A finite feature map.
 
-    ``evaluate`` takes a d-vector and returns a b-vector; the built-in bases
-    also accept an (k, d) matrix and return (k, b), which the fitting code
-    uses for speed.
+    ``evaluate`` takes an (k, d) matrix of points and returns the (k, b)
+    matrix of their features; the fitting code calls it once per sample.  An
+    error it raises propagates, and any other shape is a ValueError.  The
+    built-in bases also map a single d-vector to a b-vector.
     """
 
     dimension: int
@@ -85,19 +86,12 @@ def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def evaluate_matrix(basis: Basis, points: np.ndarray) -> np.ndarray:
-    """Evaluate a basis on an (k, d) matrix, tolerating per-point callables."""
+    """Evaluate a basis on an (k, d) matrix in one batch call."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = None
-    try:
-        raw = np.asarray(basis.evaluate(pts), dtype=float)
-        if raw.shape == (len(pts), basis.dimension):
-            out = raw
-    except Exception:
-        out = None
-    if out is None:
-        out = np.array([np.ravel(basis.evaluate(p)) for p in pts], dtype=float)
-        if out.shape != (len(pts), basis.dimension):
-            raise ValueError("basis evaluate returned the wrong shape")
+    out = np.asarray(basis.evaluate(pts), dtype=float)
+    expected = (len(pts), basis.dimension)
+    if out.shape != expected:
+        raise ValueError(f"basis evaluate returned shape {out.shape}, expected {expected}")
     if not np.all(np.isfinite(out)):
         raise ValueError("non-finite basis output")
     return out
@@ -323,16 +317,18 @@ class Theorem1Batch:
         return float(self.gaps.max())
 
 
-def _indicator_values(model: NeighborModel, anchors, numerator, n_den, n_num, lam=0.0):
+def _indicator_values(model, anchors, anchor_radii, numerator, num_radii, n_den, n_num, lam=0.0):
     """Indicator-LSIF fits at every anchor c at once, bit for bit the fit on
     ``catchment_indicator(reference, metric, m, c)`` predicted at c: the squared
     moment sums the reference rows and divides by ``n_den``, the linear one
-    sums ``numerator`` and divides by ``n_num``."""
-    ref = model.reference_points
+    sums ``numerator`` and divides by ``n_num``.  The radii are the squared M-th
+    nearest-reference radii of the anchors and of the numerator points."""
+    ref, metric = model.reference_points, model.metric
     ref_rows = set(map(tuple, ref.tolist()))  # float ==, as catchment_indicator
     is_ref = np.array([row in ref_rows for row in map(tuple, numerator.tolist())], dtype=bool)
-    h_mat = _catchment_counts(model, anchors, ref, np.ones(len(ref), bool)) / n_den
-    h_vec = _catchment_counts(model, anchors, numerator, is_ref) / n_num
+    h_mat = _catchment_counts(metric, anchors, anchor_radii, ref, 0.0, np.ones(len(ref), bool))
+    h_vec = _catchment_counts(metric, anchors, anchor_radii, numerator, num_radii, is_ref)
+    h_mat, h_vec = h_mat / n_den, h_vec / n_num
     # h_mat >= M / n_den > 0; scalar Cholesky solve by the reciprocal pivot, as LAPACK's
     inv_chol = 1.0 / np.sqrt(h_mat + lam)
     return h_vec * inv_chol * inv_chol
@@ -344,13 +340,22 @@ def indicator_dre(data: TwoSampleData, metric: Metric | None, m: int, points, la
         raise ValueError(f"m={m} exceeds the denominator sample size {data.n_denominator}")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    model, pts = NeighborModel(data.denominator, metric, m), _as_points(points, data.d)
-    return _indicator_values(model, pts, data.numerator, data.n_denominator, data.n_numerator, lam)
+    model, num = NeighborModel(data.denominator, metric, m), data.numerator
+    pts = _as_points(points, data.d)
+    radii, num_radii = _mth_sq_radius_batch(model, pts), _mth_sq_radius_batch(model, num)
+    n_den, n_num = data.n_denominator, data.n_numerator
+    return _indicator_values(model, pts, radii, num, num_radii, n_den, n_num, lam)
 
 
 def verify_theorem1_all(data: TwoSampleData, metric: Metric | None, m: int) -> Theorem1Batch:
-    """Bit for bit ``verify_theorem1`` at every numerator point, from batched counts."""
-    lsif_values = indicator_dre(data, metric, m, data.numerator)
-    k_counts = matched_times_at(data, metric, m, data.numerator)
-    one_step = data.n_denominator / data.n_numerator * k_counts / m
+    """Bit for bit ``verify_theorem1`` at every numerator point, from batched counts.
+
+    One denominator model and one radius query of the numerator feed both
+    routes: the indicator-LSIF fit and the one-step matched-times count."""
+    model, num = NeighborModel(data.denominator, metric, m), data.numerator
+    radii = _mth_sq_radius_batch(model, num)
+    n_den, n_num = data.n_denominator, data.n_numerator
+    lsif_values = _indicator_values(model, num, radii, num, radii, n_den, n_num)
+    k_counts = _catchment_counts(model.metric, num, radii, num, radii, np.zeros(len(num), bool))
+    one_step = n_den / n_num * k_counts / m
     return Theorem1Batch(lsif_values, one_step, np.abs(lsif_values - one_step))

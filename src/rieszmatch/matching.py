@@ -15,8 +15,8 @@ import numpy as np
 
 from .dataset import ObservationalDataset
 from .lsif import polynomial_feature_matrix
-from .neighbors import MatchStructures, Metric, matching_structures
-from .riesz import nn_representer_values, nn_weights
+from .neighbors import MatchStructures
+from .riesz import nn_representer_values
 
 
 @dataclass(frozen=True)
@@ -27,14 +27,10 @@ class OutcomeModel:
     coef_treated: np.ndarray
     coef_control: np.ndarray
 
-    def mean_treated(self, x: np.ndarray) -> np.ndarray:
-        return polynomial_feature_matrix(x, self.degree) @ self.coef_treated
-
-    def mean_control(self, x: np.ndarray) -> np.ndarray:
-        return polynomial_feature_matrix(x, self.degree) @ self.coef_control
-
-    def mean_observed(self, x: np.ndarray, treatment: np.ndarray) -> np.ndarray:
-        return np.where(treatment == 1, self.mean_treated(x), self.mean_control(x))
+    def means(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fitted treated and control means at x, from one feature evaluation."""
+        phi = polynomial_feature_matrix(x, self.degree)
+        return phi @ self.coef_treated, phi @ self.coef_control
 
 
 def fit_outcome(dataset: ObservationalDataset, degree: int) -> OutcomeModel:
@@ -73,16 +69,12 @@ def _diagnostics(dataset: ObservationalDataset, m: int | None, max_weight: float
     return out
 
 
-def impute(dataset: ObservationalDataset, metric: Metric | None, m: int) -> np.ndarray:
+def impute(dataset: ObservationalDataset, structures: MatchStructures) -> np.ndarray:
     """Per-unit imputed potential outcomes, column 0 control and column 1 treated.
 
     The observed arm keeps the observed outcome exactly; the opposite arm is
     the mean outcome of the unit's M nearest opposite-arm matches.
     """
-    return _impute_from(dataset, matching_structures(dataset, metric, m))
-
-
-def _impute_from(dataset: ObservationalDataset, structures: MatchStructures) -> np.ndarray:
     matched_mean = dataset.outcome[structures.neighbor_sets].mean(axis=1)
     out = np.empty((dataset.n, 2))
     treated = dataset.treatment == 1
@@ -93,74 +85,65 @@ def _impute_from(dataset: ObservationalDataset, structures: MatchStructures) -> 
     return out
 
 
-def ate_matching(dataset: ObservationalDataset, metric: Metric | None, m: int) -> AteEstimate:
+def ate_matching(dataset: ObservationalDataset, structures: MatchStructures) -> AteEstimate:
     """Mean imputed treated-minus-control contrast."""
-    structures = matching_structures(dataset, metric, m)
-    pairs = _impute_from(dataset, structures)
+    pairs = impute(dataset, structures)
     tau = float(np.mean(pairs[:, 1] - pairs[:, 0]))
-    return AteEstimate(
-        tau=tau,
-        variant="matching",
-        diagnostics=_diagnostics(dataset, m, structures.weights.max()),
-    )
+    diagnostics = _diagnostics(dataset, structures.m, structures.weights.max())
+    return AteEstimate(tau=tau, variant="matching", diagnostics=diagnostics)
 
 
-def ate_weight_form(dataset: ObservationalDataset, metric: Metric | None, m: int) -> AteEstimate:
+def ate_weight_form(dataset: ObservationalDataset, structures: MatchStructures) -> AteEstimate:
     """Signed matched-times weighting (1/n) sum (2 D_i - 1)(1 + K_M(i)/M) Y_i."""
-    weights = nn_weights(dataset, metric, m)
-    signed = (2.0 * dataset.treatment - 1.0) * weights
-    tau = float(np.mean(signed * dataset.outcome))
-    return AteEstimate(
-        tau=tau, variant="weight_form", diagnostics=_diagnostics(dataset, m, weights.max())
-    )
+    tau = float(np.mean(nn_representer_values(dataset, structures) * dataset.outcome))
+    diagnostics = _diagnostics(dataset, structures.m, structures.weights.max())
+    return AteEstimate(tau=tau, variant="weight_form", diagnostics=diagnostics)
 
 
 def ate_regression(dataset: ObservationalDataset, outcome: OutcomeModel) -> AteEstimate:
     """Plug-in mean of the fitted arm contrast."""
-    x = dataset.covariates
-    tau = float(np.mean(outcome.mean_treated(x) - outcome.mean_control(x)))
+    mu1, mu0 = outcome.means(dataset.covariates)
     return AteEstimate(
-        tau=tau,
+        tau=float(np.mean(mu1 - mu0)),
         variant="regression_plugin",
         diagnostics=_diagnostics(dataset, None, None) | {"degree": outcome.degree},
     )
 
 
 def ate_bias_corrected(
-    dataset: ObservationalDataset, metric: Metric | None, m: int, outcome: OutcomeModel
+    dataset: ObservationalDataset, structures: MatchStructures, outcome: OutcomeModel
 ) -> AteEstimate:
     """Regression plug-in plus the weighted residual correction."""
-    x = dataset.covariates
-    tau_reg = ate_regression(dataset, outcome).tau
-    residuals = dataset.outcome - outcome.mean_observed(x, dataset.treatment)
-    weights = nn_weights(dataset, metric, m)
+    mu1, mu0 = outcome.means(dataset.covariates)
     treated = dataset.treatment == 1
+    residuals = dataset.outcome - np.where(treated, mu1, mu0)
+    weights = structures.weights
     correction = (
         np.sum(weights[treated] * residuals[treated])
         - np.sum(weights[~treated] * residuals[~treated])
     ) / dataset.n
     return AteEstimate(
-        tau=tau_reg + correction,
+        tau=float(np.mean(mu1 - mu0)) + correction,
         variant="bias_corrected",
-        diagnostics=_diagnostics(dataset, m, weights.max()) | {"degree": outcome.degree},
+        diagnostics=_diagnostics(dataset, structures.m, weights.max()) | {"degree": outcome.degree},
     )
 
 
 def ate_dr_riesz(
-    dataset: ObservationalDataset, metric: Metric | None, m: int, outcome: OutcomeModel
+    dataset: ObservationalDataset, structures: MatchStructures, outcome: OutcomeModel
 ) -> AteEstimate:
     """Doubly robust score mean with the matching-weight representer.
 
     Same algebra as the bias-corrected form in a different factorization;
     the two agree to floating-point roundoff.
     """
-    x = dataset.covariates
-    contrast = outcome.mean_treated(x) - outcome.mean_control(x)
-    residuals = dataset.outcome - outcome.mean_observed(x, dataset.treatment)
-    alpha = nn_representer_values(dataset, metric, m)
-    tau = float(np.mean(contrast + alpha * residuals))
+    mu1, mu0 = outcome.means(dataset.covariates)
+    residuals = dataset.outcome - np.where(dataset.treatment == 1, mu1, mu0)
+    alpha = nn_representer_values(dataset, structures)
+    tau = float(np.mean(mu1 - mu0 + alpha * residuals))
     return AteEstimate(
         tau=tau,
         variant="dr_riesz",
-        diagnostics=_diagnostics(dataset, m, np.abs(alpha).max()) | {"degree": outcome.degree},
+        diagnostics=_diagnostics(dataset, structures.m, np.abs(alpha).max())
+        | {"degree": outcome.degree},
     )

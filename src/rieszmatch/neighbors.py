@@ -102,10 +102,15 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _sq_to_candidates(queries: np.ndarray, reference: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    out = np.zeros(idx.shape)
+    # Bit for bit _sq_dists: the same per-coordinate order, starting from the
+    # first square (0 + x == x); the sign of a difference drops out when squared.
+    columns = np.ascontiguousarray(reference.T)
+    out = None
     for k in range(queries.shape[1]):
-        diff = queries[:, k, None] - reference[idx, k]
-        out += diff * diff
+        diff = np.take(columns[k], idx)
+        diff -= queries[:, k, None]
+        diff *= diff
+        out = diff if out is None else np.add(out, diff, out=out)
     return out
 
 
@@ -235,17 +240,13 @@ def catchment_contains(model: NeighborModel, x, z) -> bool:
     return bool(sq <= _mth_sq_radius_batch(model, zm)[0])
 
 
-def _catchment_counts(model: NeighborModel, anchors, points, anchor_side) -> np.ndarray:
-    """Per anchor c, count the points x with dist(c, x) <= the M-th radius of c
-    where ``anchor_side[x]`` holds, and <= that of x elsewhere.  With
-    ``anchor_side`` marking the reference rows this sums the feature of
+def _catchment_counts(metric: Metric, anchors, anchor_radii, points, point_radii, anchor_side):
+    """Per anchor c, count the points x with squared distance (c, x) at most
+    ``anchor_radii[c]`` where ``anchor_side[x]`` holds and ``point_radii[x]``
+    elsewhere.  With squared M-th nearest-reference radii and ``anchor_side``
+    marking the reference rows this sums the feature of
     ``lsif.catchment_indicator``; anchors go in blocks of _BLOCK_ENTRIES distances."""
-    anchor_radii, point_radii = np.zeros(len(anchors)), np.zeros(len(points))
-    if anchor_side.any():
-        anchor_radii = _mth_sq_radius_batch(model, anchors)
-    if not anchor_side.all():
-        point_radii[~anchor_side] = _mth_sq_radius_batch(model, points[~anchor_side])
-    anchors_s, points_s = model.metric.scale(anchors), model.metric.scale(points)
+    anchors_s, points_s = metric.scale(anchors), metric.scale(points)
     counts = np.empty(len(anchors), dtype=np.int64)
     step = max(1, _BLOCK_ENTRIES // len(points))
     for start in range(0, len(anchors), step):
@@ -264,7 +265,9 @@ def matched_times_at(data: TwoSampleData, metric: Metric | None, m: int, points)
     if m > data.n_denominator:
         raise ValueError(f"m={m} exceeds the denominator sample size {data.n_denominator}")
     model, num = NeighborModel(data.denominator, metric, m), data.numerator
-    return _catchment_counts(model, _as_points(points, data.d), num, np.zeros(len(num), bool))
+    pts, radii = _as_points(points, data.d), _mth_sq_radius_batch(model, num)
+    unused = np.zeros(len(pts))  # no point is on the anchor side
+    return _catchment_counts(model.metric, pts, unused, num, radii, np.zeros(len(num), bool))
 
 
 def matched_times_two_sample(data: TwoSampleData, metric: Metric | None, m: int) -> np.ndarray:

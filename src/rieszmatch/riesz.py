@@ -9,7 +9,7 @@ is block diagonal, so the coefficients coincide with the two arm-wise fits.
 
 With the per-point catchment indicator basis and no ridge penalty the fitted
 weight at unit i is exactly 1 + K_M(i)/M, the matched-times weight of
-nearest-neighbor matching; ``nn_weights`` computes those values directly.
+nearest-neighbor matching; ``MatchStructures.weights`` holds those values.
 """
 
 from __future__ import annotations
@@ -21,15 +21,14 @@ import scipy.linalg
 
 from .dataset import ObservationalDataset
 from .lsif import Basis, evaluate_matrix, solve_spd
-from .neighbors import Metric, matching_structures
+from .neighbors import MatchStructures
 
 
-def _arm_moments(dataset: ObservationalDataset, arm: int, basis: Basis):
+def _arm_moments(dataset: ObservationalDataset, arm: int, phi: np.ndarray):
+    """One arm's moments from the basis evaluated at every unit."""
     if arm not in (0, 1):
         raise ValueError("arm must be 0 or 1")
-    phi = evaluate_matrix(basis, dataset.covariates)
-    mask = dataset.treatment == arm
-    phi_arm = phi[mask]
+    phi_arm = phi[dataset.treatment == arm]
     h_mat = phi_arm.T @ phi_arm / dataset.n
     h_vec = phi.mean(axis=0)
     return h_mat, h_vec
@@ -39,7 +38,7 @@ def fit_weight_arm(dataset: ObservationalDataset, arm: int, basis: Basis, lam: f
     """Closed-form coefficients of one arm's inverse-propensity weight model."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    h_mat, h_vec = _arm_moments(dataset, arm, basis)
+    h_mat, h_vec = _arm_moments(dataset, arm, evaluate_matrix(basis, dataset.covariates))
     system = h_mat if lam == 0 else h_mat + lam * np.eye(basis.dimension)
     try:
         return solve_spd(system, h_vec)
@@ -63,7 +62,7 @@ def arm_objective_value(
 def arm_objective_gradient(
     dataset: ObservationalDataset, arm: int, basis: Basis, lam: float, theta: np.ndarray
 ) -> np.ndarray:
-    h_mat, h_vec = _arm_moments(dataset, arm, basis)
+    h_mat, h_vec = _arm_moments(dataset, arm, evaluate_matrix(basis, dataset.covariates))
     theta = np.asarray(theta, dtype=float)
     return h_mat @ theta + lam * theta - h_vec
 
@@ -104,8 +103,9 @@ def riesz_fit(dataset: ObservationalDataset, basis: Basis, lam: float) -> RieszR
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    h1, h_vec = _arm_moments(dataset, 1, basis)
-    h0, _ = _arm_moments(dataset, 0, basis)
+    phi = evaluate_matrix(basis, dataset.covariates)
+    h1, h_vec = _arm_moments(dataset, 1, phi)
+    h0, _ = _arm_moments(dataset, 0, phi)
     b = basis.dimension
     ridge = lam * np.eye(b)
     joint = scipy.linalg.block_diag(h1 + ridge, h0 + ridge)
@@ -134,14 +134,9 @@ def evaluate_representer(rep: RieszRepresenter, d: int, x) -> float:
     return w if d == 1 else -w
 
 
-def nn_weights(dataset: ObservationalDataset, metric: Metric | None, m: int) -> np.ndarray:
-    """Matching weights 1 + K_M(i)/M for every unit."""
-    return matching_structures(dataset, metric, m).weights
-
-
-def nn_representer_values(dataset: ObservationalDataset, metric: Metric | None, m: int) -> np.ndarray:
+def nn_representer_values(dataset: ObservationalDataset, structures: MatchStructures) -> np.ndarray:
     """Signed matching weights (2 D_i - 1)(1 + K_M(i)/M) at the sample points."""
-    return (2.0 * dataset.treatment - 1.0) * nn_weights(dataset, metric, m)
+    return (2.0 * dataset.treatment - 1.0) * structures.weights
 
 
 def dr_score(m_value, gamma_value, alpha_value, y, tau):

@@ -29,7 +29,7 @@ from rieszmatch import (
     impute,
     knn,
     logistic_dgp,
-    nn_weights,
+    matching_structures,
     polynomial_basis,
     verify_theorem1_all,
 )
@@ -74,7 +74,7 @@ def test_02_weight_form_rewriting():
     worst = 0.0
     for _ in range(200):
         data, metric, m = random_observational_instance(rng, max_n=300, max_d=3, max_m=5)
-        worst = max(worst, eq1_gap(data, metric, m))
+        worst = max(worst, eq1_gap(data, matching_structures(data, metric, m)))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12 and elapsed < 30.0
     report("02", "matching-weight-form", ok, f"max gap {worst:.2e}, {elapsed:.1f}s")
@@ -89,7 +89,8 @@ def test_03_weight_identity():
     worst = 0.0
     for _ in range(100):
         data, metric, m = random_observational_instance(rng, max_n=120)
-        worst = max(worst, weight_identity_max_gap(data, metric, m))
+        structures = matching_structures(data, metric, m)
+        worst = max(worst, weight_identity_max_gap(data, metric, structures))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12
     report("03", "nn-weight-identity", ok, f"max gap {worst:.2e}, {elapsed:.1f}s")
@@ -120,7 +121,8 @@ def test_05_dr_algebra():
     for _ in range(200):
         data, metric, m = random_observational_instance(rng, max_n=300)
         degree = 1 if min(data.n_treated, data.n_control) > data.d + 1 else 0
-        gap, score_mean = dr_identity_gaps(data, metric, m, degree)
+        structures = matching_structures(data, metric, m)
+        gap, score_mean = dr_identity_gaps(data, structures, fit_outcome(data, degree))
         worst_gap = max(worst_gap, gap)
         worst_mean = max(worst_mean, score_mean)
     elapsed = time.perf_counter() - started
@@ -225,7 +227,7 @@ def test_08_weight_consistency():
         errors = {}
         for n, m in ((500, 16), (4000, 32)):
             data = generate(spec, n, seed=800 + seed)
-            weights = nn_weights(data, metric, m)
+            weights = matching_structures(data, metric, m).weights
             e = spec.propensity(data.covariates)
             treated = data.treatment == 1
             errors[n] = np.median(np.abs(weights[treated] - 1.0 / e[treated]))
@@ -246,7 +248,7 @@ def _bias_corrected_replications(degree: int, reps: int = 100):
     for rep in range(reps):
         data = generate(spec, n, seed=900_000 + rep)
         outcome = fit_outcome(data, degree)
-        taus[rep] = ate_bias_corrected(data, metric, m, outcome).tau
+        taus[rep] = ate_bias_corrected(data, matching_structures(data, metric, m), outcome).tau
     return taus, spec.true_ate
 
 
@@ -280,7 +282,7 @@ def _noise_free_matching_bias(n: int, reps: int = 100) -> np.ndarray:
         x, treatment = data.covariates, data.treatment
         mu1, mu0 = spec.outcome_mean_treated(x), spec.outcome_mean_control(x)
         noise_free = ObservationalDataset(x, treatment, np.where(treatment == 1, mu1, mu0))
-        pairs = impute(noise_free, metric, m)
+        pairs = impute(noise_free, matching_structures(noise_free, metric, m))
         biases[rep] = np.mean(pairs[:, 1] - pairs[:, 0]) - np.mean(mu1 - mu0)
     return biases
 

@@ -82,6 +82,26 @@ class TestFit:
         assert eigvals.min() >= -1e-12
 
 
+class TestBatchContract:
+    data = TwoSampleData(denominator=[[0.0], [1.0]], numerator=[[0.5]])
+
+    def test_basis_error_propagates(self):
+        # a per-point-only map is not retried point by point
+        def one_point(p):
+            p = np.asarray(p)
+            if p.ndim != 1:
+                raise TypeError("one point at a time")
+            return np.array([1.0 + p.sum()])
+
+        with pytest.raises(TypeError, match="one point at a time"):
+            fit(self.data, Basis(dimension=1, evaluate=one_point), lam=0.0)
+
+    def test_wrong_shape_raises(self):
+        flat = Basis(dimension=1, evaluate=lambda pts: np.ones(len(np.atleast_2d(pts))))
+        with pytest.raises(ValueError, match=r"shape \(2,\), expected \(2, 1\)"):
+            fit(self.data, flat, lam=0.0)
+
+
 class TestPredict:
     def test_constant(self):
         data = TwoSampleData(denominator=[[0.0], [1.0]], numerator=[[0.5]])
@@ -166,13 +186,36 @@ class TestTheorem1:
 
     def test_batched_equals_per_point_exactly(self):
         rng = np.random.default_rng(4)
-        for _ in range(10):
-            data, metric, m = random_two_sample_instance(rng, max_n=50)
+        instances = [random_two_sample_instance(rng, max_n=50) for _ in range(10)]
+        # integer grids: numerator points equal denominator rows, distances tie
+        instances += [(grid_two_sample(30, 25, d, seed=d), Metric(), 3) for d in (1, 2)]
+        for data, metric, m in instances:
             batch = verify_theorem1_all(data, metric, m)
             for t in range(0, data.n_numerator, 3):
                 single = verify_theorem1(data, metric, m, data.numerator[t])
                 assert single.lsif_value == batch.lsif_values[t]
                 assert single.one_step_value == batch.one_step_values[t]
+
+    def test_one_tree_and_one_radius_query(self, monkeypatch):
+        # both routes share the denominator tree and the numerator's M-th radii
+        builds, query_rows = [], []
+        real_knn = neighbors._knn_sq_batch
+
+        class CountingTree(neighbors.cKDTree):
+            def __init__(self, *args, **kwargs):
+                builds.append(1)
+                super().__init__(*args, **kwargs)
+
+        def counting_knn(model, queries):
+            query_rows.append(len(queries))
+            return real_knn(model, queries)
+
+        monkeypatch.setattr(neighbors, "cKDTree", CountingTree)
+        monkeypatch.setattr(neighbors, "_knn_sq_batch", counting_knn)
+        data, metric, m = random_two_sample_instance(np.random.default_rng(6), max_n=80)
+        verify_theorem1_all(data, metric, m)
+        assert len(builds) == 1
+        assert query_rows == [data.n_numerator]
 
 
 def grid_two_sample(n0, n1, d, seed):

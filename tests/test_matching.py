@@ -15,14 +15,18 @@ from rieszmatch import (
     generate,
     impute,
     logistic_dgp,
+    matching_structures,
 )
+import rieszmatch
+from rieszmatch import cli, equivalence, lsif, matching, neighbors, riesz
 from rieszmatch.equivalence import random_observational_instance
 from rieszmatch.lsif import polynomial_feature_matrix
 
 
 class TestImpute:
     def test_four_unit_instance(self, four_unit_dataset, euclidean):
-        pairs = impute(four_unit_dataset, euclidean, 1)
+        structures = matching_structures(four_unit_dataset, euclidean, 1)
+        pairs = impute(four_unit_dataset, structures)
         np.testing.assert_array_equal(pairs, [[0.0, 1.0], [2.0, 3.0], [0.0, 1.0], [2.0, 3.0]])
 
     def test_constant_outcome(self, euclidean):
@@ -31,7 +35,8 @@ class TestImpute:
             treatment=np.array([1, 0, 1, 0, 1, 0]),
             outcome=np.full(6, 4.2),
         )
-        np.testing.assert_array_equal(impute(data, euclidean, 2), np.full((6, 2), 4.2))
+        pairs = impute(data, matching_structures(data, euclidean, 2))
+        np.testing.assert_array_equal(pairs, np.full((6, 2), 4.2))
 
     def test_full_averaging_when_m_is_arm_size(self, euclidean):
         data = ObservationalDataset(
@@ -39,14 +44,14 @@ class TestImpute:
             treatment=np.array([1, 1, 1, 0, 0, 0]),
             outcome=np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
         )
-        pairs = impute(data, euclidean, 3)
+        pairs = impute(data, matching_structures(data, euclidean, 3))
         np.testing.assert_allclose(pairs[data.treatment == 1, 0], 5.0)  # control mean
         np.testing.assert_allclose(pairs[data.treatment == 0, 1], 2.0)  # treated mean
 
     def test_observed_arm_kept_exactly(self, euclidean):
         rng = np.random.default_rng(3)
         data, metric, m = random_instance(rng)
-        pairs = impute(data, metric, m)
+        pairs = impute(data, matching_structures(data, metric, m))
         treated = data.treatment == 1
         np.testing.assert_array_equal(pairs[treated, 1], data.outcome[treated])
         np.testing.assert_array_equal(pairs[~treated, 0], data.outcome[~treated])
@@ -58,7 +63,7 @@ def random_instance(rng, max_n=200):
 
 class TestAteMatching:
     def test_four_unit_instance(self, four_unit_dataset, euclidean):
-        est = ate_matching(four_unit_dataset, euclidean, 1)
+        est = ate_matching(four_unit_dataset, matching_structures(four_unit_dataset, euclidean, 1))
         assert est.tau == 1.0
         assert est.variant == "matching"
         assert est.diagnostics["m"] == 1
@@ -70,7 +75,7 @@ class TestAteMatching:
             treatment=np.array([1, 0] * 4),
             outcome=np.full(8, 3.3),
         )
-        assert ate_matching(data, euclidean, 2).tau == 0.0
+        assert ate_matching(data, matching_structures(data, euclidean, 2)).tau == 0.0
 
     def test_null_effect_near_zero(self, euclidean):
         # treatment-independent noisy outcome: mean tau over seeds is near zero
@@ -87,15 +92,17 @@ class TestAteMatching:
             true_ate=0.0,
             covariate_sampler=base.covariate_sampler,
         )
-        taus = np.array(
-            [ate_matching(generate(null_spec, 1000, seed=s), euclidean, 1).tau for s in range(100)]
-        )
+        taus = []
+        for s in range(100):
+            data = generate(null_spec, 1000, seed=s)
+            taus.append(ate_matching(data, matching_structures(data, euclidean, 1)).tau)
+        taus = np.array(taus)
         assert abs(taus.mean()) < 3 * taus.std(ddof=1) / np.sqrt(len(taus))
 
 
 class TestAteWeightForm:
     def test_four_unit_instance(self, four_unit_dataset, euclidean):
-        est = ate_weight_form(four_unit_dataset, euclidean, 1)
+        est = ate_weight_form(four_unit_dataset, matching_structures(four_unit_dataset, euclidean, 1))
         assert est.tau == 1.0
         assert est.variant == "weight_form"
 
@@ -105,7 +112,7 @@ class TestAteWeightForm:
         data = ObservationalDataset(
             covariates=data.covariates, treatment=data.treatment, outcome=np.full(data.n, 7.7)
         )
-        assert abs(ate_weight_form(data, metric, m).tau) < 1e-12
+        assert abs(ate_weight_form(data, matching_structures(data, metric, m)).tau) < 1e-12
 
     def test_single_pair(self, euclidean):
         data = ObservationalDataset(
@@ -113,15 +120,16 @@ class TestAteWeightForm:
             treatment=np.array([1, 0]),
             outcome=np.array([5.0, 2.0]),
         )
-        assert ate_weight_form(data, euclidean, 1).tau == 3.0
+        assert ate_weight_form(data, matching_structures(data, euclidean, 1)).tau == 3.0
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_equals_matching_form(self, seed):
         rng = np.random.default_rng(seed)
         data, metric, m = random_instance(rng, max_n=120)
-        a = ate_matching(data, metric, m).tau
-        b = ate_weight_form(data, metric, m).tau
+        structures = matching_structures(data, metric, m)
+        a = ate_matching(data, structures).tau
+        b = ate_weight_form(data, structures).tau
         assert abs(a - b) <= 1e-12
 
 
@@ -133,7 +141,7 @@ class TestFitOutcome:
         y = np.where(treat == 1, 1.0 + 2.0 * x[:, 0], -0.5 + x[:, 0])
         data = ObservationalDataset(covariates=x, treatment=treat, outcome=y)
         model = fit_outcome(data, degree=1)
-        resid = data.outcome - model.mean_observed(x, treat)
+        resid = data.outcome - np.where(treat == 1, *model.means(x))
         assert np.abs(resid).max() <= 1e-10
 
     def test_degree_zero_is_arm_mean(self):
@@ -143,8 +151,8 @@ class TestFitOutcome:
         y = rng.normal(size=30)
         data = ObservationalDataset(covariates=x, treatment=treat, outcome=y)
         model = fit_outcome(data, degree=0)
-        assert model.mean_treated(x)[0] == pytest.approx(y[treat == 1].mean())
-        assert model.mean_control(x)[0] == pytest.approx(y[treat == 0].mean())
+        assert model.means(x)[0][0] == pytest.approx(y[treat == 1].mean())
+        assert model.means(x)[1][0] == pytest.approx(y[treat == 0].mean())
 
     def test_normal_equations(self):
         rng = np.random.default_rng(6)
@@ -163,7 +171,7 @@ class TestFitOutcome:
     def test_variance_reduction_on_logistic_dgp(self):
         data = generate(logistic_dgp(), 1000, seed=21)
         model = fit_outcome(data, degree=1)
-        resid = data.outcome - model.mean_observed(data.covariates, data.treatment)
+        resid = data.outcome - np.where(data.treatment == 1, *model.means(data.covariates))
         for arm in (0, 1):
             mask = data.treatment == arm
             assert resid[mask].var() < data.outcome[mask].var()
@@ -194,17 +202,18 @@ class TestBiasCorrected:
         data = ObservationalDataset(covariates=x, treatment=treat, outcome=y)
         model = fit_outcome(data, degree=1)
         reg = ate_regression(data, model)
-        bc = ate_bias_corrected(data, euclidean, 3, model)
+        bc = ate_bias_corrected(data, matching_structures(data, euclidean, 3), model)
         true_ate = np.mean(1.0 + x[:, 1])
         assert bc.tau == pytest.approx(reg.tau, abs=1e-12)
         assert bc.tau == pytest.approx(true_ate, abs=1e-10)
 
     def test_four_unit_degree_zero(self, four_unit_dataset, euclidean):
         model = fit_outcome(four_unit_dataset, degree=0)
-        assert model.mean_treated(four_unit_dataset.covariates)[0] == pytest.approx(2.0)
-        assert model.mean_control(four_unit_dataset.covariates)[0] == pytest.approx(1.0)
+        assert model.means(four_unit_dataset.covariates)[0][0] == pytest.approx(2.0)
+        assert model.means(four_unit_dataset.covariates)[1][0] == pytest.approx(1.0)
         assert ate_regression(four_unit_dataset, model).tau == pytest.approx(1.0)
-        est = ate_bias_corrected(four_unit_dataset, euclidean, 1, model)
+        structures = matching_structures(four_unit_dataset, euclidean, 1)
+        est = ate_bias_corrected(four_unit_dataset, structures, model)
         assert est.tau == pytest.approx(1.0, abs=1e-14)
 
 
@@ -216,12 +225,13 @@ class TestDrRiesz:
         y = np.where(treat == 1, 2.0 + x[:, 0], x[:, 0])
         data = ObservationalDataset(covariates=x, treatment=treat, outcome=y)
         model = fit_outcome(data, degree=1)
-        dr = ate_dr_riesz(data, euclidean, 2, model)
+        dr = ate_dr_riesz(data, matching_structures(data, euclidean, 2), model)
         assert dr.tau == pytest.approx(ate_regression(data, model).tau, abs=1e-12)
 
     def test_four_unit_degree_zero(self, four_unit_dataset, euclidean):
         model = fit_outcome(four_unit_dataset, degree=0)
-        assert ate_dr_riesz(four_unit_dataset, euclidean, 1, model).tau == pytest.approx(1.0)
+        structures = matching_structures(four_unit_dataset, euclidean, 1)
+        assert ate_dr_riesz(four_unit_dataset, structures, model).tau == pytest.approx(1.0)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -230,8 +240,9 @@ class TestDrRiesz:
         data, metric, m = random_instance(rng, max_n=120)
         degree = 1 if min(data.n_treated, data.n_control) > data.d + 1 else 0
         model = fit_outcome(data, degree)
-        a = ate_bias_corrected(data, metric, m, model).tau
-        b = ate_dr_riesz(data, metric, m, model).tau
+        structures = matching_structures(data, metric, m)
+        a = ate_bias_corrected(data, structures, model).tau
+        b = ate_dr_riesz(data, structures, model).tau
         assert abs(a - b) <= 1e-12
 
 
@@ -248,12 +259,14 @@ class TestEstimatorInvariances:
                 outcome=data.outcome[perm],
             )
             model_p = fit_outcome(shuffled, degree=0)
+            match = matching_structures(data, metric, m)
+            match_p = matching_structures(shuffled, metric, m)
             for before, after in (
-                (ate_matching(data, metric, m), ate_matching(shuffled, metric, m)),
-                (ate_weight_form(data, metric, m), ate_weight_form(shuffled, metric, m)),
+                (ate_matching(data, match), ate_matching(shuffled, match_p)),
+                (ate_weight_form(data, match), ate_weight_form(shuffled, match_p)),
                 (
-                    ate_bias_corrected(data, metric, m, model),
-                    ate_bias_corrected(shuffled, metric, m, model_p),
+                    ate_bias_corrected(data, match, model),
+                    ate_bias_corrected(shuffled, match_p, model_p),
                 ),
             ):
                 assert abs(before.tau - after.tau) <= 1e-12
@@ -267,5 +280,36 @@ class TestEstimatorInvariances:
                 treatment=data.treatment,
                 outcome=data.outcome + 37.5,
             )
+            match = matching_structures(data, metric, m)
+            match_s = matching_structures(shifted, metric, m)
             for variant in (ate_matching, ate_weight_form):
-                assert abs(variant(data, metric, m).tau - variant(shifted, metric, m).tau) <= 1e-10
+                assert abs(variant(data, match).tau - variant(shifted, match_s).tau) <= 1e-10
+
+
+def count_matches(monkeypatch) -> list:
+    """Count ``matching_structures`` calls through every module that binds it."""
+    calls = []
+    real = neighbors.matching_structures
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (rieszmatch, cli, equivalence, lsif, matching, neighbors, riesz):
+        if hasattr(module, "matching_structures"):
+            monkeypatch.setattr(module, "matching_structures", counted)
+    return calls
+
+
+class TestMatchOnce:
+    def test_run_instance_matches_once(self, monkeypatch):
+        calls = count_matches(monkeypatch)
+        record = equivalence.run_instance(0, seed=12345)
+        assert record.max_gap <= equivalence.GAP_THRESHOLD
+        assert len(calls) == 1
+
+    def test_simulate_replication_matches_once(self, monkeypatch):
+        calls = count_matches(monkeypatch)
+        row = cli._simulate_replication((0, 7, "logistic", 300, 8, 1))
+        assert abs(row["tau_matching"] - row["tau_weight_form"]) <= 1e-12
+        assert len(calls) == 1

@@ -12,15 +12,15 @@ from rieszmatch import (
     dr_score,
     evaluate_representer,
     fit_weight_arm,
+    matching_structures,
     nn_representer_values,
-    nn_weights,
     polynomial_basis,
     riesz_fit,
 )
 from rieszmatch import neighbors
 from rieszmatch.equivalence import random_observational_instance
 from rieszmatch.lsif import _indicator_values
-from rieszmatch.neighbors import Metric, NeighborModel
+from rieszmatch.neighbors import Metric, NeighborModel, _mth_sq_radius_batch
 from rieszmatch.riesz import arm_objective_gradient, arm_objective_value
 
 
@@ -51,7 +51,7 @@ class TestFitWeightArm:
         rng = np.random.default_rng(5)
         for _ in range(5):
             data, metric, m = random_observational_instance(rng, max_n=60)
-            weights = nn_weights(data, metric, m)
+            weights = matching_structures(data, metric, m).weights
             for i in range(0, data.n, 5):
                 arm = int(data.treatment[i])
                 reference = data.covariates[data.treatment == arm]
@@ -78,7 +78,9 @@ def assert_batched_weights_exact(data, metric, m):
     x = data.covariates
     for arm in (0, 1):
         rows = data.treatment == arm
-        theta = _indicator_values(NeighborModel(x[rows], metric, m), x[rows], x, data.n, data.n)
+        model = NeighborModel(x[rows], metric, m)
+        radii = _mth_sq_radius_batch(model, x)
+        theta = _indicator_values(model, x[rows], radii[rows], x, radii, data.n, data.n)
         for j, i in enumerate(np.flatnonzero(rows)):
             basis = catchment_indicator(x[rows], metric, m, x[i])
             assert theta[j] == fit_weight_arm(data, arm, basis, lam=0.0)[0]
@@ -134,11 +136,11 @@ class TestNnWeight:
             outcome=np.zeros(3),
         )
         # the far control is never used as a match
-        assert nn_weights(data, euclidean, 1)[2] == 1.0
+        assert matching_structures(data, euclidean, 1).weights[2] == 1.0
 
     def test_four_unit_instance(self, four_unit_dataset, euclidean):
         for i in range(4):
-            assert nn_weights(four_unit_dataset, euclidean, 1)[i] == 2.0
+            assert matching_structures(four_unit_dataset, euclidean, 1).weights[i] == 2.0
 
     def test_k_equals_m_gives_two(self, euclidean):
         data = ObservationalDataset(
@@ -146,14 +148,14 @@ class TestNnWeight:
             treatment=np.array([1, 1, 0, 0]),
             outcome=np.zeros(4),
         )
-        weights = nn_weights(data, euclidean, 2)
+        weights = matching_structures(data, euclidean, 2).weights
         np.testing.assert_allclose(weights, 2.0)
 
     def test_weights_at_least_one(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             data, metric, m = random_observational_instance(rng, max_n=80)
-            assert nn_weights(data, metric, m).min() >= 1.0
+            assert matching_structures(data, metric, m).weights.min() >= 1.0
 
 
 class TestRieszFit:
@@ -203,7 +205,7 @@ class TestRieszFit:
     def test_nn_representer_matches_per_point_fits(self, euclidean):
         rng = np.random.default_rng(29)
         data, metric, m = random_observational_instance(rng, max_n=50)
-        alpha = nn_representer_values(data, metric, m)
+        alpha = nn_representer_values(data, matching_structures(data, metric, m))
         for i in range(0, data.n, 7):
             arm = int(data.treatment[i])
             reference = data.covariates[data.treatment == arm]
@@ -222,7 +224,7 @@ class TestRieszFit:
     def test_sign_convention(self):
         rng = np.random.default_rng(31)
         data, metric, m = random_observational_instance(rng, max_n=60)
-        alpha = nn_representer_values(data, metric, m)
+        alpha = nn_representer_values(data, matching_structures(data, metric, m))
         signs = np.sign(alpha)
         np.testing.assert_array_equal(signs, 2.0 * data.treatment - 1.0)
 
