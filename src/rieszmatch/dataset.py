@@ -9,7 +9,9 @@ known answers.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -299,53 +301,67 @@ def generate_two_sample(
 _EXPECTED_TAIL = ["d", "y"]
 
 
-def _parse_header(header: list[str], path: str) -> int:
-    if header is None:
+def _header_width(header: list[str] | None, path: Path, tail: list[str]) -> int:
+    """Field count of a header x0,...,x{d-1} followed by ``tail``, with d >= 1."""
+    if header is None and tail:
         raise ValueError(f"{path}: missing header row")
-    if len(header) < 3 or header[-2:] != _EXPECTED_TAIL:
-        raise ValueError(f"{path}: malformed header; expected x0,...,x{{d-1}},d,y")
-    d = len(header) - 2
-    expected = [f"x{i}" for i in range(d)]
-    if header[:-2] != expected:
-        raise ValueError(f"{path}: malformed header; expected x0,...,x{{d-1}},d,y")
-    return d
+    d = len(header or ()) - len(tail)
+    if d < 1 or header != [f"x{i}" for i in range(d)] + tail:
+        expected = ",".join(["x0,...,x{d-1}", *tail])
+        raise ValueError(f"{path}: malformed header; expected {expected}")
+    return len(header)
+
+
+def _raise_first_bad_row(body: str, width: int, binary_col: int | None):
+    """Raise the error of the first data row the loader rejects; never returns."""
+    for line, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        if len(row) != width:
+            raise ValueError(f"malformed row at row {line}: expected {width} fields, got {len(row)}")
+        try:  # numpy reads neither "_" separators nor non-ASCII digits
+            if any("_" in v or not v.strip().isascii() for v in row):
+                raise ValueError
+            values = [float(v) for v in row]
+        except ValueError:
+            raise ValueError(f"malformed row at row {line}: unparseable number") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"non-finite value at row {line}")
+        if binary_col is not None and values[binary_col] not in (0.0, 1.0):
+            raise ValueError(f"non-binary treatment at row {line}")
+    raise ValueError("csv and numpy read the data rows differently")
+
+
+def _read_rows(path: Path, tail: list[str], binary_col: int | None = None) -> np.ndarray:
+    """Data rows under a header x0,...,x{d-1} plus ``tail``, parsed by one loadtxt.
+
+    Where loadtxt fails, skips a line (it skips blank lines), or yields a
+    non-finite value or a ``binary_col`` value other than 0 or 1, a row-by-row
+    scan raises the error of the first bad row."""
+    with open(path, newline="") as handle:
+        width = _header_width(next(csv.reader(handle), None), path, tail)
+        body = handle.read()
+    n_records = body.count("\n") + body.count("\r") - body.count("\r\n")
+    n_records += body[-1:] not in ("", "\n", "\r")  # a last line with no line end
+    values = np.empty((0, width))
+    with contextlib.suppress(ValueError):  # the scan below names the first bad row
+        if body.strip("\r\n"):  # loadtxt warns on an input of blank lines only
+            text = io.StringIO(body, newline="")
+            values = np.loadtxt(text, delimiter=",", ndmin=2, comments=None, quotechar='"')
+    ok = values.shape == (n_records, width) and np.isfinite(values).all()
+    if not ok or (binary_col is not None and not np.isin(values[:, binary_col], (0, 1)).all()):
+        _raise_first_bad_row(body, width, binary_col)
+    return values
 
 
 def load_csv(path) -> ObservationalDataset:
     """Read an observational dataset; row numbers in errors count file lines."""
     path = Path(path)
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        d = _parse_header(header, str(path))
-        width = d + 2
-        xs, ds, ys = [], [], []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise ValueError(
-                    f"malformed row at row {line_no}: expected {width} fields, got {len(row)}"
-                )
-            try:
-                values = [float(v) for v in row]
-            except ValueError:
-                raise ValueError(f"malformed row at row {line_no}: unparseable number") from None
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"non-finite value at row {line_no}")
-            if values[d] not in (0.0, 1.0):
-                raise ValueError(f"non-binary treatment at row {line_no}")
-            xs.append(values[:d])
-            ds.append(int(values[d]))
-            ys.append(values[d + 1])
-    if not ds:
+    values = _read_rows(path, _EXPECTED_TAIL, binary_col=-2)
+    if not len(values):
         raise ValueError(f"{path}: empty treatment arm (no data rows)")
-    n_treated = sum(ds)
-    if n_treated == 0 or n_treated == len(ds):
+    treatment = values[:, -2].astype(np.int64)
+    if treatment.sum() in (0, len(treatment)):
         raise ValueError(f"{path}: empty treatment arm")
-    return ObservationalDataset(
-        covariates=np.array(xs, dtype=float),
-        treatment=np.array(ds, dtype=np.int64),
-        outcome=np.array(ys, dtype=float),
-    )
+    return ObservationalDataset(values[:, :-2], treatment, values[:, -1])
 
 
 def save_csv(dataset: ObservationalDataset, path) -> None:
@@ -363,27 +379,10 @@ def save_csv(dataset: ObservationalDataset, path) -> None:
 def load_points_csv(path) -> np.ndarray:
     """Read a plain point cloud with header x0,...,x{d-1}."""
     path = Path(path)
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or header != [f"x{i}" for i in range(len(header))] or not header:
-            raise ValueError(f"{path}: malformed header; expected x0,...,x{{d-1}}")
-        d = len(header)
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != d:
-                raise ValueError(
-                    f"malformed row at row {line_no}: expected {d} fields, got {len(row)}"
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise ValueError(f"malformed row at row {line_no}: unparseable number") from None
-            if not all(map(math.isfinite, rows[-1])):
-                raise ValueError(f"non-finite value at row {line_no}")
-    if not rows:
+    points = _read_rows(path, [])
+    if not len(points):
         raise ValueError(f"{path}: no data rows")
-    return np.array(rows, dtype=float)
+    return points
 
 
 def save_points_csv(points: np.ndarray, path) -> None:

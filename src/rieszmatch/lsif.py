@@ -32,7 +32,6 @@ from .neighbors import (
     EUCLIDEAN,
     Metric,
     NeighborModel,
-    _as_matrix,
     _as_points,
     _catchment_counts,
     _mth_sq_radius_batch,
@@ -239,7 +238,7 @@ def catchment_indicator(reference_points, metric: Metric | None, m: int, c) -> B
     Both boundaries are inclusive.  The anchor itself always evaluates to 1.
     """
     metric = metric if metric is not None else EUCLIDEAN
-    ref = _as_matrix(reference_points).copy()
+    ref = _as_points(reference_points).copy()
     model = NeighborModel(ref, metric, m)
     anchor = _as_points(c, ref.shape[1])
     if anchor.shape[0] != 1:

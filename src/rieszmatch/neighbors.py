@@ -8,6 +8,11 @@ are re-sorted, which on continuous data is almost none.  A vectorized
 brute-force path is kept both as the test oracle and as the fallback for
 dimensions above 16, where the tree stops paying off.
 
+Every query runs through ``_knn_blocks`` in row blocks of at most
+``_BLOCK_ENTRIES`` candidate distances (M+1 per row on the tree, n_ref on the
+brute-force path); a tie widens only its own block, and callers write each
+block straight into their output, so memory never grows as n_q n_ref.
+
 All ordering and boundary decisions are made on squared distances accumulated
 coordinate by coordinate, which reproduces the kd-tree's arithmetic exactly,
 so the tree and brute-force paths cannot disagree through rounding.
@@ -23,8 +28,8 @@ from scipy.spatial import cKDTree
 from .dataset import ObservationalDataset, TwoSampleData
 
 _MAX_TREE_DIM = 16
-# Distances held at once by a blocked catchment count: 8 MB of float64.
-_BLOCK_ENTRIES = 1 << 20
+# Entries held at once by a kNN block or a blocked count: 2 MB of float64.
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -66,28 +71,17 @@ class Metric:
 EUCLIDEAN = Metric()
 
 
-def _as_matrix(points) -> np.ndarray:
+def _as_points(points, d: int | None = None) -> np.ndarray:
+    """Coerce to an (k, d) matrix; a 1-d array is one point if its length is d > 1,
+    else a column.  Without d any width is accepted."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 0:
         pts = pts.reshape(1, 1)
     elif pts.ndim == 1:
-        pts = pts[:, None]
+        pts = pts[None, :] if d != 1 and pts.shape[0] == d else pts[:, None]
     if pts.ndim != 2:
         raise ValueError("points must be at most 2-d")
-    return pts
-
-
-def _as_points(points, d: int) -> np.ndarray:
-    """Coerce to an (k, d) matrix; a 1-d array of length d is a single point."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 0:
-        pts = pts.reshape(1, 1)
-    elif pts.ndim == 1:
-        if d == 1:
-            pts = pts[:, None]
-        elif pts.shape[0] == d:
-            pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != d:
+    if d is not None and pts.shape[1] != d:
         raise ValueError(f"dimension mismatch: expected points of dimension {d}")
     return pts
 
@@ -101,10 +95,9 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sq_to_candidates(queries: np.ndarray, reference: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    # Bit for bit _sq_dists: the same per-coordinate order, starting from the
-    # first square (0 + x == x); the sign of a difference drops out when squared.
-    columns = np.ascontiguousarray(reference.T)
+def _sq_to_candidates(queries: np.ndarray, columns: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    # Bit for bit _sq_dists to the reference whose transpose is ``columns``: same
+    # coordinate order from the first square (0 + x == x); signs drop out squared.
     out = None
     for k in range(queries.shape[1]):
         diff = np.take(columns[k], idx)
@@ -142,7 +135,7 @@ class NeighborModel:
     """An immutable M-nearest-neighbor index over a fixed reference sample."""
 
     def __init__(self, reference_points, metric: Metric | None = None, m: int = 1):
-        ref = _as_matrix(reference_points).copy()
+        ref = _as_points(reference_points).copy()
         if not np.all(np.isfinite(ref)):
             raise ValueError("reference points must be finite")
         if m < 1:
@@ -164,34 +157,36 @@ class NeighborModel:
     def d(self) -> int:
         return self.reference_points.shape[1]
 
-    def _check_queries(self, queries) -> np.ndarray:
-        return self.metric.scale(_as_points(queries, self.d))
+
+def _row_blocks(n_rows: int, width: int):
+    """Consecutive row slices holding at most _BLOCK_ENTRIES entries of ``width`` each."""
+    step = max(1, _BLOCK_ENTRIES // width)
+    return (slice(start, start + step) for start in range(0, n_rows, step))
 
 
-def _knn_sq_batch(model: NeighborModel, queries) -> tuple[np.ndarray, np.ndarray]:
-    """Squared distances and indices of the tie-broken M nearest references.
-
-    Returns arrays of shape (n_queries, m), rows ordered by (distance, index).
-    """
-    q = model._check_queries(queries)
-    m = model.m
-    n_ref = model.n_reference
-    if model._tree is None:
-        return _brute_knn_sq(q, model._scaled, m)
-
-    k_req = min(n_ref, m + 1)
-    while True:
-        _, idx = model._tree.query(q, k=k_req)
-        idx = idx.reshape(len(q), k_req)
-        sq = _sq_to_candidates(q, model._scaled, idx)
-        sq, idx = _row_sort(sq, idx)
-        if k_req == n_ref:
-            return sq[:, :m], idx[:, :m]
-        # Points not returned lie at least as far as the last candidate, so
-        # widen only while a tie at the m-th distance reaches it.
-        if not np.any(sq[:, m - 1] == sq[:, -1]):
-            return sq[:, :m], idx[:, :m]
-        k_req = min(n_ref, 2 * k_req)
+def _knn_blocks(model: NeighborModel, queries):
+    """Yield ``(rows, sq, idx)`` per row block of the queries: squared distances
+    and indices of each row's tie-broken M nearest references, (distance, index)
+    order."""
+    pts, m, n_ref = _as_points(queries, model.d), model.m, model.n_reference
+    width = n_ref if model._tree is None else min(n_ref, m + 1)
+    columns = np.ascontiguousarray(model._scaled.T)
+    for rows in _row_blocks(len(pts), width):
+        q = model.metric.scale(pts[rows])
+        if model._tree is None:
+            yield (rows, *_brute_knn_sq(q, model._scaled, m))
+            continue
+        k_req = width
+        while True:
+            _, idx = model._tree.query(q, k=k_req)
+            idx = idx.reshape(len(q), k_req)
+            sq, idx = _row_sort(_sq_to_candidates(q, columns, idx), idx)
+            # Points not returned lie at least as far as the last candidate, so
+            # widen only while a tie at the m-th distance reaches it.
+            if k_req == n_ref or not np.any(sq[:, m - 1] == sq[:, -1]):
+                break
+            k_req = min(n_ref, 2 * k_req)
+        yield rows, sq[:, :m], idx[:, :m]
 
 
 def _brute_knn_sq(scaled_queries: np.ndarray, scaled_ref: np.ndarray, m: int):
@@ -204,7 +199,7 @@ def _brute_knn_sq(scaled_queries: np.ndarray, scaled_ref: np.ndarray, m: int):
 def brute_force_knn(reference_points, metric: Metric | None, query, m: int) -> np.ndarray:
     """Oracle M-NN query: full distance scan plus (distance, index) sort."""
     metric = metric if metric is not None else EUCLIDEAN
-    ref = _as_matrix(reference_points)
+    ref = _as_points(reference_points)
     q = _as_points(query, ref.shape[1])
     if q.shape[0] != 1:
         raise ValueError("query must be a single point")
@@ -216,13 +211,13 @@ def brute_force_knn(reference_points, metric: Metric | None, query, m: int) -> n
 
 def knn(model: NeighborModel, query) -> np.ndarray:
     """Indices of the M nearest reference points, nearest first."""
-    _, idx = _knn_sq_batch(model, query)
+    _, _, idx = next(_knn_blocks(model, query))
     return idx[0]
 
 
 def _mth_sq_radius_batch(model: NeighborModel, queries) -> np.ndarray:
-    sq, _ = _knn_sq_batch(model, queries)
-    return sq[:, model.m - 1]
+    radii = [sq[:, model.m - 1] for _, sq, _ in _knn_blocks(model, queries)]
+    return np.concatenate(radii or [np.empty(0)])
 
 
 def mth_radius(model: NeighborModel, query) -> float:
@@ -248,9 +243,7 @@ def _catchment_counts(metric: Metric, anchors, anchor_radii, points, point_radii
     ``lsif.catchment_indicator``; anchors go in blocks of _BLOCK_ENTRIES distances."""
     anchors_s, points_s = metric.scale(anchors), metric.scale(points)
     counts = np.empty(len(anchors), dtype=np.int64)
-    step = max(1, _BLOCK_ENTRIES // len(points))
-    for start in range(0, len(anchors), step):
-        block = slice(start, start + step)
+    for block in _row_blocks(len(anchors), len(points)):
         radii = np.where(anchor_side, anchor_radii[block, None], point_radii)
         counts[block] = (_sq_dists(anchors_s[block], points_s) <= radii).sum(axis=1)
     return counts
@@ -305,12 +298,10 @@ def matching_structures(
     x = dataset.covariates
     treated = np.flatnonzero(dataset.treatment == 1)
     control = np.flatnonzero(dataset.treatment == 0)
-    model_treated = NeighborModel(x[treated], metric, m)
-    model_control = NeighborModel(x[control], metric, m)
-    _, local_for_treated = _knn_sq_batch(model_control, x[treated])
-    _, local_for_control = _knn_sq_batch(model_treated, x[control])
     neighbor_sets = np.empty((dataset.n, m), dtype=np.int64)
-    neighbor_sets[treated] = control[local_for_treated]
-    neighbor_sets[control] = treated[local_for_control]
+    for own, other in ((treated, control), (control, treated)):
+        model = NeighborModel(x[other], metric, m)
+        for rows, _, local in _knn_blocks(model, x[own]):
+            neighbor_sets[own[rows]] = other[local]
     matched_times = np.bincount(neighbor_sets.ravel(), minlength=dataset.n)
     return MatchStructures(neighbor_sets=neighbor_sets, matched_times=matched_times, m=m)

@@ -10,6 +10,7 @@ from rieszmatch import (
     generate,
     generate_two_sample,
     load_csv,
+    load_points_csv,
     logistic_dgp,
     save_csv,
     uniform_density,
@@ -80,6 +81,63 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.covariates, data.covariates)
         np.testing.assert_array_equal(back.treatment, data.treatment)
         np.testing.assert_array_equal(back.outcome, data.outcome)
+
+    def test_blank_line_reports_row(self, tmp_path):
+        path = write(tmp_path, "x0,d,y\n0.0,1,1.0\n\n1.0,0,2.0\n")
+        with pytest.raises(ValueError, match="^malformed row at row 3: expected 3 fields, got 0$"):
+            load_csv(path)
+        points = write(tmp_path, "x0\n0.5\n\n1.5\n", name="points.csv")
+        with pytest.raises(ValueError, match="^malformed row at row 3: expected 1 fields, got 0$"):
+            load_points_csv(points)
+
+    def test_hash_inside_a_field_is_not_a_comment(self, tmp_path):
+        path = write(tmp_path, "x0,d,y\n0.0,1,1.0#note\n1.0,0,2.0\n")
+        with pytest.raises(ValueError, match="^malformed row at row 2: unparseable number$"):
+            load_csv(path)
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"x0,d,y\r\n0.25,1,1.5\r\n-0.75,0,2.0\r\n")
+        data = load_csv(path)
+        np.testing.assert_array_equal(data.covariates, [[0.25], [-0.75]])
+        np.testing.assert_array_equal(data.treatment, [1, 0])
+        np.testing.assert_array_equal(data.outcome, [1.5, 2.0])
+
+    def test_quoted_number(self, tmp_path):
+        path = write(tmp_path, 'x0,d,y\n"0.25",1,1.5\n-0.75,"0","2e-3"\n')
+        data = load_csv(path)
+        np.testing.assert_array_equal(data.covariates, [[0.25], [-0.75]])
+        np.testing.assert_array_equal(data.treatment, [1, 0])
+        np.testing.assert_array_equal(data.outcome, [1.5, 2e-3])
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1.0,0,nan\n2.0,5,1.0\n", "non-finite value at row 3"),
+            ("2.0,5,1.0\n1.0,0,nan\n", "non-binary treatment at row 3"),
+            ("2.0,5,inf\n1.0,0,1.0\n", "non-finite value at row 3"),  # one row, both faults
+        ],
+    )
+    def test_first_bad_row_wins(self, tmp_path, rows, message):
+        path = write(tmp_path, "x0,d,y\n0.0,1,1.0\n" + rows)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_csv(path)
+
+    def test_round_trip_is_bit_identical_at_10000_rows(self, tmp_path):
+        rng = np.random.default_rng(17)
+        n = 10_000
+        bits = rng.integers(0, 2**64, size=(2 * n, 3), dtype=np.uint64).view(np.float64)
+        x = bits[np.isfinite(bits).all(axis=1)][:n]  # every finite double, subnormals included
+        x[:4, 0] = [-0.0, 5e-324, np.finfo(float).max, -np.finfo(float).tiny]
+        data = ObservationalDataset(
+            covariates=x, treatment=np.arange(n) % 2, outcome=rng.standard_cauchy(n)
+        )
+        path = tmp_path / "roundtrip.csv"
+        save_csv(data, path)
+        back = load_csv(path)
+        assert back.covariates.tobytes() == data.covariates.tobytes()
+        assert back.treatment.tobytes() == data.treatment.tobytes()
+        assert back.outcome.tobytes() == data.outcome.tobytes()
 
 
 class TestDatasetInvariants:

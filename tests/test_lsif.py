@@ -199,19 +199,19 @@ class TestTheorem1:
     def test_one_tree_and_one_radius_query(self, monkeypatch):
         # both routes share the denominator tree and the numerator's M-th radii
         builds, query_rows = [], []
-        real_knn = neighbors._knn_sq_batch
+        real_blocks = neighbors._knn_blocks
 
         class CountingTree(neighbors.cKDTree):
             def __init__(self, *args, **kwargs):
                 builds.append(1)
                 super().__init__(*args, **kwargs)
 
-        def counting_knn(model, queries):
+        def counting_blocks(model, queries):
             query_rows.append(len(queries))
-            return real_knn(model, queries)
+            return real_blocks(model, queries)
 
         monkeypatch.setattr(neighbors, "cKDTree", CountingTree)
-        monkeypatch.setattr(neighbors, "_knn_sq_batch", counting_knn)
+        monkeypatch.setattr(neighbors, "_knn_blocks", counting_blocks)
         data, metric, m = random_two_sample_instance(np.random.default_rng(6), max_n=80)
         verify_theorem1_all(data, metric, m)
         assert len(builds) == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,15 @@ from rieszmatch import (
     matching_structures,
     mth_radius,
 )
+from rieszmatch import generate, logistic_dgp, neighbors
 from rieszmatch.dataset import ObservationalDataset
-from rieszmatch.neighbors import _brute_knn_sq, _knn_sq_batch, _row_sort, matched_times_at
+from rieszmatch.neighbors import (
+    _brute_knn_sq,
+    _knn_blocks,
+    _mth_sq_radius_batch,
+    _row_sort,
+    matched_times_at,
+)
 
 
 class TestKnn:
@@ -196,6 +205,64 @@ class TestMatchingStructures:
         np.testing.assert_array_equal(structures.neighbor_sets, expected)
 
 
+def _blocked_case(name):
+    """Covariates, treatment and metric for the blocked-query tests (n=400, M=5)."""
+    rng = np.random.default_rng(31)
+    n = 400
+    treat = np.zeros(n, dtype=int)
+    treat[rng.permutation(n)[:170]] = 1
+    if name == "grid":  # 4x4 cells of ~12 units per arm: every block widens
+        return rng.integers(0, 4, size=(n, 2)).astype(float), treat, Metric()
+    if name == "weighted":
+        return rng.normal(size=(n, 3)), treat, Metric(weights=np.array([0.5, 2.0, 7.0]))
+    if name == "d17":  # brute-force path, n_ref distances per row
+        return rng.normal(size=(n, 17)), treat, Metric()
+    return rng.normal(size=(n, 2)), treat, Metric()
+
+
+class TestBlockedQueries:
+    @pytest.mark.parametrize("entries", [1, 997])  # one row per block; an uneven last block
+    @pytest.mark.parametrize("case", ["continuous", "grid", "weighted", "d17"])
+    def test_blocks_equal_one_pass_and_brute_force(self, monkeypatch, case, entries):
+        m = 5
+        x, treat, metric = _blocked_case(case)
+        data = ObservationalDataset(covariates=x, treatment=treat, outcome=np.zeros(len(x)))
+        treated, control = np.flatnonzero(treat == 1), np.flatnonzero(treat == 0)
+        model = NeighborModel(x[control], metric, m)
+        whole = matching_structures(data, metric, m)
+        whole_radii = _mth_sq_radius_batch(model, x[treated])
+        whole_first = knn(model, x[treated[0]])
+
+        monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", entries)
+        blocked = matching_structures(data, metric, m)
+        np.testing.assert_array_equal(blocked.neighbor_sets, whole.neighbor_sets)
+        np.testing.assert_array_equal(blocked.matched_times, whole.matched_times)
+        np.testing.assert_array_equal(_mth_sq_radius_batch(model, x[treated]), whole_radii)
+        np.testing.assert_array_equal(knn(model, x[treated[0]]), whole_first)
+
+        expected = np.empty_like(whole.neighbor_sets)
+        for own, other in ((treated, control), (control, treated)):
+            sq, local = _brute_knn_sq(metric.scale(x[own]), metric.scale(x[other]), m)
+            expected[own] = other[local]
+            if own is treated:
+                np.testing.assert_array_equal(whole_radii, sq[:, m - 1])
+        np.testing.assert_array_equal(whole.neighbor_sets, expected)
+        np.testing.assert_array_equal(control[whole_first], expected[treated[0]])
+
+    def test_match_memory_stays_near_its_output(self, monkeypatch):
+        # full-arm candidate, distance and index matrices would be several
+        # times the (n, M) neighbour sets; row blocks keep the peak near them
+        monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 1 << 12)
+        data = generate(logistic_dgp(), 20_000, seed=0)
+        tracemalloc.start()
+        try:
+            structures = matching_structures(data, None, 30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * structures.neighbor_sets.nbytes
+
+
 def _lexsort_rows(sq, idx):
     """Oracle: sort each row on its own by (squared distance, index)."""
     out_sq, out_idx = np.empty_like(sq), np.empty_like(idx)
@@ -293,7 +360,7 @@ class TestSpatialIndexOracle:
         ref = rng.normal(size=(30, 3))
         model = NeighborModel(ref, None, 4)
         queries = rng.normal(size=(10, 3))
-        _, batch_idx = _knn_sq_batch(model, queries)
+        batch_idx = np.concatenate([idx for _, _, idx in _knn_blocks(model, queries)])
         for row, q in zip(batch_idx, queries):
             np.testing.assert_array_equal(row, knn(model, q))
 
