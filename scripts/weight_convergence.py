@@ -37,7 +37,8 @@ def main() -> None:
             treated = data.treatment == 1
             errors.append(np.median(np.abs(weights[treated] - 1.0 / e[treated])))
         errors = np.array(errors)
-        print(f"{n:>6} {m:>4} {errors.mean():>18.4f} {errors.std(ddof=1):>14.4f}")
+        sd = errors.std(ddof=1) if len(errors) > 1 else 0.0
+        print(f"{n:>6} {m:>4} {errors.mean():>18.4f} {sd:>14.4f}")
 
 
 if __name__ == "__main__":

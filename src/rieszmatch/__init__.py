@@ -23,16 +23,10 @@ from .dataset import (
 from .lsif import (
     Basis,
     LsifFit,
-    Theorem1Check,
-    catchment_indicator,
     constant_basis,
     fit,
     gaussian_grid_basis,
-    indicator_basis,
-    one_step_dre,
     polynomial_basis,
-    predict,
-    verify_theorem1,
     verify_theorem1_all,
 )
 from .matching import (
@@ -49,18 +43,11 @@ from .matching import (
 from .neighbors import (
     Metric,
     NeighborModel,
-    brute_force_knn,
-    catchment_contains,
-    knn,
-    matched_times_two_sample,
     matching_structures,
-    mth_radius,
 )
 from .riesz import (
-    RieszRepresenter,
     WeightModel,
     dr_score,
-    evaluate_representer,
     fit_weight_arm,
     nn_representer_values,
     riesz_fit,
@@ -77,8 +64,6 @@ __all__ = [
     "NeighborModel",
     "ObservationalDataset",
     "OutcomeModel",
-    "RieszRepresenter",
-    "Theorem1Check",
     "TwoSampleData",
     "WeightModel",
     "ate_bias_corrected",
@@ -86,14 +71,10 @@ __all__ = [
     "ate_matching",
     "ate_regression",
     "ate_weight_form",
-    "brute_force_knn",
     "builtin_dgp",
-    "catchment_contains",
-    "catchment_indicator",
     "constant_basis",
     "density_ratio",
     "dr_score",
-    "evaluate_representer",
     "fit",
     "fit_outcome",
     "fit_weight_arm",
@@ -102,23 +83,16 @@ __all__ = [
     "generate",
     "generate_two_sample",
     "impute",
-    "indicator_basis",
-    "knn",
     "load_csv",
     "load_points_csv",
     "logistic_dgp",
-    "matched_times_two_sample",
     "matching_structures",
-    "mth_radius",
     "nn_representer_values",
-    "one_step_dre",
     "polynomial_basis",
-    "predict",
     "riesz_fit",
     "save_csv",
     "save_points_csv",
     "uniform_density",
-    "verify_theorem1",
     "verify_theorem1_all",
 ]
 

@@ -34,7 +34,6 @@ def default_match_count(n: int) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="root seed (64-bit unsigned)")
     parser.add_argument("--jobs", type=int, default=1, help="worker pool size")
-    parser.add_argument("--metric", choices=["euclidean"], default="euclidean")
     parser.add_argument("--output", type=str, default=None, help="write the report here")
 
 
@@ -100,7 +99,8 @@ def cmd_ate(args) -> tuple[str, int]:
     data = ds.load_csv(args.input)
     m = args.m if args.m is not None else default_match_count(data.n)
     outcome = matching.fit_outcome(data, args.degree) if args.estimator in ("bc", "dr") else None
-    structures = matching_structures(data, Metric(), m)
+    metric = Metric()
+    structures = matching_structures(data, metric, m)
     if args.estimator == "matching":
         est = matching.ate_matching(data, structures)
     elif args.estimator == "weight":
@@ -115,7 +115,7 @@ def cmd_ate(args) -> tuple[str, int]:
         ("estimator", args.estimator),
         ("m", m),
         ("degree", args.degree),
-        ("metric", args.metric),
+        ("metric", metric.kind),
         ("n", data.n),
         ("n_treated", data.n_treated),
         ("n_control", data.n_control),
@@ -144,8 +144,10 @@ def cmd_dre(args) -> tuple[str, int]:
         else:
             basis = lsif.gaussian_grid_basis(data.denominator, per_dim=args.grid)
         lam = lsif.default_ridge(data, basis) if args.lam is None else args.lam
-        fit_result = lsif.fit(data, basis, lam)
-        values = [lsif.predict(fit_result, point) for point in points]
+        beta = lsif.fit(data, basis, lam).beta
+        # one dot per row, not phi @ beta: a matrix-vector product may sum in
+        # another order and change the last bit of r_hat
+        values = [float(np.dot(beta, row)) for row in lsif.evaluate_matrix(basis, points)]
     header = [
         ("command", "dre"),
         ("denominator", args.denominator),
@@ -154,7 +156,7 @@ def cmd_dre(args) -> tuple[str, int]:
         ("basis", args.basis),
         ("m", args.m),
         ("lambda", float(lam)),
-        ("metric", args.metric),
+        ("metric", metric.kind),
         ("n_denominator", data.n_denominator),
         ("n_numerator", data.n_numerator),
     ]
@@ -181,11 +183,12 @@ def cmd_weights(args) -> tuple[str, int]:
         oracle = np.where(data.treatment == 1, 1.0 / e, 1.0 / (1.0 - e))
         source = [("dgp", args.dgp), ("n", args.n), ("seed", args.seed)]
     m = args.m if args.m is not None else default_match_count(data.n)
-    structures = matching_structures(data, Metric(), m)
+    metric = Metric()
+    structures = matching_structures(data, metric, m)
     weights = structures.weights
     header = [("command", "weights")] + source + [
         ("m", m),
-        ("metric", args.metric),
+        ("metric", metric.kind),
         ("n", data.n),
         ("max_weight", float(weights.max())),
     ]
@@ -245,7 +248,7 @@ def cmd_simulate(args) -> tuple[str, int]:
         ("seed", args.seed),
         ("m", m),
         ("degree", args.degree),
-        ("metric", args.metric),
+        ("metric", Metric().kind),
         ("true_ate", spec.true_ate),
     ]
     for column in _SIM_COLUMNS:
@@ -255,6 +258,8 @@ def cmd_simulate(args) -> tuple[str, int]:
         sd = float(taus.std(ddof=1)) if len(taus) > 1 else 0.0
         header.append((f"summary.{name}.sd", sd))
         header.append((f"summary.{name}.bias", float(taus.mean() - spec.true_ate)))
+        rmse = float(np.sqrt(np.mean((taus - spec.true_ate) ** 2)))
+        header.append((f"summary.{name}.rmse", rmse))
     records = [
         [("rep", row["rep"]), ("seed", row["seed"])] + [(c, row[c]) for c in _SIM_COLUMNS]
         for row in rows
@@ -288,7 +293,7 @@ def cmd_verify(args) -> tuple[str, int]:
         ("command", "verify"),
         ("seed", args.seed),
         ("instances", args.instances),
-        ("metric", args.metric),
+        ("metric", Metric().kind),
         ("threshold", eq.GAP_THRESHOLD),
     ]
     header += [(f"max.{name}", value) for name, value in max_gaps.items()]

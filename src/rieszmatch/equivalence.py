@@ -4,10 +4,11 @@ Each suite computes the gap between two independently coded routes to the
 same quantity: indicator-basis LSIF vs the one-step count formula, matching
 imputation vs its weight form, indicator-basis LSIF arm fits vs matched-times
 weights (these two share one batched catchment count, bit for bit the
-per-point ``catchment_indicator`` fits kept as the test oracle), the joint
-Riesz block solve vs arm-wise solves, and the doubly robust score form vs the
-bias-corrected form.  ``run_instance`` builds one match and one outcome model
-per observational instance and hands them to every suite that needs them.
+per-point ``catchment_indicator`` fits of the test oracle in
+``tests/oracles.py``), the joint Riesz block solve vs arm-wise solves, and
+the doubly robust score form vs the bias-corrected form.  ``run_instance``
+builds one match and one outcome model per observational instance and hands
+them to every suite that needs them.
 ``verify`` and the acceptance tests run on these.
 """
 
@@ -118,8 +119,8 @@ def separability_max_gap(dataset: ObservationalDataset, lam: float, degree: int 
     rep = riesz_fit(dataset, basis, lam)
     theta1 = fit_weight_arm(dataset, 1, basis, lam)
     theta0 = fit_weight_arm(dataset, 0, basis, lam)
-    gap1 = np.abs(rep.weight_model.theta_treated - theta1).max()
-    gap0 = np.abs(rep.weight_model.theta_control - theta0).max()
+    gap1 = np.abs(rep.theta_treated - theta1).max()
+    gap0 = np.abs(rep.theta_control - theta0).max()
     return float(max(gap1, gap0))
 
 

@@ -13,9 +13,10 @@ detection (nothing is silently regularized).
 The catchment indicator basis turns this machinery into the one-step
 nearest-neighbor ratio estimate: with that single feature and lambda = 0 the
 fitted value at the anchor equals (N0/N1) K_M(c) / M exactly, where K_M(c) is
-the matched-times count.  ``verify_theorem1`` exercises that identity.  The
-batched routes share one catchment count for both moments, bit for bit the
-per-point fits; the per-point ``catchment_indicator`` is the test oracle.
+the matched-times count.  ``indicator_dre`` and ``verify_theorem1_all`` fit
+the indicator at every anchor at once from one batched catchment count for
+both moments, bit for bit the per-point fits; the per-point indicator basis
+and Theorem-1 check they are tested against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -29,14 +30,12 @@ import scipy.linalg
 
 from .dataset import TwoSampleData
 from .neighbors import (
-    EUCLIDEAN,
     Metric,
     NeighborModel,
     _as_points,
     _catchment_counts,
     _mth_sq_radius_batch,
     _sq_dists,
-    matched_times_at,
 )
 
 _PIVOT_RTOL = 1e-12
@@ -48,8 +47,7 @@ class Basis:
 
     ``evaluate`` takes an (k, d) matrix of points and returns the (k, b)
     matrix of their features; the fitting code calls it once per sample.  An
-    error it raises propagates, and any other shape is a ValueError.  The
-    built-in bases also map a single d-vector to a b-vector.
+    error it raises propagates, and any other shape is a ValueError.
     """
 
     dimension: int
@@ -115,12 +113,6 @@ def fit(data: TwoSampleData, basis: Basis, lam: float) -> LsifFit:
     return LsifFit(basis=basis, lam=float(lam), H_hat=h_mat, h_hat=h_vec, beta=beta)
 
 
-def predict(fit_result: LsifFit, x) -> float:
-    """Fitted ratio value beta' Phi(x) at a single point."""
-    phi = np.ravel(evaluate_matrix(fit_result.basis, np.atleast_2d(np.asarray(x, dtype=float))))
-    return float(np.dot(fit_result.beta, phi))
-
-
 def default_ridge(data: TwoSampleData, basis: Basis) -> float:
     """Numerical-safety default 1e-6 trace(H)/b for general bases."""
     phi_den = evaluate_matrix(basis, data.denominator)
@@ -150,11 +142,7 @@ def objective_gradient(fit_result: LsifFit, beta: np.ndarray) -> np.ndarray:
 
 def constant_basis(dimension_in: int) -> Basis:
     def evaluate(points):
-        pts = np.asarray(points, dtype=float)
-        p = _as_points(pts, dimension_in)
-        if pts.ndim <= 1 and len(p) == 1:
-            return np.ones(1)
-        return np.ones((len(p), 1))
+        return np.ones((len(_as_points(points, dimension_in)), 1))
 
     return Basis(dimension=1, evaluate=evaluate)
 
@@ -185,12 +173,7 @@ def polynomial_basis(dimension_in: int, degree: int) -> Basis:
     b = len(monomial_exponents(dimension_in, degree))
 
     def evaluate(points):
-        pts = np.asarray(points, dtype=float)
-        p = _as_points(pts, dimension_in)
-        out = polynomial_feature_matrix(p, degree)
-        if pts.ndim <= 1 and len(p) == 1:
-            return out[0]
-        return out
+        return polynomial_feature_matrix(_as_points(points, dimension_in), degree)
 
     return Basis(dimension=b, evaluate=evaluate)
 
@@ -209,100 +192,14 @@ def gaussian_grid_basis(points: np.ndarray, per_dim: int = 4, bandwidth: float |
     inv_two_sq = 1.0 / (2.0 * bandwidth * bandwidth)
 
     def evaluate(qpoints):
-        q = np.asarray(qpoints, dtype=float)
-        q2 = _as_points(q, centers.shape[1])
-        sq = _sq_dists(q2, centers)
-        out = np.exp(-sq * inv_two_sq)
-        if q.ndim <= 1 and len(q2) == 1:
-            return out[0]
-        return out
+        sq = _sq_dists(_as_points(qpoints, centers.shape[1]), centers)
+        return np.exp(-sq * inv_two_sq)
 
     return Basis(dimension=len(centers), evaluate=evaluate)
 
 
-def catchment_indicator(reference_points, metric: Metric | None, m: int, c) -> Basis:
-    """One-dimensional matched-membership indicator anchored at ``c``.
-
-    The feature tests whether a point and the anchor fall inside one M-NN
-    catchment of the reference sample, anchoring the radius at whichever of
-    the two is not a reference point:
-
-    - at a point x that exactly equals a reference point, the feature is 1
-      when dist(x, c) <= the M-th nearest-reference radius of c, so on the
-      reference sample the feature picks out exactly the M nearest references
-      of c (ties aside);
-    - at any other point x it is 1 when dist(c, x) <= the M-th
-      nearest-reference radius of x, so summed over a query sample it counts
-      the points whose catchment covers c, i.e. the matched-times count.
-
-    Both boundaries are inclusive.  The anchor itself always evaluates to 1.
-    """
-    metric = metric if metric is not None else EUCLIDEAN
-    ref = _as_points(reference_points).copy()
-    model = NeighborModel(ref, metric, m)
-    anchor = _as_points(c, ref.shape[1])
-    if anchor.shape[0] != 1:
-        raise ValueError("anchor must be a single point")
-    anchor_scaled = metric.scale(anchor)
-    anchor_sq_radius = float(_mth_sq_radius_batch(model, anchor)[0])
-
-    def evaluate(points):
-        pts = np.asarray(points, dtype=float)
-        p = _as_points(pts, ref.shape[1])
-        single = pts.ndim <= 1 and len(p) == 1
-        scaled = metric.scale(p)
-        is_ref = (p[:, None, :] == ref[None, :, :]).all(axis=2).any(axis=1)
-        out = np.zeros(len(p))
-        if is_ref.any():
-            sq = _sq_dists(scaled[is_ref], anchor_scaled)[:, 0]
-            out[is_ref] = sq <= anchor_sq_radius
-        rest = ~is_ref
-        if rest.any():
-            radii_sq = _mth_sq_radius_batch(model, p[rest])
-            sq = _sq_dists(anchor_scaled, scaled[rest])[0]
-            out[rest] = sq <= radii_sq
-        if single:
-            return out[:1]
-        return out[:, None]
-
-    return Basis(dimension=1, evaluate=evaluate)
-
-
-def indicator_basis(data: TwoSampleData, metric: Metric | None, m: int, c) -> Basis:
-    """Catchment indicator anchored at ``c`` over the denominator sample."""
-    if m > data.n_denominator:
-        raise ValueError(f"m={m} exceeds the denominator sample size {data.n_denominator}")
-    return catchment_indicator(data.denominator, metric, m, c)
-
-
 # ---------------------------------------------------------------------------
-# One-step estimator and the equivalence check
-
-
-def one_step_dre(data: TwoSampleData, metric: Metric | None, m: int, c) -> float:
-    """Nearest-neighbor one-step ratio estimate (N0/N1) K_M(c) / M."""
-    anchor = _as_points(c, data.d)
-    if anchor.shape[0] != 1:
-        raise ValueError("c must be a single point")
-    k = int(matched_times_at(data, metric, m, anchor)[0])
-    return data.n_denominator / data.n_numerator * k / m
-
-
-@dataclass(frozen=True)
-class Theorem1Check:
-    lsif_value: float
-    one_step_value: float
-    gap: float
-
-
-def verify_theorem1(data: TwoSampleData, metric: Metric | None, m: int, c) -> Theorem1Check:
-    """Fit the indicator-basis LSIF at lambda=0 and compare with the one-step value."""
-    fit_result = fit(data, indicator_basis(data, metric, m, c), lam=0.0)
-    lsif_value = predict(fit_result, c)
-    one_step = one_step_dre(data, metric, m, c)
-    return Theorem1Check(
-        lsif_value=lsif_value, one_step_value=one_step, gap=abs(lsif_value - one_step)
-    )
+# Indicator-basis fits at many anchors
 
 
 @dataclass(frozen=True)
@@ -318,10 +215,11 @@ class Theorem1Batch:
 
 def _indicator_values(model, anchors, anchor_radii, numerator, num_radii, n_den, n_num, lam=0.0):
     """Indicator-LSIF fits at every anchor c at once, bit for bit the fit on
-    ``catchment_indicator(reference, metric, m, c)`` predicted at c: the squared
-    moment sums the reference rows and divides by ``n_den``, the linear one
-    sums ``numerator`` and divides by ``n_num``.  The radii are the squared M-th
-    nearest-reference radii of the anchors and of the numerator points."""
+    the oracle basis ``catchment_indicator(reference, metric, m, c)`` of
+    ``tests/oracles.py`` evaluated at c: the squared moment sums the reference
+    rows and divides by ``n_den``, the linear one sums ``numerator`` and divides
+    by ``n_num``.  The radii are the squared M-th nearest-reference radii of
+    the anchors and of the numerator points."""
     ref, metric = model.reference_points, model.metric
     ref_rows = set(map(tuple, ref.tolist()))  # float ==, as catchment_indicator
     is_ref = np.array([row in ref_rows for row in map(tuple, numerator.tolist())], dtype=bool)
@@ -334,7 +232,7 @@ def _indicator_values(model, anchors, anchor_radii, numerator, num_radii, n_den,
 
 
 def indicator_dre(data: TwoSampleData, metric: Metric | None, m: int, points, lam=0.0):
-    """``predict(fit(data, indicator_basis(data, metric, m, p), lam), p)`` at each point p."""
+    """The indicator-basis LSIF fit anchored at each point p, evaluated at p."""
     if m > data.n_denominator:
         raise ValueError(f"m={m} exceeds the denominator sample size {data.n_denominator}")
     if lam < 0:
@@ -347,7 +245,7 @@ def indicator_dre(data: TwoSampleData, metric: Metric | None, m: int, points, la
 
 
 def verify_theorem1_all(data: TwoSampleData, metric: Metric | None, m: int) -> Theorem1Batch:
-    """Bit for bit ``verify_theorem1`` at every numerator point, from batched counts.
+    """Indicator-LSIF value and one-step estimate at every numerator point.
 
     One denominator model and one radius query of the numerator feed both
     routes: the indicator-LSIF fit and the one-step matched-times count."""

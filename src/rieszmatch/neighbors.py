@@ -5,8 +5,10 @@ deterministic tie-breaking: candidates are ordered by nondecreasing distance
 and equal distances are resolved by ascending reference index.  Rows the tree
 returns in that order are left as they are; only tied or out-of-order rows
 are re-sorted, which on continuous data is almost none.  A vectorized
-brute-force path is kept both as the test oracle and as the fallback for
-dimensions above 16, where the tree stops paying off.
+brute-force path is the fallback for dimensions above 16, where the tree stops
+paying off.  There is one batched route per operation; the per-point oracles
+the tests compare it with (a full-scan M-NN query, the catchment indicator)
+live in ``tests/oracles.py``.
 
 Every query runs through ``_knn_blocks`` in row blocks of at most
 ``_BLOCK_ENTRIES`` candidate distances (M+1 per row on the tree, n_ref on the
@@ -58,14 +60,6 @@ class Metric:
         if pts.shape[-1] != len(self.weights):
             raise ValueError("dimension mismatch between metric weights and points")
         return pts * np.sqrt(self.weights)
-
-    def distance(self, x, z) -> float:
-        """Distance between two single points; 1-d inputs are one point each."""
-        a = np.atleast_2d(np.asarray(x, dtype=float))
-        b = np.atleast_2d(np.asarray(z, dtype=float))
-        if a.shape != b.shape or a.shape[0] != 1:
-            raise ValueError("x and z must be single points of equal dimension")
-        return float(np.sqrt(_sq_dists(self.scale(a), self.scale(b))[0, 0]))
 
 
 EUCLIDEAN = Metric()
@@ -196,51 +190,18 @@ def _brute_knn_sq(scaled_queries: np.ndarray, scaled_ref: np.ndarray, m: int):
     return sq[:, :m], idx[:, :m]
 
 
-def brute_force_knn(reference_points, metric: Metric | None, query, m: int) -> np.ndarray:
-    """Oracle M-NN query: full distance scan plus (distance, index) sort."""
-    metric = metric if metric is not None else EUCLIDEAN
-    ref = _as_points(reference_points)
-    q = _as_points(query, ref.shape[1])
-    if q.shape[0] != 1:
-        raise ValueError("query must be a single point")
-    if not 1 <= m <= len(ref):
-        raise ValueError("m out of range")
-    _, idx = _brute_knn_sq(metric.scale(q), metric.scale(ref), m)
-    return idx[0]
-
-
-def knn(model: NeighborModel, query) -> np.ndarray:
-    """Indices of the M nearest reference points, nearest first."""
-    _, _, idx = next(_knn_blocks(model, query))
-    return idx[0]
-
-
 def _mth_sq_radius_batch(model: NeighborModel, queries) -> np.ndarray:
     radii = [sq[:, model.m - 1] for _, sq, _ in _knn_blocks(model, queries)]
     return np.concatenate(radii or [np.empty(0)])
-
-
-def mth_radius(model: NeighborModel, query) -> float:
-    """Distance from the query to its M-th nearest reference point."""
-    return float(np.sqrt(_mth_sq_radius_batch(model, query)[0]))
-
-
-def catchment_contains(model: NeighborModel, x, z) -> bool:
-    """Whether dist(x, z) <= the M-th nearest-reference radius of z (inclusive)."""
-    xm = _as_points(x, model.d)
-    zm = _as_points(z, model.d)
-    if len(xm) != 1 or len(zm) != 1:
-        raise ValueError("x and z must be single points")
-    sq = _sq_dists(model.metric.scale(xm), model.metric.scale(zm))[0, 0]
-    return bool(sq <= _mth_sq_radius_batch(model, zm)[0])
 
 
 def _catchment_counts(metric: Metric, anchors, anchor_radii, points, point_radii, anchor_side):
     """Per anchor c, count the points x with squared distance (c, x) at most
     ``anchor_radii[c]`` where ``anchor_side[x]`` holds and ``point_radii[x]``
     elsewhere.  With squared M-th nearest-reference radii and ``anchor_side``
-    marking the reference rows this sums the feature of
-    ``lsif.catchment_indicator``; anchors go in blocks of _BLOCK_ENTRIES distances."""
+    marking the reference rows this sums the feature of the per-point
+    ``catchment_indicator`` oracle in ``tests/oracles.py``; anchors go in
+    blocks of _BLOCK_ENTRIES distances."""
     anchors_s, points_s = metric.scale(anchors), metric.scale(points)
     counts = np.empty(len(anchors), dtype=np.int64)
     for block in _row_blocks(len(anchors), len(points)):
@@ -261,11 +222,6 @@ def matched_times_at(data: TwoSampleData, metric: Metric | None, m: int, points)
     pts, radii = _as_points(points, data.d), _mth_sq_radius_batch(model, num)
     unused = np.zeros(len(pts))  # no point is on the anchor side
     return _catchment_counts(model.metric, pts, unused, num, radii, np.zeros(len(num), bool))
-
-
-def matched_times_two_sample(data: TwoSampleData, metric: Metric | None, m: int) -> np.ndarray:
-    """Matched-times count of every denominator point; length-N0 integer vector."""
-    return matched_times_at(data, metric, m, data.denominator)
 
 
 @dataclass(frozen=True)

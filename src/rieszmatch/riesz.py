@@ -10,6 +10,9 @@ is block diagonal, so the coefficients coincide with the two arm-wise fits.
 With the per-point catchment indicator basis and no ridge penalty the fitted
 weight at unit i is exactly 1 + K_M(i)/M, the matched-times weight of
 nearest-neighbor matching; ``MatchStructures.weights`` holds those values.
+``equivalence.weight_identity_max_gap`` checks the identity for every unit in
+one batched count; the per-point basis it is tested against lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -69,33 +72,19 @@ def arm_objective_gradient(
 
 @dataclass(frozen=True)
 class WeightModel:
-    """Per-arm weight functions, each a basis with a coefficient vector."""
+    """Both arms' weight functions: one basis and a coefficient vector per arm.
 
-    basis_treated: Basis
+    The signed Riesz representer is +w(1, x) on the treated and -w(0, x) on
+    controls.
+    """
+
+    basis: Basis
     theta_treated: np.ndarray
-    basis_control: Basis
     theta_control: np.ndarray
     lam: float
 
-    def weight(self, arm: int, x) -> float:
-        if arm == 1:
-            basis, theta = self.basis_treated, self.theta_treated
-        elif arm == 0:
-            basis, theta = self.basis_control, self.theta_control
-        else:
-            raise ValueError("arm must be 0 or 1")
-        phi = np.ravel(evaluate_matrix(basis, np.atleast_2d(np.asarray(x, dtype=float))))
-        return float(np.dot(theta, phi))
 
-
-@dataclass(frozen=True)
-class RieszRepresenter:
-    """Signed weight function: +w(1, x) on the treated, -w(0, x) on controls."""
-
-    weight_model: WeightModel
-
-
-def riesz_fit(dataset: ObservationalDataset, basis: Basis, lam: float) -> RieszRepresenter:
+def riesz_fit(dataset: ObservationalDataset, basis: Basis, lam: float) -> WeightModel:
     """Minimize the joint two-arm risk in one block solve.
 
     The stacked system is block diagonal over arms, so the result matches
@@ -116,22 +105,7 @@ def riesz_fit(dataset: ObservationalDataset, basis: Basis, lam: float) -> RieszR
         raise np.linalg.LinAlgError(
             f"singular joint moment matrix at lambda={lam:g}"
         ) from None
-    model = WeightModel(
-        basis_treated=basis,
-        theta_treated=theta[:b],
-        basis_control=basis,
-        theta_control=theta[b:],
-        lam=float(lam),
-    )
-    return RieszRepresenter(weight_model=model)
-
-
-def evaluate_representer(rep: RieszRepresenter, d: int, x) -> float:
-    """Representer value at (d, x): the weight with sign 2d - 1."""
-    if d not in (0, 1):
-        raise ValueError("d must be 0 or 1")
-    w = rep.weight_model.weight(d, x)
-    return w if d == 1 else -w
+    return WeightModel(basis, theta_treated=theta[:b], theta_control=theta[b:], lam=float(lam))
 
 
 def nn_representer_values(dataset: ObservationalDataset, structures: MatchStructures) -> np.ndarray:

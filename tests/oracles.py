@@ -1,0 +1,140 @@
+"""Per-point reference implementations that the batched library routes are
+tested against.
+
+The library answers every query for a whole batch of points at once
+(``neighbors._knn_blocks``, ``neighbors._catchment_counts``,
+``lsif.indicator_dre``, ``lsif.verify_theorem1_all``).  The functions here
+answer one point at a time, straight from the definitions, so the tests can
+compare the two routes bit for bit.  ``brute_force_sq_knn`` shares no code with
+the library's neighbour search, including its d > 16 brute-force fallback.
+``query_indices`` reads the library's own kNN rows for those comparisons.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from rieszmatch.dataset import TwoSampleData
+from rieszmatch.lsif import Basis, LsifFit, evaluate_matrix, fit
+from rieszmatch.neighbors import (
+    EUCLIDEAN,
+    Metric,
+    NeighborModel,
+    _as_points,
+    _knn_blocks,
+    _mth_sq_radius_batch,
+    _sq_dists,
+    matched_times_at,
+)
+
+
+def query_indices(model: NeighborModel, queries) -> np.ndarray:
+    """The library's M nearest reference indices, one row per query."""
+    return np.concatenate([idx for _, _, idx in _knn_blocks(model, queries)])
+
+
+def brute_force_sq_knn(scaled_queries, scaled_ref, m: int):
+    """Full scan: squared distances summed coordinate by coordinate (the
+    library's arithmetic, so boundary ties agree), then a stable argsort of each
+    row, which keeps equal distances in ascending reference index.  Returns the
+    (k, m) squared distances and reference indices."""
+    sq = np.zeros((len(scaled_queries), len(scaled_ref)))
+    for k in range(scaled_ref.shape[1]):
+        sq += (scaled_queries[:, k, None] - scaled_ref[None, :, k]) ** 2
+    order = np.argsort(sq, axis=1, kind="stable")[:, :m]
+    return np.take_along_axis(sq, order, axis=1), order
+
+
+def brute_force_knn(reference_points, metric: Metric | None, query, m: int) -> np.ndarray:
+    """Oracle M-NN query of one point: full distance scan plus (distance, index) order."""
+    metric = metric if metric is not None else EUCLIDEAN
+    ref = _as_points(reference_points)
+    q = _as_points(query, ref.shape[1])
+    if q.shape[0] != 1:
+        raise ValueError("query must be a single point")
+    if not 1 <= m <= len(ref):
+        raise ValueError("m out of range")
+    _, idx = brute_force_sq_knn(metric.scale(q), metric.scale(ref), m)
+    return idx[0]
+
+
+def fitted_value(fit_result: LsifFit, x) -> float:
+    """Fitted ratio beta' Phi(x) at one point, as one dot product."""
+    phi = evaluate_matrix(fit_result.basis, np.atleast_2d(np.asarray(x, dtype=float)))[0]
+    return float(np.dot(fit_result.beta, phi))
+
+
+def catchment_indicator(reference_points, metric: Metric | None, m: int, c) -> Basis:
+    """One-dimensional matched-membership indicator anchored at ``c``.
+
+    The feature tests whether a point and the anchor fall inside one M-NN
+    catchment of the reference sample, anchoring the radius at whichever of
+    the two is not a reference point:
+
+    - at a point x that exactly equals a reference point, the feature is 1
+      when dist(x, c) <= the M-th nearest-reference radius of c, so on the
+      reference sample the feature picks out exactly the M nearest references
+      of c (ties aside);
+    - at any other point x it is 1 when dist(c, x) <= the M-th
+      nearest-reference radius of x, so summed over a query sample it counts
+      the points whose catchment covers c, i.e. the matched-times count.
+
+    Both boundaries are inclusive.  The anchor itself always evaluates to 1.
+    """
+    metric = metric if metric is not None else EUCLIDEAN
+    ref = _as_points(reference_points).copy()
+    model = NeighborModel(ref, metric, m)
+    anchor = _as_points(c, ref.shape[1])
+    if anchor.shape[0] != 1:
+        raise ValueError("anchor must be a single point")
+    anchor_scaled = metric.scale(anchor)
+    anchor_sq_radius = float(_mth_sq_radius_batch(model, anchor)[0])
+
+    def evaluate(points):
+        p = _as_points(points, ref.shape[1])
+        scaled = metric.scale(p)
+        is_ref = (p[:, None, :] == ref[None, :, :]).all(axis=2).any(axis=1)
+        out = np.zeros((len(p), 1))
+        if is_ref.any():
+            sq = _sq_dists(scaled[is_ref], anchor_scaled)[:, 0]
+            out[is_ref, 0] = sq <= anchor_sq_radius
+        rest = ~is_ref
+        if rest.any():
+            radii_sq = _mth_sq_radius_batch(model, p[rest])
+            sq = _sq_dists(anchor_scaled, scaled[rest])[0]
+            out[rest, 0] = sq <= radii_sq
+        return out
+
+    return Basis(dimension=1, evaluate=evaluate)
+
+
+def indicator_basis(data: TwoSampleData, metric: Metric | None, m: int, c) -> Basis:
+    """Catchment indicator anchored at ``c`` over the denominator sample."""
+    if m > data.n_denominator:
+        raise ValueError(f"m={m} exceeds the denominator sample size {data.n_denominator}")
+    return catchment_indicator(data.denominator, metric, m, c)
+
+
+def one_step_dre(data: TwoSampleData, metric: Metric | None, m: int, c) -> float:
+    """Nearest-neighbor one-step ratio estimate (N0/N1) K_M(c) / M."""
+    anchor = _as_points(c, data.d)
+    if anchor.shape[0] != 1:
+        raise ValueError("c must be a single point")
+    k = int(matched_times_at(data, metric, m, anchor)[0])
+    return data.n_denominator / data.n_numerator * k / m
+
+
+@dataclass(frozen=True)
+class Theorem1Check:
+    lsif_value: float
+    one_step_value: float
+    gap: float
+
+
+def verify_theorem1(data: TwoSampleData, metric: Metric | None, m: int, c) -> Theorem1Check:
+    """Fit the indicator-basis LSIF at lambda=0 and compare with the one-step value."""
+    lsif_value = fitted_value(fit(data, indicator_basis(data, metric, m, c), lam=0.0), c)
+    one_step = one_step_dre(data, metric, m, c)
+    return Theorem1Check(
+        lsif_value=lsif_value, one_step_value=one_step, gap=abs(lsif_value - one_step)
+    )

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rieszmatch import cli
+from oracles import fitted_value
+from rieszmatch import TwoSampleData, cli, lsif
 from rieszmatch.report import parse_report
 
 FOUR_UNIT_CSV = "x0,d,y\n0.0,1,1.0\n2.0,1,3.0\n0.1,0,0.0\n1.9,0,2.0\n"
@@ -69,11 +70,11 @@ class TestDre:
     @pytest.mark.parametrize("basis", ["poly", "gauss"])
     def test_smooth_bases_run(self, tmp_path, basis):
         rng = np.random.default_rng(0)
-        den = "x0\n" + "\n".join(repr(float(v)) for v in rng.normal(size=60)) + "\n"
-        num = "x0\n" + "\n".join(repr(float(v)) for v in rng.normal(size=40)) + "\n"
-        (tmp_path / "den.csv").write_text(den)
-        (tmp_path / "num.csv").write_text(num)
-        (tmp_path / "pts.csv").write_text("x0\n0.0\n0.5\n")
+        samples = {"den": rng.normal(size=(60, 2)), "num": rng.normal(size=(40, 2))}
+        samples["pts"] = rng.normal(size=(50, 2))
+        for name, points in samples.items():
+            body = "".join(f"{x0!r},{x1!r}\n" for x0, x1 in points.tolist())
+            (tmp_path / f"{name}.csv").write_text("x0,x1\n" + body)
         code, text = run(
             tmp_path,
             "dre", "--denominator", str(tmp_path / "den.csv"),
@@ -82,10 +83,19 @@ class TestDre:
             "--m", "1", "--basis", basis,
         )
         assert code == 0
-        _, records = parse_report(text)
-        assert len(records) == 2
-        for record in records:
+        header, records = parse_report(text)
+        assert len(records) == 50
+        data = TwoSampleData(denominator=samples["den"], numerator=samples["num"])
+        if basis == "poly":
+            smooth = lsif.polynomial_basis(2, 2)
+        else:
+            smooth = lsif.gaussian_grid_basis(data.denominator, per_dim=4)
+        result = lsif.fit(data, smooth, lsif.default_ridge(data, smooth))
+        assert header["lambda"] == repr(result.lam)
+        # each r_hat is the per-point dot product, to the last bit
+        for record, point in zip(records, samples["pts"]):
             assert np.isfinite(float(record["r_hat"]))
+            assert record["r_hat"] == repr(fitted_value(result, point))
 
 
 class TestWeights:
@@ -130,6 +140,9 @@ class TestSimulate:
             mean = float(header[f"summary.{name}.mean"])
             bias = float(header[f"summary.{name}.bias"])
             assert bias == pytest.approx(mean - 1.0, abs=1e-15)
+            # mean squared error = squared bias + variance (population form)
+            sd, rmse = float(header[f"summary.{name}.sd"]), float(header[f"summary.{name}.rmse"])
+            assert rmse**2 == pytest.approx(bias**2 + sd**2 * (5 - 1) / 5, rel=1e-12)
 
     def test_byte_identical_across_jobs(self, tmp_path):
         argv = ["simulate", "--dgp", "logistic", "--n", "150", "--reps", "4", "--seed", "9"]

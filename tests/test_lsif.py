@@ -3,17 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    catchment_indicator,
+    fitted_value,
+    indicator_basis,
+    one_step_dre,
+    verify_theorem1,
+)
 from rieszmatch import (
     Metric,
     TwoSampleData,
     constant_basis,
     fit,
     gaussian_grid_basis,
-    indicator_basis,
-    one_step_dre,
     polynomial_basis,
-    predict,
-    verify_theorem1,
     verify_theorem1_all,
 )
 from rieszmatch import neighbors
@@ -38,7 +41,7 @@ class TestFit:
         np.testing.assert_allclose(result.H_hat, [[1.0]])
         np.testing.assert_allclose(result.h_hat, [1.0])
         np.testing.assert_allclose(result.beta, [1.0])
-        assert predict(result, [0.33]) == pytest.approx(1.0)
+        assert fitted_value(result, [0.33]) == pytest.approx(1.0)
 
     def test_large_ridge_shrinks_beta(self):
         rng = np.random.default_rng(3)
@@ -107,13 +110,13 @@ class TestPredict:
         data = TwoSampleData(denominator=[[0.0], [1.0]], numerator=[[0.5]])
         result = fit(data, constant_basis(1), lam=0.0)
         for x in (-3.0, 0.0, 11.0):
-            assert predict(result, [x]) == pytest.approx(1.0)
+            assert fitted_value(result, [x]) == pytest.approx(1.0)
 
     def test_indicator_support(self, running_two_sample, euclidean):
         basis = indicator_basis(running_two_sample, euclidean, 1, [0.0])
         result = fit(running_two_sample, basis, lam=0.0)
-        assert predict(result, [0.0]) == 2.0   # at the anchor
-        assert predict(result, [5.0]) == 0.0   # outside every catchment
+        assert fitted_value(result, [0.0]) == 2.0   # at the anchor
+        assert fitted_value(result, [5.0]) == 0.0   # outside every catchment
 
 
 class TestIndicatorBasis:
@@ -249,7 +252,7 @@ class TestIndicatorDre:
             points = np.vstack([data.numerator[:8], data.denominator[:4], [[7.0] * data.d]])
             values = indicator_dre(data, metric, m, points, lam)
             for t, point in enumerate(points):
-                single = predict(fit(data, indicator_basis(data, metric, m, point), lam), point)
+                single = fitted_value(fit(data, indicator_basis(data, metric, m, point), lam), point)
                 assert values[t] == single
 
     def test_rejects_bad_m_and_lambda(self, running_two_sample, euclidean):
@@ -348,6 +351,20 @@ class TestBuiltInBases:
         values = evaluate_matrix(basis, pts)
         assert values.shape == (40, 9)
         assert np.all(values > 0) and np.all(values <= 1.0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_shape_contract(self, d):
+        # (k, d) -> (k, b) is the only contract: one 1-d point is a batch of one
+        pts = np.random.default_rng(7).normal(size=(5, d))
+        bases = [
+            constant_basis(d),
+            polynomial_basis(d, 2),
+            gaussian_grid_basis(pts, per_dim=3),
+            catchment_indicator(pts, None, 2, pts[0]),
+        ]
+        for basis in bases:
+            assert basis.evaluate(pts[0]).shape == (1, basis.dimension)
+            assert basis.evaluate(pts).shape == (5, basis.dimension)
 
     def test_default_ridge_scale(self):
         rng = np.random.default_rng(11)

@@ -5,24 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszmatch import (
-    Metric,
-    NeighborModel,
-    TwoSampleData,
-    brute_force_knn,
-    catchment_contains,
-    knn,
-    matched_times_two_sample,
-    matching_structures,
-    mth_radius,
-)
+from oracles import brute_force_knn, brute_force_sq_knn, query_indices
+from rieszmatch import Metric, NeighborModel, TwoSampleData, matching_structures
 from rieszmatch import generate, logistic_dgp, neighbors
 from rieszmatch.dataset import ObservationalDataset
 from rieszmatch.neighbors import (
-    _brute_knn_sq,
     _knn_blocks,
     _mth_sq_radius_batch,
     _row_sort,
+    _sq_dists,
     matched_times_at,
 )
 
@@ -30,25 +21,25 @@ from rieszmatch.neighbors import (
 class TestKnn:
     def test_single_candidate(self):
         model = NeighborModel([5.0], m=1)
-        np.testing.assert_array_equal(knn(model, 3.0), [0])
+        np.testing.assert_array_equal(query_indices(model, 3.0)[0], [0])
 
     def test_line_two_nearest(self):
         model = NeighborModel([0.0, 1.0, 3.0], m=2)
-        np.testing.assert_array_equal(knn(model, 0.9), [1, 0])
+        np.testing.assert_array_equal(query_indices(model, 0.9)[0], [1, 0])
 
     def test_exact_tie_breaks_by_index(self):
         model = NeighborModel([0.0, 2.0], m=1)
-        np.testing.assert_array_equal(knn(model, 1.0), [0])
+        np.testing.assert_array_equal(query_indices(model, 1.0)[0], [0])
 
     def test_tie_break_with_many_duplicates(self):
         # four copies of the same point: order must be 0,1,2,3
         model = NeighborModel([1.0, 1.0, 1.0, 1.0], m=3)
-        np.testing.assert_array_equal(knn(model, 0.0), [0, 1, 2])
+        np.testing.assert_array_equal(query_indices(model, 0.0)[0], [0, 1, 2])
 
     def test_dimension_mismatch(self):
         model = NeighborModel(np.zeros((4, 2)), m=1)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            knn(model, [1.0, 2.0, 3.0])
+            query_indices(model, [1.0, 2.0, 3.0])
 
     def test_m_exceeds_reference(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -58,30 +49,34 @@ class TestKnn:
 class TestMthRadius:
     def test_line_instance(self):
         model = NeighborModel([0.0, 1.0, 3.0], m=1)
-        assert mth_radius(model, 0.9) == pytest.approx(0.1, abs=1e-15)
+        assert np.sqrt(_mth_sq_radius_batch(model, 0.9)[0]) == pytest.approx(0.1, abs=1e-15)
 
     def test_zero_at_reference_point(self):
         model = NeighborModel([4.2], m=1)
-        assert mth_radius(model, 4.2) == 0.0
+        assert np.sqrt(_mth_sq_radius_batch(model, 4.2)[0]) == 0.0
 
     def test_third_neighbor(self):
         model = NeighborModel([0.0, 1.0, 3.0], m=3)
-        assert mth_radius(model, 0.0) == 3.0
+        assert np.sqrt(_mth_sq_radius_batch(model, 0.0)[0]) == 3.0
+
+
+def covers(reference, m, x, z):
+    """Whether the M-th nearest-reference radius of z covers x: the
+    matched-times count at x of the one-point numerator sample {z}."""
+    data = TwoSampleData(denominator=reference, numerator=[z])
+    return bool(matched_times_at(data, None, m, [x])[0])
 
 
 class TestCatchment:
     def test_boundary_inclusive(self):
         # distance exactly equal to the radius counts as inside
-        model = NeighborModel([0.0, 1.0, 2.0, 3.0], m=1)
-        assert catchment_contains(model, x=0.0, z=0.4) is True
+        assert covers([0.0, 1.0, 2.0, 3.0], 1, x=[0.0], z=[0.4]) is True
 
     def test_x_equals_z(self):
-        model = NeighborModel([0.0, 1.0], m=1)
-        assert catchment_contains(model, 0.7, 0.7) is True
+        assert covers([0.0, 1.0], 1, [0.7], [0.7]) is True
 
     def test_far_point_outside(self):
-        model = NeighborModel([0.0, 1.0, 2.0, 3.0], m=1)
-        assert catchment_contains(model, x=0.0, z=2.6) is False
+        assert covers([0.0, 1.0, 2.0, 3.0], 1, x=[0.0], z=[2.6]) is False
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -92,28 +87,29 @@ class TestCatchment:
         z = rng.normal(size=2)
         previous = False
         for m in range(1, 13):
-            model = NeighborModel(ref, m=m)
-            inside = catchment_contains(model, x, z)
+            inside = covers(ref, m, x, z)
             assert inside or not previous
             previous = inside
 
 
 class TestMatchedTimes:
     def test_running_instance(self, running_two_sample, euclidean):
-        counts = matched_times_two_sample(running_two_sample, euclidean, 1)
+        data = running_two_sample
+        counts = matched_times_at(data, euclidean, 1, data.denominator)
         np.testing.assert_array_equal(counts, [1, 0, 0, 1])
 
     def test_coincident_singletons(self, euclidean):
         data = TwoSampleData(denominator=[3.3], numerator=[3.3])
-        np.testing.assert_array_equal(matched_times_two_sample(data, euclidean, 1), [1])
+        np.testing.assert_array_equal(matched_times_at(data, euclidean, 1, data.denominator), [1])
 
     def test_two_far_denominators(self, euclidean):
         data = TwoSampleData(denominator=[0.0, 10.0], numerator=[0.1, 0.2])
-        np.testing.assert_array_equal(matched_times_two_sample(data, euclidean, 1), [2, 0])
+        counts = matched_times_at(data, euclidean, 1, data.denominator)
+        np.testing.assert_array_equal(counts, [2, 0])
 
     def test_m_exceeds_denominator(self, running_two_sample, euclidean):
         with pytest.raises(ValueError, match="exceeds"):
-            matched_times_two_sample(running_two_sample, euclidean, 5)
+            matched_times_at(running_two_sample, euclidean, 5, running_two_sample.denominator)
 
     def test_agrees_with_knn_membership(self, euclidean):
         # catchment formulation vs direct M-NN membership, distinct distances
@@ -124,12 +120,9 @@ class TestMatchedTimes:
             data = TwoSampleData(
                 denominator=rng.normal(size=(n0, d)), numerator=rng.normal(size=(n1, d))
             )
-            counts = matched_times_two_sample(data, euclidean, m)
+            counts = matched_times_at(data, euclidean, m, data.denominator)
             model = NeighborModel(data.denominator, euclidean, m)
-            direct = np.zeros(n0, dtype=int)
-            for z in data.numerator:
-                for idx in knn(model, z):
-                    direct[idx] += 1
+            direct = np.bincount(query_indices(model, data.numerator).ravel(), minlength=n0)
             np.testing.assert_array_equal(counts, direct)
             assert counts.sum() == n1 * m
 
@@ -200,7 +193,7 @@ class TestMatchingStructures:
         for queries, reference in ((treated, control), (control, treated)):
             for start in range(0, len(queries), 500):
                 rows = queries[start : start + 500]
-                _, local = _brute_knn_sq(x[rows], x[reference], m)
+                _, local = brute_force_sq_knn(x[rows], x[reference], m)
                 expected[rows] = reference[local]
         np.testing.assert_array_equal(structures.neighbor_sets, expected)
 
@@ -231,18 +224,18 @@ class TestBlockedQueries:
         model = NeighborModel(x[control], metric, m)
         whole = matching_structures(data, metric, m)
         whole_radii = _mth_sq_radius_batch(model, x[treated])
-        whole_first = knn(model, x[treated[0]])
+        whole_first = query_indices(model, x[treated[0]])[0]
 
         monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", entries)
         blocked = matching_structures(data, metric, m)
         np.testing.assert_array_equal(blocked.neighbor_sets, whole.neighbor_sets)
         np.testing.assert_array_equal(blocked.matched_times, whole.matched_times)
         np.testing.assert_array_equal(_mth_sq_radius_batch(model, x[treated]), whole_radii)
-        np.testing.assert_array_equal(knn(model, x[treated[0]]), whole_first)
+        np.testing.assert_array_equal(query_indices(model, x[treated[0]])[0], whole_first)
 
         expected = np.empty_like(whole.neighbor_sets)
         for own, other in ((treated, control), (control, treated)):
-            sq, local = _brute_knn_sq(metric.scale(x[own]), metric.scale(x[other]), m)
+            sq, local = brute_force_sq_knn(metric.scale(x[own]), metric.scale(x[other]), m)
             expected[own] = other[local]
             if own is treated:
                 np.testing.assert_array_equal(whole_radii, sq[:, m - 1])
@@ -327,7 +320,8 @@ class TestSpatialIndexOracle:
             model = NeighborModel(ref, metric, m)
             for _ in range(5):
                 q = rng.normal(size=d)
-                np.testing.assert_array_equal(knn(model, q), brute_force_knn(ref, metric, q, m))
+                expected = brute_force_knn(ref, metric, q, m)
+                np.testing.assert_array_equal(query_indices(model, q)[0], expected)
 
     @given(
         st.lists(
@@ -345,7 +339,7 @@ class TestSpatialIndexOracle:
         m = min(m, len(ref))
         model = NeighborModel(ref, None, m)
         q = np.array(query, dtype=float) / 2.0
-        np.testing.assert_array_equal(knn(model, q), brute_force_knn(ref, None, q, m))
+        np.testing.assert_array_equal(query_indices(model, q)[0], brute_force_knn(ref, None, q, m))
 
     def test_high_dimension_falls_back_to_brute_force(self):
         rng = np.random.default_rng(5)
@@ -353,7 +347,7 @@ class TestSpatialIndexOracle:
         model = NeighborModel(ref, None, 3)
         assert model._tree is None
         q = rng.normal(size=20)
-        np.testing.assert_array_equal(knn(model, q), brute_force_knn(ref, None, q, 3))
+        np.testing.assert_array_equal(query_indices(model, q)[0], brute_force_knn(ref, None, q, 3))
 
     def test_batch_matches_single_queries(self):
         rng = np.random.default_rng(9)
@@ -362,24 +356,28 @@ class TestSpatialIndexOracle:
         queries = rng.normal(size=(10, 3))
         batch_idx = np.concatenate([idx for _, _, idx in _knn_blocks(model, queries)])
         for row, q in zip(batch_idx, queries):
-            np.testing.assert_array_equal(row, knn(model, q))
+            np.testing.assert_array_equal(row, query_indices(model, q)[0])
 
 
 class TestMetric:
     def test_weighted_changes_neighbors(self):
         ref = np.array([[1.0, 0.0], [0.0, 1.2]])
         q = np.zeros(2)
-        assert knn(NeighborModel(ref, Metric(), 1), q)[0] == 0
+        assert query_indices(NeighborModel(ref, Metric(), 1), q)[0][0] == 0
         heavy_x = Metric(weights=np.array([10.0, 0.1]))
-        assert knn(NeighborModel(ref, heavy_x, 1), q)[0] == 1
+        assert query_indices(NeighborModel(ref, heavy_x, 1), q)[0][0] == 1
 
     def test_distance_properties(self):
         metric = Metric(weights=np.array([2.0, 0.5]))
-        a = np.array([0.3, -1.0])
-        b = np.array([1.5, 0.7])
-        assert metric.distance(a, b) == metric.distance(b, a)
-        assert metric.distance(a, a) == 0.0
-        assert metric.distance(a, b) > 0
+        a = np.array([[0.3, -1.0]])
+        b = np.array([[1.5, 0.7]])
+
+        def distance(x, z):
+            return np.sqrt(_sq_dists(metric.scale(x), metric.scale(z))[0, 0])
+
+        assert distance(a, b) == distance(b, a)
+        assert distance(a, a) == 0.0
+        assert distance(a, b) > 0
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError, match="positive"):

@@ -3,14 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import catchment_indicator
 from rieszmatch import (
     ObservationalDataset,
-    RieszRepresenter,
-    WeightModel,
     constant_basis,
-    catchment_indicator,
     dr_score,
-    evaluate_representer,
     fit_weight_arm,
     matching_structures,
     nn_representer_values,
@@ -19,7 +16,7 @@ from rieszmatch import (
 )
 from rieszmatch import neighbors
 from rieszmatch.equivalence import random_observational_instance
-from rieszmatch.lsif import _indicator_values
+from rieszmatch.lsif import _indicator_values, evaluate_matrix
 from rieszmatch.neighbors import Metric, NeighborModel, _mth_sq_radius_batch
 from rieszmatch.riesz import arm_objective_gradient, arm_objective_value
 
@@ -162,11 +159,14 @@ class TestRieszFit:
     def test_constant_balanced(self):
         data = balanced_dataset(seed=7)
         rep = riesz_fit(data, constant_basis(2), lam=0.0)
-        x = data.covariates[0]
-        assert rep.weight_model.weight(1, x) == pytest.approx(2.0)
-        assert rep.weight_model.weight(0, x) == pytest.approx(2.0)
-        assert evaluate_representer(rep, 1, x) == pytest.approx(2.0)
-        assert evaluate_representer(rep, 0, x) == pytest.approx(-2.0)
+        phi = evaluate_matrix(rep.basis, data.covariates)
+        w1, w0 = phi @ rep.theta_treated, phi @ rep.theta_control
+        assert w1[0] == pytest.approx(2.0)
+        assert w0[0] == pytest.approx(2.0)
+        # signed representer: +w(1, x) on the treated unit 0, -w(0, x) on the control unit 1
+        alpha = np.where(data.treatment == 1, w1, -w0)
+        assert alpha[0] == pytest.approx(2.0)
+        assert alpha[1] == pytest.approx(-2.0)
 
     def test_separability_exact(self):
         from rieszmatch.equivalence import well_posed_degree
@@ -178,13 +178,13 @@ class TestRieszFit:
             lam = float(rng.uniform(1e-4, 1e-1))
             rep = riesz_fit(data, basis, lam)
             np.testing.assert_allclose(
-                rep.weight_model.theta_treated,
+                rep.theta_treated,
                 fit_weight_arm(data, 1, basis, lam),
                 rtol=0,
                 atol=1e-12,
             )
             np.testing.assert_allclose(
-                rep.weight_model.theta_control,
+                rep.theta_control,
                 fit_weight_arm(data, 0, basis, lam),
                 rtol=0,
                 atol=1e-12,
@@ -197,7 +197,7 @@ class TestRieszFit:
         lam = 1e-4
         rep = riesz_fit(data, basis, lam)
         zeros = np.zeros(basis.dimension)
-        for arm, theta in ((1, rep.weight_model.theta_treated), (0, rep.weight_model.theta_control)):
+        for arm, theta in ((1, rep.theta_treated), (0, rep.theta_control)):
             assert arm_objective_value(data, arm, basis, lam, theta) <= arm_objective_value(
                 data, arm, basis, lam, zeros
             )
@@ -211,14 +211,8 @@ class TestRieszFit:
             reference = data.covariates[data.treatment == arm]
             basis = catchment_indicator(reference, metric, m, data.covariates[i])
             theta = fit_weight_arm(data, arm, basis, lam=0.0)
-            model = WeightModel(
-                basis_treated=basis,
-                theta_treated=theta,
-                basis_control=basis,
-                theta_control=theta,
-                lam=0.0,
-            )
-            value = evaluate_representer(RieszRepresenter(model), arm, data.covariates[i])
+            weight = float(np.dot(theta, evaluate_matrix(basis, data.covariates[i][None])[0]))
+            value = weight if arm == 1 else -weight
             assert abs(value - alpha[i]) <= 1e-12
 
     def test_sign_convention(self):
