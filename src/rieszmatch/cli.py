@@ -3,7 +3,7 @@
 Reports are deterministic given the flags and seed: the body carries no
 timings and no scheduling knobs, so reruns (with any ``--jobs``) byte-match.
 Wall-clock timings go to stderr.  Exit codes: 0 success, 1 verification
-failure, 2 input error.
+failure, 2 input error (bad data, or a path that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -315,15 +315,20 @@ _DISPATCH = {
 }
 
 
+# An --input or --output that cannot be opened.  Other OS errors (a closed
+# stdout pipe, a worker pool that cannot start) are not input errors.
+_PATH_ERRORS = (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         body, status = _DISPATCH[args.command](args)
-    except (FileNotFoundError, ValueError, np.linalg.LinAlgError) as exc:
+        _emit(body, args.output)
+    except (*_PATH_ERRORS, ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(body, args.output)
     elapsed = time.perf_counter() - started
     print(f"timing command={args.command} total={elapsed:.3f}s", file=sys.stderr)
     return status

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import ObservationalDataset
 from .lsif import polynomial_feature_matrix
-from .neighbors import MatchStructures, _row_blocks
+from .neighbors import MatchStructures
 from .riesz import nn_representer_values
 
 
@@ -75,9 +75,7 @@ def impute(dataset: ObservationalDataset, structures: MatchStructures) -> np.nda
     The observed arm keeps the observed outcome exactly; the opposite arm is
     the mean outcome of the unit's M nearest opposite-arm matches.
     """
-    matched_mean = np.empty(dataset.n)
-    for rows in _row_blocks(dataset.n, structures.m):  # bounds the gathered outcomes
-        matched_mean[rows] = dataset.outcome[structures.neighbor_sets[rows]].mean(axis=1)
+    matched_mean = structures.matched_outcome
     out = np.empty((dataset.n, 2))
     treated = dataset.treatment == 1
     out[treated, 1] = dataset.outcome[treated]

@@ -12,8 +12,8 @@ live in ``tests/oracles.py``.
 
 Every query runs through ``_knn_blocks`` in row blocks of at most
 ``_BLOCK_ENTRIES`` candidate distances (M+1 per row on the tree, n_ref on the
-brute-force path); a tie widens only its own block, and callers write each
-block straight into their output, so memory never grows as n_q n_ref.
+brute-force path); a tie widens only its own block, and callers reduce each
+block as it arrives, so memory never grows as n_q n_ref or as n M.
 
 All ordering and boundary decisions are made on squared distances accumulated
 coordinate by coordinate, which reproduces the kd-tree's arithmetic exactly,
@@ -226,15 +226,16 @@ def matched_times_at(data: TwoSampleData, metric: Metric | None, m: int, points)
 
 @dataclass(frozen=True)
 class MatchStructures:
-    """Per-unit match sets and matched-times counts for an observational dataset.
+    """Per-unit reductions of the M-NN match for an observational dataset.
 
-    ``neighbor_sets[i]`` holds the global indices of the M nearest units in
-    the arm opposite to unit i, nearest first.  ``matched_times[i]`` counts
-    how many opposite-arm units include i in their match set; summed over an
-    arm this is exactly M times the size of the other arm.
+    ``matched_outcome[i]`` is the mean outcome of the M nearest units in the
+    arm opposite to unit i.  ``matched_times[i]`` counts how many opposite-arm
+    units include i in their match set; summed over an arm this is exactly M
+    times the size of the other arm.  The match sets themselves are reduced
+    block by block and never held.
     """
 
-    neighbor_sets: np.ndarray  # (n, m) int
+    matched_outcome: np.ndarray  # (n,) float
     matched_times: np.ndarray  # (n,) int
     m: int
 
@@ -254,10 +255,14 @@ def matching_structures(
     x = dataset.covariates
     treated = np.flatnonzero(dataset.treatment == 1)
     control = np.flatnonzero(dataset.treatment == 0)
-    neighbor_sets = np.empty((dataset.n, m), dtype=np.int64)
+    matched_outcome = np.empty(dataset.n)
+    matched_times = np.empty(dataset.n, dtype=np.int64)
     for own, other in ((treated, control), (control, treated)):
         model = NeighborModel(x[other], metric, m)
+        y_other = dataset.outcome[other]
+        counts = np.zeros(len(other), dtype=np.int64)
         for rows, _, local in _knn_blocks(model, x[own]):
-            neighbor_sets[own[rows]] = other[local]
-    matched_times = np.bincount(neighbor_sets.ravel(), minlength=dataset.n)
-    return MatchStructures(neighbor_sets=neighbor_sets, matched_times=matched_times, m=m)
+            matched_outcome[own[rows]] = y_other[local].mean(axis=1)
+            counts += np.bincount(local.ravel(), minlength=len(other))
+        matched_times[other] = counts
+    return MatchStructures(matched_outcome=matched_outcome, matched_times=matched_times, m=m)

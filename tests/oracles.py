@@ -7,14 +7,16 @@ The library answers every query for a whole batch of points at once
 answer one point at a time, straight from the definitions, so the tests can
 compare the two routes bit for bit.  ``brute_force_sq_knn`` shares no code with
 the library's neighbour search, including its d > 16 brute-force fallback.
-``query_indices`` reads the library's own kNN rows for those comparisons.
+``query_indices`` reads the library's own kNN rows for those comparisons, and
+``library_match_sets`` and ``brute_force_match_sets`` spell out the per-unit
+match sets that ``matching_structures`` reduces without holding.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from rieszmatch.dataset import TwoSampleData
+from rieszmatch.dataset import ObservationalDataset, TwoSampleData
 from rieszmatch.lsif import Basis, LsifFit, evaluate_matrix, fit
 from rieszmatch.neighbors import (
     EUCLIDEAN,
@@ -43,6 +45,40 @@ def brute_force_sq_knn(scaled_queries, scaled_ref, m: int):
         sq += (scaled_queries[:, k, None] - scaled_ref[None, :, k]) ** 2
     order = np.argsort(sq, axis=1, kind="stable")[:, :m]
     return np.take_along_axis(sq, order, axis=1), order
+
+
+def _opposite_arm_sets(dataset: ObservationalDataset, m: int, local_knn) -> np.ndarray:
+    """(n, m) global indices of each unit's M nearest opposite-arm units, from
+    ``local_knn(own_points, other_points)`` giving indices into the other arm."""
+    x = dataset.covariates
+    treated = np.flatnonzero(dataset.treatment == 1)
+    control = np.flatnonzero(dataset.treatment == 0)
+    sets = np.empty((dataset.n, m), dtype=np.int64)
+    for own, other in ((treated, control), (control, treated)):
+        sets[own] = other[local_knn(x[own], x[other])]
+    return sets
+
+
+def library_match_sets(dataset: ObservationalDataset, metric: Metric | None, m: int):
+    """The library's match sets, one ``_knn_blocks`` query per arm."""
+    return _opposite_arm_sets(
+        dataset, m, lambda own, other: query_indices(NeighborModel(other, metric, m), own)
+    )
+
+
+def brute_force_match_sets(dataset: ObservationalDataset, metric: Metric | None, m: int):
+    """The match sets by full scan, 500 query rows at a time."""
+    metric = metric if metric is not None else EUCLIDEAN
+
+    def local_knn(own, other):
+        scaled_other = metric.scale(other)
+        blocks = [
+            brute_force_sq_knn(metric.scale(own[start : start + 500]), scaled_other, m)[1]
+            for start in range(0, len(own), 500)
+        ]
+        return np.concatenate(blocks)
+
+    return _opposite_arm_sets(dataset, m, local_knn)
 
 
 def brute_force_knn(reference_points, metric: Metric | None, query, m: int) -> np.ndarray:

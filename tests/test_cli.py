@@ -50,6 +50,10 @@ class TestAte:
         bad.write_text("x0,d,y\n0.0,2,1.0\n")
         assert cli.main(["ate", "--input", str(bad), "--m", "1"]) == 2
 
+    def test_directory_input_exits_two(self, tmp_path, capsys):
+        assert cli.main(["ate", "--input", str(tmp_path), "--m", "1"]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestDre:
     def test_indicator_running_instance(self, tmp_path):
@@ -169,6 +173,20 @@ class TestVerify:
         assert code == 0
         _, records = parse_report(text)
         assert len(records) == 1
+
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.txt"
+        assert cli.main(["verify", "--instances", "1", "--output", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_other_os_errors_are_not_input_errors(self, monkeypatch):
+        # a closed stdout pipe or a pool that cannot start must not read as exit 2
+        def fail(args):
+            raise BlockingIOError("resource temporarily unavailable")
+
+        monkeypatch.setitem(cli._DISPATCH, "verify", fail)
+        with pytest.raises(BlockingIOError):
+            cli.main(["verify", "--instances", "1"])
 
     def test_broken_component_fails(self, tmp_path, monkeypatch):
         # negative control: a corrupted equivalence must flip the exit status

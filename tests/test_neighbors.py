@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_knn, brute_force_sq_knn, query_indices
+from oracles import (
+    brute_force_knn,
+    brute_force_match_sets,
+    brute_force_sq_knn,
+    library_match_sets,
+    query_indices,
+)
 from rieszmatch import Metric, NeighborModel, TwoSampleData, matching_structures
 from rieszmatch import generate, logistic_dgp, neighbors
 from rieszmatch.dataset import ObservationalDataset
@@ -16,6 +22,24 @@ from rieszmatch.neighbors import (
     _sq_dists,
     matched_times_at,
 )
+
+_DEFAULT_BLOCK_ENTRIES = neighbors._BLOCK_ENTRIES
+
+
+def _assert_reduced(structures, data, sets):
+    """The match's per-unit reductions equal those of the (n, M) match sets."""
+    np.testing.assert_array_equal(structures.matched_outcome, data.outcome[sets].mean(axis=1))
+    np.testing.assert_array_equal(
+        structures.matched_times, np.bincount(sets.ravel(), minlength=data.n)
+    )
+
+
+def _assert_reduced_at_every_block_size(monkeypatch, data, metric, m, sets):
+    # one row per block, an uneven last block, the library default
+    for entries in (1, 997, _DEFAULT_BLOCK_ENTRIES):
+        with monkeypatch.context() as patch:
+            patch.setattr(neighbors, "_BLOCK_ENTRIES", entries)
+            _assert_reduced(matching_structures(data, metric, m), data, sets)
 
 
 class TestKnn:
@@ -132,12 +156,16 @@ class TestMatchedTimes:
 
 
 class TestMatchingStructures:
-    def test_four_unit_instance(self, four_unit_dataset, euclidean):
+    def test_four_unit_instance(self, monkeypatch, four_unit_dataset, euclidean):
         structures = matching_structures(four_unit_dataset, euclidean, 1)
         np.testing.assert_array_equal(structures.matched_times, [1, 1, 1, 1])
-        np.testing.assert_array_equal(structures.neighbor_sets[:, 0], [2, 3, 0, 1])
+        np.testing.assert_array_equal(structures.matched_outcome, [0.0, 2.0, 1.0, 3.0])
+        sets = library_match_sets(four_unit_dataset, euclidean, 1)
+        np.testing.assert_array_equal(sets[:, 0], [2, 3, 0, 1])
+        np.testing.assert_array_equal(sets, brute_force_match_sets(four_unit_dataset, euclidean, 1))
+        _assert_reduced_at_every_block_size(monkeypatch, four_unit_dataset, euclidean, 1, sets)
 
-    def test_saturation_when_m_equals_control_arm(self, euclidean):
+    def test_saturation_when_m_equals_control_arm(self, monkeypatch, euclidean):
         data = ObservationalDataset(
             covariates=np.array([[0.0], [5.0], [7.0], [9.0], [1.0], [2.0], [3.0]]),
             treatment=np.array([1, 1, 1, 1, 0, 0, 0]),
@@ -147,6 +175,20 @@ class TestMatchingStructures:
         # with m equal to the control count, every treated unit matches all
         # controls, so each control is matched n_treated times
         np.testing.assert_array_equal(structures.matched_times[4:], [4, 4, 4])
+
+        # the same on the d > 16 brute-force path, where each row keeps all of
+        # its n_ref candidates
+        rng = np.random.default_rng(5)
+        data = ObservationalDataset(
+            covariates=rng.integers(0, 2, size=(40, 17)).astype(float),
+            treatment=np.array([1] * 34 + [0] * 6),
+            outcome=rng.standard_normal(40),
+        )
+        structures = matching_structures(data, euclidean, 6)
+        np.testing.assert_array_equal(structures.matched_times[34:], [34] * 6)
+        sets = brute_force_match_sets(data, euclidean, 6)
+        np.testing.assert_array_equal(library_match_sets(data, euclidean, 6), sets)
+        _assert_reduced_at_every_block_size(monkeypatch, data, euclidean, 6, sets)
 
     def test_lone_treated_unit(self, euclidean):
         data = ObservationalDataset(
@@ -179,23 +221,17 @@ class TestMatchingStructures:
         assert structures.matched_times[treated].sum() == m * data.n_control
         assert structures.matched_times[~treated].sum() == m * data.n_treated
 
-    def test_tie_heavy_grid_equals_brute_force(self):
+    def test_tie_heavy_grid_equals_brute_force(self, monkeypatch):
         # 16 grid cells hold ~150 units per arm each, so every query widens
         # the kd-tree candidate set and every row is re-sorted on index.
         rng = np.random.default_rng(11)
         n, m = 5000, 20
         x = rng.integers(0, 4, size=(n, 2)).astype(float)
         treat = (rng.random(n) < 0.5).astype(int)
-        data = ObservationalDataset(covariates=x, treatment=treat, outcome=np.zeros(n))
-        structures = matching_structures(data, None, m)
-        expected = np.empty((n, m), dtype=np.int64)
-        treated, control = np.flatnonzero(treat == 1), np.flatnonzero(treat == 0)
-        for queries, reference in ((treated, control), (control, treated)):
-            for start in range(0, len(queries), 500):
-                rows = queries[start : start + 500]
-                _, local = brute_force_sq_knn(x[rows], x[reference], m)
-                expected[rows] = reference[local]
-        np.testing.assert_array_equal(structures.neighbor_sets, expected)
+        data = ObservationalDataset(covariates=x, treatment=treat, outcome=rng.standard_normal(n))
+        expected = brute_force_match_sets(data, None, m)
+        np.testing.assert_array_equal(library_match_sets(data, None, m), expected)
+        _assert_reduced_at_every_block_size(monkeypatch, data, None, m, expected)
 
 
 def _blocked_case(name):
@@ -210,50 +246,56 @@ def _blocked_case(name):
         return rng.normal(size=(n, 3)), treat, Metric(weights=np.array([0.5, 2.0, 7.0]))
     if name == "d17":  # brute-force path, n_ref distances per row
         return rng.normal(size=(n, 17)), treat, Metric()
+    if name == "d17grid":  # brute-force path with ties at the M-th distance
+        return rng.integers(0, 3, size=(n, 17)).astype(float), treat, Metric()
     return rng.normal(size=(n, 2)), treat, Metric()
 
 
 class TestBlockedQueries:
     @pytest.mark.parametrize("entries", [1, 997])  # one row per block; an uneven last block
-    @pytest.mark.parametrize("case", ["continuous", "grid", "weighted", "d17"])
+    @pytest.mark.parametrize("case", ["continuous", "grid", "weighted", "d17", "d17grid"])
     def test_blocks_equal_one_pass_and_brute_force(self, monkeypatch, case, entries):
         m = 5
         x, treat, metric = _blocked_case(case)
-        data = ObservationalDataset(covariates=x, treatment=treat, outcome=np.zeros(len(x)))
+        # continuous outcomes: two different match sets give different means
+        outcome = np.random.default_rng(7).standard_normal(len(x))
+        data = ObservationalDataset(covariates=x, treatment=treat, outcome=outcome)
         treated, control = np.flatnonzero(treat == 1), np.flatnonzero(treat == 0)
         model = NeighborModel(x[control], metric, m)
         whole = matching_structures(data, metric, m)
+        whole_sets = library_match_sets(data, metric, m)
         whole_radii = _mth_sq_radius_batch(model, x[treated])
         whole_first = query_indices(model, x[treated[0]])[0]
 
         monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", entries)
         blocked = matching_structures(data, metric, m)
-        np.testing.assert_array_equal(blocked.neighbor_sets, whole.neighbor_sets)
+        np.testing.assert_array_equal(library_match_sets(data, metric, m), whole_sets)
+        np.testing.assert_array_equal(blocked.matched_outcome, whole.matched_outcome)
         np.testing.assert_array_equal(blocked.matched_times, whole.matched_times)
         np.testing.assert_array_equal(_mth_sq_radius_batch(model, x[treated]), whole_radii)
         np.testing.assert_array_equal(query_indices(model, x[treated[0]])[0], whole_first)
 
-        expected = np.empty_like(whole.neighbor_sets)
-        for own, other in ((treated, control), (control, treated)):
-            sq, local = brute_force_sq_knn(metric.scale(x[own]), metric.scale(x[other]), m)
-            expected[own] = other[local]
-            if own is treated:
-                np.testing.assert_array_equal(whole_radii, sq[:, m - 1])
-        np.testing.assert_array_equal(whole.neighbor_sets, expected)
+        expected = brute_force_match_sets(data, metric, m)
+        sq, _ = brute_force_sq_knn(metric.scale(x[treated]), metric.scale(x[control]), m)
+        np.testing.assert_array_equal(whole_radii, sq[:, m - 1])
+        np.testing.assert_array_equal(whole_sets, expected)
         np.testing.assert_array_equal(control[whole_first], expected[treated[0]])
+        _assert_reduced(whole, data, expected)
+        _assert_reduced(blocked, data, expected)
 
     def test_match_memory_stays_near_its_output(self, monkeypatch):
-        # full-arm candidate, distance and index matrices would be several
-        # times the (n, M) neighbour sets; row blocks keep the peak near them
+        # the (n, M) match sets would grow with M; reducing each row block as
+        # it arrives keeps the peak at a few n-vectors for every M
         monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 1 << 12)
         data = generate(logistic_dgp(), 20_000, seed=0)
-        tracemalloc.start()
-        try:
-            structures = matching_structures(data, None, 30)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * structures.neighbor_sets.nbytes
+        for m in (30, 120):
+            tracemalloc.start()
+            try:
+                matching_structures(data, None, m)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 12 * data.n * 8, (m, peak)
 
 
 def _lexsort_rows(sq, idx):
