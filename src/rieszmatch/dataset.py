@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import expit
@@ -312,9 +312,9 @@ def _header_width(header: list[str] | None, path: Path, tail: list[str]) -> int:
     return len(header)
 
 
-def _raise_first_bad_row(body: str, width: int, binary_col: int | None):
+def _raise_first_bad_row(lines: Iterable[str], width: int, binary_col: int | None):
     """Raise the error of the first data row the loader rejects; never returns."""
-    for line, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+    for line, row in enumerate(csv.reader(lines), start=2):
         if len(row) != width:
             raise ValueError(f"malformed row at row {line}: expected {width} fields, got {len(row)}")
         try:  # numpy reads neither "_" separators nor non-ASCII digits
@@ -333,22 +333,29 @@ def _raise_first_bad_row(body: str, width: int, binary_col: int | None):
 def _read_rows(path: Path, tail: list[str], binary_col: int | None = None) -> np.ndarray:
     """Data rows under a header x0,...,x{d-1} plus ``tail``, parsed by one loadtxt.
 
-    Where loadtxt fails, skips a line (it skips blank lines), or yields a
-    non-finite value or a ``binary_col`` value other than 0 or 1, a row-by-row
-    scan raises the error of the first bad row."""
-    with open(path, newline="") as handle:
+    The UTF-8 file is streamed through loadtxt, never held as text. Where loadtxt
+    fails, skips a line (it skips blank lines), or yields a non-finite value or a
+    ``binary_col`` value other than 0 or 1, a row-by-row scan from the top raises
+    the error of the first bad row; there a byte that is not UTF-8 is unparseable."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
         width = _header_width(next(csv.reader(handle), None), path, tail)
-        body = handle.read()
-    n_records = body.count("\n") + body.count("\r") - body.count("\r\n")
-    n_records += body[-1:] not in ("", "\n", "\r")  # a last line with no line end
-    values = np.empty((0, width))
-    with contextlib.suppress(ValueError):  # the scan below names the first bad row
-        if body.strip("\r\n"):  # loadtxt warns on an input of blank lines only
-            text = io.StringIO(body, newline="")
-            values = np.loadtxt(text, delimiter=",", ndmin=2, comments=None, quotechar='"')
-    ok = values.shape == (n_records, width) and np.isfinite(values).all()
-    if not ok or (binary_col is not None and not np.isin(values[:, binary_col], (0, 1)).all()):
-        _raise_first_bad_row(body, width, binary_col)
+        values = np.empty((0, width))
+        first = next((line for line in handle if line.strip("\r\n")), None)
+        with contextlib.suppress(ValueError):  # the scan below names the first bad row
+            if first is not None:  # loadtxt warns on an input of blank lines only
+                lines = itertools.chain([first], handle)
+                values = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None, quotechar='"')
+        n_lines, last = 0, b""
+        with open(path, "rb") as raw:  # line ends as csv reads them: LF, CRLF and CR
+            while chunk := raw.read(1 << 16):
+                n_lines += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+                n_lines -= last == b"\r" and chunk[:1] == b"\n"  # a CRLF split across chunks
+                last = chunk[-1:]
+        n_lines += last not in (b"", b"\n", b"\r")  # a last line with no line end
+        ok = values.shape == (n_lines - 1, width) and np.isfinite(values).all()
+        if not ok or (binary_col is not None and not np.isin(values[:, binary_col], (0, 1)).all()):
+            handle.seek(0)  # the header passed _header_width, so it is one line
+            _raise_first_bad_row(itertools.islice(handle, 1, None), width, binary_col)
     return values
 
 
@@ -358,7 +365,7 @@ def load_csv(path) -> ObservationalDataset:
     values = _read_rows(path, _EXPECTED_TAIL, binary_col=-2)
     if not len(values):
         raise ValueError(f"{path}: empty treatment arm (no data rows)")
-    treatment = values[:, -2].astype(np.int64)
+    treatment = values[:, -2]  # 0.0 or 1.0; the dataset makes its own int64 copy
     if treatment.sum() in (0, len(treatment)):
         raise ValueError(f"{path}: empty treatment arm")
     return ObservationalDataset(values[:, :-2], treatment, values[:, -1])
@@ -366,7 +373,7 @@ def load_csv(path) -> ObservationalDataset:
 
 def save_csv(dataset: ObservationalDataset, path) -> None:
     """Write a dataset so that load_csv(save_csv(ds)) reproduces it bit for bit."""
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow([f"x{i}" for i in range(dataset.d)] + _EXPECTED_TAIL)
         for i in range(dataset.n):
@@ -387,7 +394,7 @@ def load_points_csv(path) -> np.ndarray:
 
 def save_points_csv(points: np.ndarray, path) -> None:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow([f"x{i}" for i in range(pts.shape[1])])
         for row in pts:

@@ -1,3 +1,7 @@
+import csv
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -138,6 +142,110 @@ class TestLoadCsv:
         assert back.covariates.tobytes() == data.covariates.tobytes()
         assert back.treatment.tobytes() == data.treatment.tobytes()
         assert back.outcome.tobytes() == data.outcome.tobytes()
+
+
+def write_rows(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+@pytest.fixture(scope="module")
+def big_rows():
+    """100 000 rows of four columns, valid under both x0,x1,d,y and x0,...,x3."""
+    rng = np.random.default_rng(3)
+    n = 100_000
+    x = rng.uniform(-1.0, 1.0, size=(n, 2)).tolist()
+    y = rng.standard_normal(n).tolist()
+    return [[x0, x1, i % 2, yi] for i, ((x0, x1), yi) in enumerate(zip(x, y))]
+
+
+def as_matrix(loaded):
+    if isinstance(loaded, ObservationalDataset):
+        return np.column_stack([loaded.covariates, loaded.treatment, loaded.outcome])
+    return loaded
+
+
+LOADERS = [
+    pytest.param(load_csv, b"x0,d,y", id="load_csv"),
+    pytest.param(load_points_csv, b"x0,x1,x2", id="load_points_csv"),
+]
+
+
+class TestStreamedReader:
+    @pytest.mark.parametrize("loader, header", LOADERS)
+    @pytest.mark.parametrize(
+        "body",
+        [b"\r0.25,1,1.5\r-0.75,0,2.0\r", b"\n0.25,1,1.5\n-0.75,0,2.0"],
+        ids=["cr-only", "no-final-line-end"],
+    )
+    def test_line_endings(self, tmp_path, loader, header, body):
+        path = tmp_path / "data.csv"
+        path.write_bytes(header + body)
+        np.testing.assert_array_equal(as_matrix(loader(path)), [[0.25, 1, 1.5], [-0.75, 0, 2.0]])
+
+    def test_crlf_at_every_offset_of_the_binary_line_count(self, tmp_path):
+        # the loader counts lines in fixed-size binary reads; one of these 11
+        # paddings puts a CR last in any read shorter than the file
+        path = tmp_path / "crlf.csv"
+        for pad in range(11):
+            first = b"0." + b"5" * (pad + 1) + b",0,1.5\r\n"
+            path.write_bytes(b"x0,d,y\r\n" + first + b"0.5,1,1.5\r\n" * 10_000)
+            assert load_csv(path).n == 10_001
+
+    @pytest.mark.parametrize("loader, header", LOADERS)
+    def test_blank_only_body_raises_without_warning(self, tmp_path, loader, header):
+        path = tmp_path / "data.csv"
+        path.write_bytes(header + b"\n\n\r\n\r")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^malformed row at row 2: expected 3 fields, got 0$"):
+                loader(path)
+
+    @pytest.mark.parametrize("loader, header", LOADERS)
+    def test_undecodable_byte_is_named_by_row(self, tmp_path, loader, header):
+        path = tmp_path / "data.csv"
+        path.write_bytes(header + b"\n0.25,1,1.5\n0.\xff2,0,2.0\n")
+        with pytest.raises(ValueError, match="^malformed row at row 3: unparseable number$"):
+            loader(path)
+
+    @pytest.mark.parametrize(
+        "loader, header, bad_row, message",
+        [
+            (load_csv, ["x0", "x1", "d", "y"], [0.5, 0.5, 2, 1.0], "non-binary treatment"),
+            (load_points_csv, ["x0", "x1", "x2", "x3"], [0.5, "nan", 1, 1.0], "non-finite value"),
+        ],
+        ids=["load_csv", "load_points_csv"],
+    )
+    def test_far_bad_row_is_named_by_file_line(
+        self, tmp_path, big_rows, loader, header, bad_row, message
+    ):
+        rows = list(big_rows)
+        rows[80_001 - 2] = bad_row  # the header is line 1
+        path = write_rows(tmp_path / "data.csv", header, rows)
+        with pytest.raises(ValueError, match=f"^{message} at row 80001$"):
+            loader(path)
+
+    def test_loader_peak_stays_within_twice_the_parsed_matrix(self, tmp_path, big_rows):
+        data_path = write_rows(tmp_path / "data.csv", ["x0", "x1", "d", "y"], big_rows)
+        points_path = write_rows(tmp_path / "points.csv", ["x0", "x1", "x2", "x3"], big_rows)
+        matrix_bytes = len(big_rows) * 4 * 8
+        tracemalloc.start()
+        try:
+            load_points_csv(points_path)
+            points_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            data = load_csv(data_path)
+            data_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert points_peak <= 2 * matrix_bytes
+        # the dataset holds its own copy of every value, on top of what parsing needs
+        dataset_bytes = data.covariates.nbytes + data.treatment.nbytes + data.outcome.nbytes
+        assert data_peak <= 2 * matrix_bytes + dataset_bytes
 
 
 class TestDatasetInvariants:
