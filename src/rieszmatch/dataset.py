@@ -315,6 +315,8 @@ def _header_width(header: list[str] | None, path: Path, tail: list[str]) -> int:
 def _raise_first_bad_row(lines: Iterable[str], width: int, binary_col: int | None):
     """Raise the error of the first data row the loader rejects; never returns."""
     for line, row in enumerate(csv.reader(lines), start=2):
+        if any("\n" in v or "\r" in v for v in row):  # a quoted line end: line counts drift
+            raise ValueError(f"malformed row at row {line}: line end inside a field")
         if len(row) != width:
             raise ValueError(f"malformed row at row {line}: expected {width} fields, got {len(row)}")
         try:  # numpy reads neither "_" separators nor non-ASCII digits

@@ -1,23 +1,20 @@
 """Metric geometry of matching: M-NN queries, catchment areas, matched-times counts.
 
-Queries run against a static kd-tree built once per reference set, with exact
-deterministic tie-breaking: candidates are ordered by nondecreasing distance
-and equal distances are resolved by ascending reference index.  Rows the tree
-returns in that order are left as they are; only tied or out-of-order rows
-are re-sorted, which on continuous data is almost none.  A vectorized
-brute-force path is the fallback for dimensions above 16, where the tree stops
-paying off.  There is one batched route per operation; the per-point oracles
-the tests compare it with (a full-scan M-NN query, the catchment indicator)
-live in ``tests/oracles.py``.
+Queries run against a static kd-tree built once per reference set, in any
+dimension, with exact deterministic tie-breaking: candidates are ordered by
+nondecreasing distance and equal distances are resolved by ascending reference
+index.  The tree only proposes candidates.  Every ordering and boundary decision
+is made on squared distances summed coordinate by coordinate (``_sq_dists``),
+which from d = 8 on can differ from the tree's own sums in the last bit, so a
+row stops widening its candidates only once its M-th squared distance lies below
+the last one's by more than the relative slack ``_TREE_ROUNDING``.  Only tied or
+out-of-order rows are re-sorted, which on continuous data is almost none.
 
 Every query runs through ``_knn_blocks`` in row blocks of at most
-``_BLOCK_ENTRIES`` candidate distances (M+1 per row on the tree, n_ref on the
-brute-force path); a tie widens only its own block, and callers reduce each
-block as it arrives, so memory never grows as n_q n_ref or as n M.
-
-All ordering and boundary decisions are made on squared distances accumulated
-coordinate by coordinate, which reproduces the kd-tree's arithmetic exactly,
-so the tree and brute-force paths cannot disagree through rounding.
+``_BLOCK_ENTRIES`` candidate distances.  Only the rows still short are queried
+again, at doubled k, in sub-blocks under the same bound, and callers reduce each
+block as it arrives, so memory stays O(n) plus one block for every M, on ties
+too.  The per-point oracles the tests compare with live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -29,9 +26,11 @@ from scipy.spatial import cKDTree
 
 from .dataset import ObservationalDataset, TwoSampleData
 
-_MAX_TREE_DIM = 16
 # Entries held at once by a kNN block or a blocked count: 2 MB of float64.
 _BLOCK_ENTRIES = 1 << 18
+# Relative bound on how far the kd-tree's squared distances may stray from
+# _sq_dists through summation order; far above d * 2^-52 for any practical d.
+_TREE_ROUNDING = 1e-9
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ def _as_points(points, d: int | None = None) -> np.ndarray:
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Accumulate per coordinate, left to right, matching the kd-tree's loop.
+    # Accumulate per coordinate, left to right: the arithmetic of every decision.
     out = np.zeros((a.shape[0], b.shape[0]))
     for k in range(a.shape[1]):
         diff = a[:, k, None] - b[None, :, k]
@@ -101,12 +100,6 @@ def _sq_to_candidates(queries: np.ndarray, columns: np.ndarray, idx: np.ndarray)
     return out
 
 
-def _sort_each_row(sq: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort every row by (squared distance, reference index)."""
-    order = np.lexsort((idx, sq), axis=1)
-    return np.take_along_axis(sq, order, axis=1), np.take_along_axis(idx, order, axis=1)
-
-
 def _row_sort(sq: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Put each kd-tree row in (squared distance, reference index) order.
 
@@ -121,7 +114,9 @@ def _row_sort(sq: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if len(rows) == 0:
         return sq, idx
     sq, idx = sq.copy(), idx.copy()
-    sq[rows], idx[rows] = _sort_each_row(sq[rows], idx[rows])
+    order = np.lexsort((idx[rows], sq[rows]), axis=1)
+    sq[rows] = np.take_along_axis(sq[rows], order, axis=1)
+    idx[rows] = np.take_along_axis(idx[rows], order, axis=1)
     return sq, idx
 
 
@@ -141,7 +136,7 @@ class NeighborModel:
         self.metric = metric if metric is not None else EUCLIDEAN
         self.m = int(m)
         self._scaled = np.ascontiguousarray(self.metric.scale(ref))
-        self._tree = cKDTree(self._scaled) if ref.shape[1] <= _MAX_TREE_DIM else None
+        self._tree = cKDTree(self._scaled)
 
     @property
     def n_reference(self) -> int:
@@ -158,36 +153,37 @@ def _row_blocks(n_rows: int, width: int):
     return (slice(start, start + step) for start in range(0, n_rows, step))
 
 
+def _tree_candidates(model: NeighborModel, columns: np.ndarray, q: np.ndarray, k: int):
+    """The k candidates the tree proposes per row, in (squared distance, index)
+    order, and a mask of the rows whose M nearest may lie beyond them."""
+    idx = model._tree.query(q, k=k)[1].reshape(len(q), k)  # drop the tree's distances
+    sq, idx = _row_sort(_sq_to_candidates(q, columns, idx), idx)
+    # Points not returned lie at least as far as the last candidate, up to the
+    # tree's rounding, so a row whose M-th distance comes that close may be short.
+    short = (k < model.n_reference) & (sq[:, model.m - 1] >= (1 - _TREE_ROUNDING) * sq[:, -1])
+    return sq, idx, short
+
+
 def _knn_blocks(model: NeighborModel, queries):
     """Yield ``(rows, sq, idx)`` per row block of the queries: squared distances
     and indices of each row's tie-broken M nearest references, (distance, index)
-    order."""
+    order.  Short rows alone are queried again, at doubled k, in sub-blocks."""
     pts, m, n_ref = _as_points(queries, model.d), model.m, model.n_reference
-    width = n_ref if model._tree is None else min(n_ref, m + 1)
-    columns = np.ascontiguousarray(model._scaled.T)
-    for rows in _row_blocks(len(pts), width):
+    columns, first_k = np.ascontiguousarray(model._scaled.T), min(n_ref, m + 1)
+    for rows in _row_blocks(len(pts), first_k):
         q = model.metric.scale(pts[rows])
-        if model._tree is None:
-            yield (rows, *_brute_knn_sq(q, model._scaled, m))
-            continue
-        k_req = width
-        while True:
-            _, idx = model._tree.query(q, k=k_req)
-            idx = idx.reshape(len(q), k_req)
-            sq, idx = _row_sort(_sq_to_candidates(q, columns, idx), idx)
-            # Points not returned lie at least as far as the last candidate, so
-            # widen only while a tie at the m-th distance reaches it.
-            if k_req == n_ref or not np.any(sq[:, m - 1] == sq[:, -1]):
-                break
-            k_req = min(n_ref, 2 * k_req)
+        sq, idx, short = _tree_candidates(model, columns, q, first_k)
+        open_rows, k_req = np.flatnonzero(short), first_k
+        while len(open_rows):
+            k_req, still_open = min(n_ref, 2 * k_req), []
+            for sub in _row_blocks(len(open_rows), k_req):
+                at = open_rows[sub]
+                wide_sq, wide_idx, short = _tree_candidates(model, columns, q[at], k_req)
+                sq[at, :m], idx[at, :m] = wide_sq[:, :m], wide_idx[:, :m]
+                still_open.append(at[short])
+                del wide_sq, wide_idx  # free before the next sub-block's query
+            open_rows = np.concatenate(still_open)
         yield rows, sq[:, :m], idx[:, :m]
-
-
-def _brute_knn_sq(scaled_queries: np.ndarray, scaled_ref: np.ndarray, m: int):
-    sq = _sq_dists(scaled_queries, scaled_ref)
-    idx = np.broadcast_to(np.arange(scaled_ref.shape[0]), sq.shape)
-    sq, idx = _sort_each_row(sq, idx)
-    return sq[:, :m], idx[:, :m]
 
 
 def _mth_sq_radius_batch(model: NeighborModel, queries) -> np.ndarray:

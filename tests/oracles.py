@@ -6,7 +6,7 @@ The library answers every query for a whole batch of points at once
 ``lsif.indicator_dre``, ``lsif.verify_theorem1_all``).  The functions here
 answer one point at a time, straight from the definitions, so the tests can
 compare the two routes bit for bit.  ``brute_force_sq_knn`` shares no code with
-the library's neighbour search, including its d > 16 brute-force fallback.
+the library's neighbour search, which runs its kd-tree in every dimension.
 ``query_indices`` reads the library's own kNN rows for those comparisons, and
 ``library_match_sets`` and ``brute_force_match_sets`` spell out the per-unit
 match sets that ``matching_structures`` reduces without holding.

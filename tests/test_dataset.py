@@ -211,6 +211,24 @@ class TestStreamedReader:
         with pytest.raises(ValueError, match="^malformed row at row 3: unparseable number$"):
             loader(path)
 
+    @pytest.mark.parametrize("loader, header", LOADERS)
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'\n"0.5\n",1,1\n0.2,0,1\n0.3,0,1\n',
+            b'\n"0.5\n",1,1\n0.2,0,1\n0.3,0,nan\n',  # a bad row on line 5
+            b'\n"0.5\r",1,1\n0.2,0,1\n0.3,0,1\n',
+        ],
+        ids=["quoted-lf", "quoted-lf-then-bad-row", "quoted-cr"],
+    )
+    def test_line_end_inside_a_field_is_named_by_row(self, tmp_path, loader, header, body):
+        # csv joins the quoted line end into one record, so row numbers after
+        # it would no longer count file lines: the field itself is the error
+        path = tmp_path / "data.csv"
+        path.write_bytes(header + body)
+        with pytest.raises(ValueError, match="^malformed row at row 2: line end inside a field$"):
+            loader(path)
+
     @pytest.mark.parametrize(
         "loader, header, bad_row, message",
         [

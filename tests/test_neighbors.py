@@ -176,8 +176,8 @@ class TestMatchingStructures:
         # controls, so each control is matched n_treated times
         np.testing.assert_array_equal(structures.matched_times[4:], [4, 4, 4])
 
-        # the same on the d > 16 brute-force path, where each row keeps all of
-        # its n_ref candidates
+        # the same in d=17 with ties at the M-th distance, where every row
+        # widens to all n_ref candidates
         rng = np.random.default_rng(5)
         data = ObservationalDataset(
             covariates=rng.integers(0, 2, size=(40, 17)).astype(float),
@@ -244,9 +244,9 @@ def _blocked_case(name):
         return rng.integers(0, 4, size=(n, 2)).astype(float), treat, Metric()
     if name == "weighted":
         return rng.normal(size=(n, 3)), treat, Metric(weights=np.array([0.5, 2.0, 7.0]))
-    if name == "d17":  # brute-force path, n_ref distances per row
+    if name == "d17":  # above d=16 the tree's sums may differ in the last bit
         return rng.normal(size=(n, 17)), treat, Metric()
-    if name == "d17grid":  # brute-force path with ties at the M-th distance
+    if name == "d17grid":  # the same with ties at the M-th distance
         return rng.integers(0, 3, size=(n, 17)).astype(float), treat, Metric()
     return rng.normal(size=(n, 2)), treat, Metric()
 
@@ -296,6 +296,23 @@ class TestBlockedQueries:
             finally:
                 tracemalloc.stop()
             assert peak <= 12 * data.n * 8, (m, peak)
+
+    def test_tied_match_memory_stays_bounded(self):
+        # 8 cells of ~625 units per arm: every row widens past its tie on its
+        # own; re-querying whole blocks at the widened k would take ~600 MB
+        rng = np.random.default_rng(13)
+        n, m = 10_000, 20
+        x = rng.integers(0, 2, size=(n, 3)).astype(float)
+        treat = (rng.random(n) < 0.5).astype(int)
+        data = ObservationalDataset(covariates=x, treatment=treat, outcome=rng.standard_normal(n))
+        tracemalloc.start()
+        try:
+            structures = matching_structures(data, None, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak
+        _assert_reduced(structures, data, brute_force_match_sets(data, None, m))
 
 
 def _lexsort_rows(sq, idx):
@@ -353,9 +370,9 @@ class TestSpatialIndexOracle:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_tree_equals_brute_force_random(self, weighted):
         rng = np.random.default_rng(123 if weighted else 321)
-        for _ in range(25):
+        for d_max in [5] * 25 + [20] * 25:
             n = int(rng.integers(5, 200))
-            d = int(rng.integers(1, 6))
+            d = int(rng.integers(1, d_max + 1))
             m = int(rng.integers(1, min(n, 8) + 1))
             metric = Metric(weights=rng.uniform(0.5, 3.0, size=d)) if weighted else Metric()
             ref = rng.normal(size=(n, d))
@@ -383,13 +400,27 @@ class TestSpatialIndexOracle:
         q = np.array(query, dtype=float) / 2.0
         np.testing.assert_array_equal(query_indices(model, q)[0], brute_force_knn(ref, None, q, m))
 
-    def test_high_dimension_falls_back_to_brute_force(self):
+    def test_high_dimension_equals_brute_force(self):
         rng = np.random.default_rng(5)
         ref = rng.normal(size=(40, 20))
         model = NeighborModel(ref, None, 3)
-        assert model._tree is None
-        q = rng.normal(size=20)
-        np.testing.assert_array_equal(query_indices(model, q)[0], brute_force_knn(ref, None, q, 3))
+        for q in rng.normal(size=(10, 20)):
+            expected = brute_force_knn(ref, None, q, 3)
+            np.testing.assert_array_equal(query_indices(model, q)[0], expected)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("d", [8, 12, 16, 17, 20])
+    def test_tree_obeys_tie_rule_on_permuted_coordinates(self, d, m):
+        # Every reference permutes one coordinate vector, so all lie at one
+        # distance from the origin up to rounding.  From d=8 on the kd-tree
+        # sums squares in another order than the library and may rank them
+        # differently in the last bit; the library's own sums must decide.
+        rng = np.random.default_rng(d)
+        base = np.resize([0.1, 0.2, 0.3, 0.7, 1.1, 1e-3, 3.3], d)
+        ref = np.unique([rng.permutation(base) for _ in range(300)], axis=0)
+        model = NeighborModel(ref, None, m)
+        q = np.zeros(d)
+        np.testing.assert_array_equal(query_indices(model, q)[0], brute_force_knn(ref, None, q, m))
 
     def test_batch_matches_single_queries(self):
         rng = np.random.default_rng(9)
