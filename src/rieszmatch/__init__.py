@@ -9,7 +9,6 @@ from .dataset import (
     ObservationalDataset,
     TwoSampleData,
     builtin_dgp,
-    density_ratio,
     gaussian_density,
     generate,
     generate_two_sample,
@@ -18,12 +17,10 @@ from .dataset import (
     logistic_dgp,
     save_csv,
     save_points_csv,
-    uniform_density,
 )
 from .lsif import (
     Basis,
     LsifFit,
-    constant_basis,
     fit,
     gaussian_grid_basis,
     polynomial_basis,
@@ -40,11 +37,7 @@ from .matching import (
     fit_outcome,
     impute,
 )
-from .neighbors import (
-    Metric,
-    NeighborModel,
-    matching_structures,
-)
+from .neighbors import Metric, matching_structures
 from .riesz import (
     WeightModel,
     dr_score,
@@ -61,7 +54,6 @@ __all__ = [
     "LOGISTIC_TRUE_ATE",
     "LsifFit",
     "Metric",
-    "NeighborModel",
     "ObservationalDataset",
     "OutcomeModel",
     "TwoSampleData",
@@ -72,8 +64,6 @@ __all__ = [
     "ate_regression",
     "ate_weight_form",
     "builtin_dgp",
-    "constant_basis",
-    "density_ratio",
     "dr_score",
     "fit",
     "fit_outcome",
@@ -92,7 +82,6 @@ __all__ = [
     "riesz_fit",
     "save_csv",
     "save_points_csv",
-    "uniform_density",
     "verify_theorem1_all",
 ]
 

@@ -143,8 +143,8 @@ def cmd_dre(args) -> tuple[str, int]:
             basis = lsif.polynomial_basis(data.d, args.degree)
         else:
             basis = lsif.gaussian_grid_basis(data.denominator, per_dim=args.grid)
-        lam = lsif.default_ridge(data, basis) if args.lam is None else args.lam
-        beta = lsif.fit(data, basis, lam).beta
+        result = lsif.fit(data, basis, args.lam)
+        lam, beta = result.lam, result.beta
         # one dot per row, not phi @ beta: a matrix-vector product may sum in
         # another order and change the last bit of r_hat
         values = [float(np.dot(beta, row)) for row in lsif.evaluate_matrix(basis, points)]
@@ -279,15 +279,7 @@ def cmd_verify(args) -> tuple[str, int]:
     tasks = list(enumerate(seeds))
     results = _pool_map(_verify_instance, tasks, args.jobs)
     results.sort(key=lambda rec: rec.index)
-    gap_names = (
-        "theorem1_gap",
-        "eq1_gap",
-        "weight_identity_gap",
-        "separability_gap",
-        "dr_gap",
-        "score_mean",
-    )
-    max_gaps = {name: max(getattr(rec, name) for rec in results) for name in gap_names}
+    max_gaps = {name: max(getattr(rec, name) for rec in results) for name in eq.GAP_NAMES}
     passed = all(gap <= eq.GAP_THRESHOLD for gap in max_gaps.values())
     header = [
         ("command", "verify"),
@@ -300,7 +292,7 @@ def cmd_verify(args) -> tuple[str, int]:
     header.append(("status", "pass" if passed else "fail"))
     records = [
         [("instance", rec.index), ("seed", seeds[rec.index])]
-        + [(name, getattr(rec, name)) for name in gap_names]
+        + [(name, getattr(rec, name)) for name in eq.GAP_NAMES]
         for rec in results
     ]
     return render_report(header, records), 0 if passed else 1

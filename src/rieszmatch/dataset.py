@@ -2,9 +2,9 @@
 
 Observational data is a sample of (covariates, binary treatment, outcome)
 triples.  Two-sample data holds a denominator sample and a numerator sample
-for density-ratio estimation.  The built-in generators carry their own ground
-truth (true ATE, analytic density ratio) so estimators can be tested against
-known answers.
+for density-ratio estimation, drawn here from product Gaussians.  The built-in
+observational design carries its true ATE and propensity, so estimators and
+matching weights can be checked against known answers.
 """
 
 from __future__ import annotations
@@ -145,12 +145,14 @@ class DgpSpec:
             raise ValueError("overlap_epsilon must lie in (0, 1/2)")
 
 
-def logistic_dgp(dimension: int = 2, epsilon: float = 0.1, noise_sd: float = 1.0) -> DgpSpec:
+def logistic_dgp(dimension: int = 2) -> DgpSpec:
     """Built-in smooth overlap-satisfying design with true ATE = 1.
 
-    X ~ Uniform[-1, 1]^d, e(x) = eps + (1 - 2 eps) sigmoid(2 x1),
-    mu1(x) = 1 + x1 + x2 (the x2 term is dropped when d = 1), mu0(x) = x1.
+    X ~ Uniform[-1, 1]^d, e(x) = eps + (1 - 2 eps) sigmoid(2 x1) with eps = 0.1,
+    mu1(x) = 1 + x1 + x2 (the x2 term is dropped when d = 1), mu0(x) = x1, and
+    standard normal outcome noise.
     """
+    epsilon = 0.1
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(-1.0, 1.0, size=(n, dimension))
@@ -171,7 +173,7 @@ def logistic_dgp(dimension: int = 2, epsilon: float = 0.1, noise_sd: float = 1.0
         propensity=propensity,
         outcome_mean_treated=mu1,
         outcome_mean_control=mu0,
-        noise_sd=noise_sd,
+        noise_sd=1.0,
         overlap_epsilon=epsilon,
         true_ate=LOGISTIC_TRUE_ATE,
         covariate_sampler=sampler,
@@ -181,12 +183,12 @@ def logistic_dgp(dimension: int = 2, epsilon: float = 0.1, noise_sd: float = 1.0
 BUILTIN_DGPS = {"logistic": logistic_dgp}
 
 
-def builtin_dgp(name: str, **kwargs) -> DgpSpec:
+def builtin_dgp(name: str) -> DgpSpec:
     try:
         factory = BUILTIN_DGPS[name]
     except KeyError:
         raise ValueError(f"unknown DGP {name!r}; available: {sorted(BUILTIN_DGPS)}") from None
-    return factory(**kwargs)
+    return factory()
 
 
 def generate(spec: DgpSpec, n: int, seed: int) -> ObservationalDataset:
@@ -218,20 +220,12 @@ def generate(spec: DgpSpec, n: int, seed: int) -> ObservationalDataset:
 
 @dataclass(frozen=True)
 class DensitySpec:
-    """Product density on R^d: per-dimension uniform boxes or Gaussians.
+    """Product Gaussian on R^d: ``loc`` holds the means, ``scale`` the standard deviations."""
 
-    For ``family="uniform"``, ``loc`` holds lower bounds and ``scale`` widths;
-    for ``family="gaussian"``, ``loc`` holds means and ``scale`` standard
-    deviations.
-    """
-
-    family: str
     loc: np.ndarray
     scale: np.ndarray
 
     def __post_init__(self):
-        if self.family not in ("uniform", "gaussian"):
-            raise ValueError(f"unsupported density family: {self.family!r}")
         loc = _readonly(np.atleast_1d(self.loc))
         scale = _readonly(np.atleast_1d(self.scale))
         if loc.shape != scale.shape or loc.ndim != 1:
@@ -246,38 +240,13 @@ class DensitySpec:
         return self.loc.shape[0]
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.family == "uniform":
-            return self.loc + self.scale * rng.random((n, self.dimension))
         return self.loc + self.scale * rng.standard_normal((n, self.dimension))
-
-    def density(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dimension:
-            raise ValueError("dimension mismatch")
-        if self.family == "uniform":
-            inside = (pts >= self.loc) & (pts <= self.loc + self.scale)
-            return np.where(inside.all(axis=1), 1.0 / np.prod(self.scale), 0.0)
-        z = (pts - self.loc) / self.scale
-        norm = np.prod(self.scale) * (2.0 * np.pi) ** (self.dimension / 2.0)
-        return np.exp(-0.5 * (z * z).sum(axis=1)) / norm
-
-
-def uniform_density(low, high) -> DensitySpec:
-    low = np.atleast_1d(np.asarray(low, dtype=float))
-    high = np.atleast_1d(np.asarray(high, dtype=float))
-    return DensitySpec(family="uniform", loc=low, scale=high - low)
 
 
 def gaussian_density(mean, sd) -> DensitySpec:
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     sd = np.broadcast_to(np.asarray(sd, dtype=float), mean.shape).copy()
-    return DensitySpec(family="gaussian", loc=mean, scale=sd)
-
-
-def density_ratio(spec_num: DensitySpec, spec_den: DensitySpec, points: np.ndarray) -> np.ndarray:
-    """Analytic numerator/denominator density ratio; test oracle for built-ins."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return spec_num.density(points) / spec_den.density(points)
+    return DensitySpec(loc=mean, scale=sd)
 
 
 def generate_two_sample(

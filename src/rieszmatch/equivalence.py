@@ -14,7 +14,7 @@ them to every suite that needs them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,14 +39,16 @@ from .neighbors import (
 from .riesz import dr_score, fit_weight_arm, nn_representer_values, riesz_fit
 
 GAP_THRESHOLD = 1e-12
+# Random instances draw their dimension from 1..3 and M from 1..5.
+_MAX_D, _MAX_M = 3, 5
 
 
 def random_two_sample_instance(
-    rng: np.random.Generator, max_n: int = 300, max_d: int = 3, max_m: int = 5
+    rng: np.random.Generator, max_n: int = 300
 ) -> tuple[TwoSampleData, Metric, int]:
     """Random continuous two-sample instance; points are distinct a.s."""
-    m = int(rng.integers(1, max_m + 1))
-    d = int(rng.integers(1, max_d + 1))
+    m = int(rng.integers(1, _MAX_M + 1))
+    d = int(rng.integers(1, _MAX_D + 1))
     n0 = int(rng.integers(max(m, 5), max_n + 1))
     n1 = int(rng.integers(5, max_n + 1))
     den = rng.normal(size=(n0, d))
@@ -56,11 +58,11 @@ def random_two_sample_instance(
 
 
 def random_observational_instance(
-    rng: np.random.Generator, max_n: int = 300, max_d: int = 3, max_m: int = 5
+    rng: np.random.Generator, max_n: int = 300
 ) -> tuple[ObservationalDataset, Metric, int]:
-    """Random observational instance with both arms at least max_m large."""
-    m = int(rng.integers(1, max_m + 1))
-    d = int(rng.integers(1, max_d + 1))
+    """Random observational instance with both arms at least m large."""
+    m = int(rng.integers(1, _MAX_M + 1))
+    d = int(rng.integers(1, _MAX_D + 1))
     n = int(rng.integers(max(4 * m, 20), max_n + 1))
     x = rng.normal(size=(n, d))
     p = rng.uniform(0.3, 0.7)
@@ -102,20 +104,19 @@ def weight_identity_max_gap(
     return worst
 
 
-def well_posed_degree(dataset: ObservationalDataset, max_degree: int = 2) -> int:
-    """Largest polynomial degree whose basis stays well below the arm sizes."""
+def well_posed_degree(dataset: ObservationalDataset) -> int:
+    """Largest polynomial degree, at most 2, whose basis stays well below the arm sizes."""
     min_arm = min(dataset.n_treated, dataset.n_control)
-    for degree in range(max_degree, 0, -1):
+    for degree in (2, 1):
         if 3 * len(monomial_exponents(dataset.d, degree)) <= min_arm:
             return degree
     return 0
 
 
-def separability_max_gap(dataset: ObservationalDataset, lam: float, degree: int | None = None) -> float:
-    """Per-coefficient gap between the joint Riesz solve and arm-wise solves."""
-    if degree is None:
-        degree = well_posed_degree(dataset)
-    basis = polynomial_basis(dataset.d, degree)
+def separability_max_gap(dataset: ObservationalDataset, lam: float) -> float:
+    """Per-coefficient gap between the joint Riesz solve and arm-wise solves,
+    on the polynomial basis of ``well_posed_degree``."""
+    basis = polynomial_basis(dataset.d, well_posed_degree(dataset))
     rep = riesz_fit(dataset, basis, lam)
     theta1 = fit_weight_arm(dataset, 1, basis, lam)
     theta0 = fit_weight_arm(dataset, 0, basis, lam)
@@ -149,14 +150,11 @@ class InstanceRecord:
 
     @property
     def max_gap(self) -> float:
-        return max(
-            self.theorem1_gap,
-            self.eq1_gap,
-            self.weight_identity_gap,
-            self.separability_gap,
-            self.dr_gap,
-            self.score_mean,
-        )
+        return max(getattr(self, name) for name in GAP_NAMES)
+
+
+# Every InstanceRecord field after ``index`` is a gap, in report order.
+GAP_NAMES = tuple(field.name for field in fields(InstanceRecord))[1:]
 
 
 def run_instance(index: int, seed: int, max_n: int = 160) -> InstanceRecord:

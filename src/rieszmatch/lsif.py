@@ -8,7 +8,10 @@ empirical quadratic risk
 where H averages Phi Phi' over the denominator sample and h averages Phi over
 the numerator sample.  The unique minimizer is (H + lambda I)^{-1} h, solved
 by a symmetric positive-definite factorization with explicit singularity
-detection (nothing is silently regularized).
+detection (nothing is silently regularized).  ``fit`` without a lambda takes
+the numerical-safety ridge 1e-6 trace(H)/b from the denominator features it
+has evaluated anyway.  The sample objective and its gradient, which the tests
+check the fit against, live in ``tests/oracles.py``.
 
 The catchment indicator basis turns this machinery into the one-step
 nearest-neighbor ratio estimate: with that single feature and lambda = 0 the
@@ -94,11 +97,14 @@ def evaluate_matrix(basis: Basis, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit(data: TwoSampleData, basis: Basis, lam: float) -> LsifFit:
-    """Closed-form ridge fit of the density-ratio coefficients."""
-    if lam < 0:
+def fit(data: TwoSampleData, basis: Basis, lam: float | None = None) -> LsifFit:
+    """Closed-form ridge fit of the density-ratio coefficients; ``lam=None``
+    takes the default ridge 1e-6 trace(H)/b."""
+    if lam is not None and lam < 0:
         raise ValueError("lambda must be nonnegative")
     phi_den = evaluate_matrix(basis, data.denominator)
+    if lam is None:
+        lam = 1e-6 * (float(np.sum(phi_den * phi_den)) / data.n_denominator) / basis.dimension
     phi_num = evaluate_matrix(basis, data.numerator)
     h_mat = phi_den.T @ phi_den / data.n_denominator
     h_vec = phi_num.mean(axis=0)
@@ -113,38 +119,8 @@ def fit(data: TwoSampleData, basis: Basis, lam: float) -> LsifFit:
     return LsifFit(basis=basis, lam=float(lam), H_hat=h_mat, h_hat=h_vec, beta=beta)
 
 
-def default_ridge(data: TwoSampleData, basis: Basis) -> float:
-    """Numerical-safety default 1e-6 trace(H)/b for general bases."""
-    phi_den = evaluate_matrix(basis, data.denominator)
-    trace = float(np.sum(phi_den * phi_den)) / data.n_denominator
-    return 1e-6 * trace / basis.dimension
-
-
-def objective_value(data: TwoSampleData, basis: Basis, lam: float, beta: np.ndarray) -> float:
-    """Sample-form objective J(beta); used by gradient and optimality tests."""
-    beta = np.asarray(beta, dtype=float)
-    r_den = evaluate_matrix(basis, data.denominator) @ beta
-    r_num = evaluate_matrix(basis, data.numerator) @ beta
-    return float(
-        0.5 * np.mean(r_den * r_den) - np.mean(r_num) + 0.5 * lam * np.dot(beta, beta)
-    )
-
-
-def objective_gradient(fit_result: LsifFit, beta: np.ndarray) -> np.ndarray:
-    """Analytic gradient (H + lambda I) beta - h of the empirical objective."""
-    beta = np.asarray(beta, dtype=float)
-    return fit_result.H_hat @ beta + fit_result.lam * beta - fit_result.h_hat
-
-
 # ---------------------------------------------------------------------------
 # Built-in bases
-
-
-def constant_basis(dimension_in: int) -> Basis:
-    def evaluate(points):
-        return np.ones((len(_as_points(points, dimension_in)), 1))
-
-    return Basis(dimension=1, evaluate=evaluate)
 
 
 def monomial_exponents(dimension_in: int, degree: int) -> list[tuple[int, ...]]:
@@ -178,17 +154,18 @@ def polynomial_basis(dimension_in: int, degree: int) -> Basis:
     return Basis(dimension=b, evaluate=evaluate)
 
 
-def gaussian_grid_basis(points: np.ndarray, per_dim: int = 4, bandwidth: float | None = None) -> Basis:
-    """Gaussian bumps centered on a regular grid over the point cloud's box."""
+def gaussian_grid_basis(points: np.ndarray, per_dim: int = 4) -> Basis:
+    """Gaussian bumps centered on a regular grid over the point cloud's box,
+    with bandwidth the mean box side over ``per_dim``."""
+    if per_dim < 1:
+        raise ValueError(f"Gaussian grid size must be >= 1, got {per_dim}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     axes = [np.linspace(lo[k], hi[k], per_dim) for k in range(pts.shape[1])]
     mesh = np.meshgrid(*axes, indexing="ij")
     centers = np.column_stack([m.ravel() for m in mesh])
-    if bandwidth is None:
-        span = float(np.mean(hi - lo))
-        bandwidth = max(span / per_dim, 1e-8)
+    bandwidth = max(float(np.mean(hi - lo)) / per_dim, 1e-8)
     inv_two_sq = 1.0 / (2.0 * bandwidth * bandwidth)
 
     def evaluate(qpoints):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .dataset import ObservationalDataset, TwoSampleData
+from .dataset import ObservationalDataset
 
 # Entries held at once by a kNN block or a blocked count: 2 MB of float64.
 _BLOCK_ENTRIES = 1 << 18
@@ -204,20 +204,6 @@ def _catchment_counts(metric: Metric, anchors, anchor_radii, points, point_radii
         radii = np.where(anchor_side, anchor_radii[block, None], point_radii)
         counts[block] = (_sq_dists(anchors_s[block], points_s) <= radii).sum(axis=1)
     return counts
-
-
-def matched_times_at(data: TwoSampleData, metric: Metric | None, m: int, points) -> np.ndarray:
-    """Matched-times counts at arbitrary points.
-
-    Entry t counts the numerator points whose M-th nearest-denominator radius
-    covers points[t]; the boundary is inclusive.
-    """
-    if m > data.n_denominator:
-        raise ValueError(f"m={m} exceeds the denominator sample size {data.n_denominator}")
-    model, num = NeighborModel(data.denominator, metric, m), data.numerator
-    pts, radii = _as_points(points, data.d), _mth_sq_radius_batch(model, num)
-    unused = np.zeros(len(pts))  # no point is on the anchor side
-    return _catchment_counts(model.metric, pts, unused, num, radii, np.zeros(len(num), bool))
 
 
 @dataclass(frozen=True)

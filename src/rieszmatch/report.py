@@ -28,22 +28,3 @@ def render_report(header: list[tuple[str, object]], records: list[list[tuple[str
     for record in records:
         lines.append(" ".join(f"{key}={format_value(value)}" for key, value in record))
     return "\n".join(lines) + "\n"
-
-
-def parse_report(text: str) -> tuple[dict, list[dict]]:
-    """Inverse of render_report with values kept as strings."""
-    header: dict = {}
-    records: list[dict] = []
-    in_records = False
-    for line in text.splitlines():
-        if not line:
-            continue
-        if line == RECORD_SEPARATOR:
-            in_records = True
-            continue
-        if in_records:
-            records.append(dict(field.split("=", 1) for field in line.split(" ")))
-        else:
-            key, value = line.split("=", 1)
-            header[key] = value
-    return header, records

@@ -11,8 +11,8 @@ With the per-point catchment indicator basis and no ridge penalty the fitted
 weight at unit i is exactly 1 + K_M(i)/M, the matched-times weight of
 nearest-neighbor matching; ``MatchStructures.weights`` holds those values.
 ``equivalence.weight_identity_max_gap`` checks the identity for every unit in
-one batched count; the per-point basis it is tested against lives in
-``tests/oracles.py``.
+one batched count; the per-point basis it is tested against, and the sample
+arm risk and its gradient, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -49,25 +49,6 @@ def fit_weight_arm(dataset: ObservationalDataset, arm: int, basis: Basis, lam: f
         raise np.linalg.LinAlgError(
             f"singular moment matrix for arm {arm} at lambda={lam:g}"
         ) from None
-
-
-def arm_objective_value(
-    dataset: ObservationalDataset, arm: int, basis: Basis, lam: float, theta: np.ndarray
-) -> float:
-    """Sample-form arm risk (1/2) mean_arm w^2 - mean w + (lambda/2)|theta|^2."""
-    theta = np.asarray(theta, dtype=float)
-    w = evaluate_matrix(basis, dataset.covariates) @ theta
-    mask = dataset.treatment == arm
-    sq_term = np.sum(w[mask] * w[mask]) / dataset.n
-    return float(0.5 * sq_term - np.mean(w) + 0.5 * lam * np.dot(theta, theta))
-
-
-def arm_objective_gradient(
-    dataset: ObservationalDataset, arm: int, basis: Basis, lam: float, theta: np.ndarray
-) -> np.ndarray:
-    h_mat, h_vec = _arm_moments(dataset, arm, evaluate_matrix(basis, dataset.covariates))
-    theta = np.asarray(theta, dtype=float)
-    return h_mat @ theta + lam * theta - h_vec
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,11 @@ the library's neighbour search, which runs its kd-tree in every dimension.
 ``query_indices`` reads the library's own kNN rows for those comparisons, and
 ``library_match_sets`` and ``brute_force_match_sets`` spell out the per-unit
 match sets that ``matching_structures`` reduces without holding.
+
+The rest is test-only machinery the library has no use for: matched-times
+counts at arbitrary points (``matched_times_at``), the constant basis, the
+sample LSIF objective and its gradient, the sample Riesz arm risk and its
+gradient, and ``parse_report``, which reads a rendered report back.
 """
 
 from dataclasses import dataclass
@@ -23,11 +28,13 @@ from rieszmatch.neighbors import (
     Metric,
     NeighborModel,
     _as_points,
+    _catchment_counts,
     _knn_blocks,
     _mth_sq_radius_batch,
     _sq_dists,
-    matched_times_at,
 )
+from rieszmatch.report import RECORD_SEPARATOR
+from rieszmatch.riesz import _arm_moments
 
 
 def query_indices(model: NeighborModel, queries) -> np.ndarray:
@@ -174,3 +181,78 @@ def verify_theorem1(data: TwoSampleData, metric: Metric | None, m: int, c) -> Th
     return Theorem1Check(
         lsif_value=lsif_value, one_step_value=one_step, gap=abs(lsif_value - one_step)
     )
+
+
+def matched_times_at(data: TwoSampleData, metric: Metric | None, m: int, points) -> np.ndarray:
+    """Matched-times counts at arbitrary points.
+
+    Entry t counts the numerator points whose M-th nearest-denominator radius
+    covers points[t]; the boundary is inclusive.
+    """
+    if m > data.n_denominator:
+        raise ValueError(f"m={m} exceeds the denominator sample size {data.n_denominator}")
+    model, num = NeighborModel(data.denominator, metric, m), data.numerator
+    pts, radii = _as_points(points, data.d), _mth_sq_radius_batch(model, num)
+    unused = np.zeros(len(pts))  # no point is on the anchor side
+    return _catchment_counts(model.metric, pts, unused, num, radii, np.zeros(len(num), bool))
+
+
+def constant_basis(dimension_in: int) -> Basis:
+    def evaluate(points):
+        return np.ones((len(_as_points(points, dimension_in)), 1))
+
+    return Basis(dimension=1, evaluate=evaluate)
+
+
+def objective_value(data: TwoSampleData, basis: Basis, lam: float, beta: np.ndarray) -> float:
+    """Sample-form LSIF objective J(beta)."""
+    beta = np.asarray(beta, dtype=float)
+    r_den = evaluate_matrix(basis, data.denominator) @ beta
+    r_num = evaluate_matrix(basis, data.numerator) @ beta
+    return float(
+        0.5 * np.mean(r_den * r_den) - np.mean(r_num) + 0.5 * lam * np.dot(beta, beta)
+    )
+
+
+def objective_gradient(fit_result: LsifFit, beta: np.ndarray) -> np.ndarray:
+    """Analytic gradient (H + lambda I) beta - h of the empirical objective."""
+    beta = np.asarray(beta, dtype=float)
+    return fit_result.H_hat @ beta + fit_result.lam * beta - fit_result.h_hat
+
+
+def arm_objective_value(
+    dataset: ObservationalDataset, arm: int, basis: Basis, lam: float, theta: np.ndarray
+) -> float:
+    """Sample-form arm risk (1/2) mean_arm w^2 - mean w + (lambda/2)|theta|^2."""
+    theta = np.asarray(theta, dtype=float)
+    w = evaluate_matrix(basis, dataset.covariates) @ theta
+    mask = dataset.treatment == arm
+    sq_term = np.sum(w[mask] * w[mask]) / dataset.n
+    return float(0.5 * sq_term - np.mean(w) + 0.5 * lam * np.dot(theta, theta))
+
+
+def arm_objective_gradient(
+    dataset: ObservationalDataset, arm: int, basis: Basis, lam: float, theta: np.ndarray
+) -> np.ndarray:
+    h_mat, h_vec = _arm_moments(dataset, arm, evaluate_matrix(basis, dataset.covariates))
+    theta = np.asarray(theta, dtype=float)
+    return h_mat @ theta + lam * theta - h_vec
+
+
+def parse_report(text: str) -> tuple[dict, list[dict]]:
+    """Inverse of ``report.render_report`` with values kept as strings."""
+    header: dict = {}
+    records: list[dict] = []
+    in_records = False
+    for line in text.splitlines():
+        if not line:
+            continue
+        if line == RECORD_SEPARATOR:
+            in_records = True
+            continue
+        if in_records:
+            records.append(dict(field.split("=", 1) for field in line.split(" ")))
+        else:
+            key, value = line.split("=", 1)
+            header[key] = value
+    return header, records

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import fitted_value
+from oracles import fitted_value, parse_report
 from rieszmatch import TwoSampleData, cli, lsif
-from rieszmatch.report import parse_report
 
 FOUR_UNIT_CSV = "x0,d,y\n0.0,1,1.0\n2.0,1,3.0\n0.1,0,0.0\n1.9,0,2.0\n"
 DEN_CSV = "x0\n0.0\n1.0\n2.0\n3.0\n"
@@ -71,6 +70,20 @@ class TestDre:
         header, records = parse_report(text)
         assert float(records[0]["r_hat"]) == 2.0
 
+    @pytest.mark.parametrize("grid", ["0", "-1"])
+    @pytest.mark.parametrize("lam", [[], ["--lambda", "0.1"]])
+    def test_empty_gaussian_grid_exits_two(self, tmp_path, capsys, grid, lam):
+        for name, body in (("den", DEN_CSV), ("num", NUM_CSV), ("pts", PTS_CSV)):
+            (tmp_path / f"{name}.csv").write_text(body)
+        code = cli.main([
+            "dre", "--denominator", str(tmp_path / "den.csv"),
+            "--numerator", str(tmp_path / "num.csv"),
+            "--eval-points", str(tmp_path / "pts.csv"),
+            "--basis", "gauss", "--grid", grid, *lam,
+        ])
+        assert code == 2
+        assert f"grid size must be >= 1, got {grid}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("basis", ["poly", "gauss"])
     def test_smooth_bases_run(self, tmp_path, basis):
         rng = np.random.default_rng(0)
@@ -94,7 +107,7 @@ class TestDre:
             smooth = lsif.polynomial_basis(2, 2)
         else:
             smooth = lsif.gaussian_grid_basis(data.denominator, per_dim=4)
-        result = lsif.fit(data, smooth, lsif.default_ridge(data, smooth))
+        result = lsif.fit(data, smooth)
         assert header["lambda"] == repr(result.lam)
         # each r_hat is the per-point dot product, to the last bit
         for record, point in zip(records, samples["pts"]):

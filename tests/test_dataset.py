@@ -9,7 +9,6 @@ from rieszmatch import (
     LOGISTIC_TRUE_ATE,
     ObservationalDataset,
     builtin_dgp,
-    density_ratio,
     gaussian_density,
     generate,
     generate_two_sample,
@@ -17,7 +16,6 @@ from rieszmatch import (
     load_points_csv,
     logistic_dgp,
     save_csv,
-    uniform_density,
 )
 from rieszmatch.dataset import DgpSpec
 
@@ -371,34 +369,12 @@ class TestTwoSample:
     def test_identical_specs_unit_ratio(self):
         spec = gaussian_density([0.0], [1.0])
         data = generate_two_sample(spec, spec, 50, 40, seed=2)
-        ratio = density_ratio(spec, spec, data.numerator)
-        np.testing.assert_allclose(ratio, 1.0)
         assert data.n_denominator == 50
         assert data.n_numerator == 40
 
-    def test_uniform_halves_ratio(self):
-        den = uniform_density([0.0], [1.0])
-        num = uniform_density([0.0], [0.5])
-        pts = np.array([[0.1], [0.3], [0.7]])
-        np.testing.assert_allclose(density_ratio(num, den, pts), [2.0, 2.0, 0.0])
-
-    def test_gaussian_shift_ratio(self):
-        den = gaussian_density([0.0], [1.0])
-        num = gaussian_density([1.0], [1.0])
-        pts = np.linspace(-2, 2, 9)[:, None]
-        np.testing.assert_allclose(
-            density_ratio(num, den, pts), np.exp(pts[:, 0] - 0.5), rtol=1e-12
-        )
-
-    def test_unsupported_family(self):
-        with pytest.raises(ValueError, match="unsupported density family"):
-            from rieszmatch.dataset import DensitySpec
-
-            DensitySpec(family="cauchy", loc=np.zeros(1), scale=np.ones(1))
-
     def test_reproducible(self):
         num = gaussian_density([0.0, 0.0], [1.0, 2.0])
-        den = uniform_density([-1.0, -1.0], [1.0, 1.0])
+        den = gaussian_density([0.5, -0.5], [1.0, 0.5])
         a = generate_two_sample(num, den, 30, 20, seed=9)
         b = generate_two_sample(num, den, 30, 20, seed=9)
         np.testing.assert_array_equal(a.denominator, b.denominator)

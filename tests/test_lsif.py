@@ -5,15 +5,18 @@ from hypothesis import strategies as st
 
 from oracles import (
     catchment_indicator,
+    constant_basis,
     fitted_value,
     indicator_basis,
+    matched_times_at,
+    objective_gradient,
+    objective_value,
     one_step_dre,
     verify_theorem1,
 )
 from rieszmatch import (
     Metric,
     TwoSampleData,
-    constant_basis,
     fit,
     gaussian_grid_basis,
     polynomial_basis,
@@ -21,16 +24,7 @@ from rieszmatch import (
 )
 from rieszmatch import neighbors
 from rieszmatch.equivalence import random_two_sample_instance
-from rieszmatch.neighbors import matched_times_at
-from rieszmatch.lsif import (
-    Basis,
-    default_ridge,
-    evaluate_matrix,
-    indicator_dre,
-    objective_gradient,
-    objective_value,
-    solve_spd,
-)
+from rieszmatch.lsif import Basis, evaluate_matrix, indicator_dre, solve_spd
 
 
 class TestFit:
@@ -139,8 +133,6 @@ class TestIndicatorBasis:
             indicator_basis(running_two_sample, euclidean, 9, [0.0])
 
     def test_h_equals_m_over_n0_and_h_vec_equals_k_over_n1(self):
-        from rieszmatch.neighbors import matched_times_at
-
         rng = np.random.default_rng(31)
         for _ in range(20):
             data, metric, m = random_two_sample_instance(rng, max_n=60)
@@ -366,10 +358,18 @@ class TestBuiltInBases:
             assert basis.evaluate(pts[0]).shape == (1, basis.dimension)
             assert basis.evaluate(pts).shape == (5, basis.dimension)
 
-    def test_default_ridge_scale(self):
+    @pytest.mark.parametrize("kind", ["poly", "gauss"])
+    def test_default_ridge_bit_for_bit(self, kind):
         rng = np.random.default_rng(11)
         data = TwoSampleData(
-            denominator=rng.normal(size=(50, 1)), numerator=rng.normal(size=(20, 1))
+            denominator=rng.normal(size=(50, 2)), numerator=rng.normal(0.3, size=(20, 2))
         )
-        basis = constant_basis(1)
-        assert default_ridge(data, basis) == pytest.approx(1e-6)
+        if kind == "poly":
+            basis = polynomial_basis(2, 2)
+        else:
+            basis = gaussian_grid_basis(data.denominator, per_dim=3)
+        phi = evaluate_matrix(basis, data.denominator)
+        lam = 1e-6 * (float(np.sum(phi * phi)) / data.n_denominator) / basis.dimension
+        result = fit(data, basis)
+        assert result.lam == lam
+        np.testing.assert_array_equal(result.beta, fit(data, basis, lam).beta)

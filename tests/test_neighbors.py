@@ -10,17 +10,18 @@ from oracles import (
     brute_force_match_sets,
     brute_force_sq_knn,
     library_match_sets,
+    matched_times_at,
     query_indices,
 )
-from rieszmatch import Metric, NeighborModel, TwoSampleData, matching_structures
+from rieszmatch import Metric, TwoSampleData, matching_structures
 from rieszmatch import generate, logistic_dgp, neighbors
 from rieszmatch.dataset import ObservationalDataset
 from rieszmatch.neighbors import (
+    NeighborModel,
     _knn_blocks,
     _mth_sq_radius_batch,
     _row_sort,
     _sq_dists,
-    matched_times_at,
 )
 
 _DEFAULT_BLOCK_ENTRIES = neighbors._BLOCK_ENTRIES

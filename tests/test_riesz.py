@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import catchment_indicator
+from oracles import (
+    arm_objective_gradient,
+    arm_objective_value,
+    catchment_indicator,
+    constant_basis,
+)
 from rieszmatch import (
     ObservationalDataset,
-    constant_basis,
     dr_score,
     fit_weight_arm,
     matching_structures,
@@ -18,7 +22,6 @@ from rieszmatch import neighbors
 from rieszmatch.equivalence import random_observational_instance
 from rieszmatch.lsif import _indicator_values, evaluate_matrix
 from rieszmatch.neighbors import Metric, NeighborModel, _mth_sq_radius_batch
-from rieszmatch.riesz import arm_objective_gradient, arm_objective_value
 
 
 def balanced_dataset(n=20, seed=0):
