@@ -316,6 +316,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         body, status = _DISPATCH[args.command](args)
         _emit(body, args.output)
     except (*_PATH_ERRORS, ValueError, np.linalg.LinAlgError) as exc:

@@ -11,10 +11,14 @@ the last one's by more than the relative slack ``_TREE_ROUNDING``.  Only tied or
 out-of-order rows are re-sorted, which on continuous data is almost none.
 
 Every query runs through ``_knn_blocks`` in row blocks of at most
-``_BLOCK_ENTRIES`` candidate distances.  Only the rows still short are queried
-again, at doubled k, in sub-blocks under the same bound, and callers reduce each
-block as it arrives, so memory stays O(n) plus one block for every M, on ties
-too.  The per-point oracles the tests compare with live in ``tests/oracles.py``.
+``_BLOCK_ENTRIES`` = 2^16 candidate distances.  Only the rows still short are
+queried again, at doubled k, in sub-blocks under the same bound, and callers
+reduce each block as it arrives, so memory stays O(n) plus one block for every
+M, on ties too.  ``matching_structures`` sends each arm's queries in the leaf
+order of that arm's own kd-tree, so a block's rows are spatially compact and
+its tree walks and candidate arrays stay in cache; a row's result depends on
+that row alone, so the order changes no bit.  The per-point oracles the tests
+compare with live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from scipy.spatial import cKDTree
 
 from .dataset import ObservationalDataset
 
-# Entries held at once by a kNN block or a blocked count: 2 MB of float64.
-_BLOCK_ENTRIES = 1 << 18
+# Entries held at once by a kNN block or a blocked count: 512 KiB of float64,
+# so a leaf-ordered block's candidate arrays stay in a core's L2 cache.
+_BLOCK_ENTRIES = 1 << 16
 # Relative bound on how far the kd-tree's squared distances may stray from
 # _sq_dists through summation order; far above d * 2^-52 for any practical d.
 _TREE_ROUNDING = 1e-9
@@ -113,6 +118,9 @@ def _row_sort(sq: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = np.flatnonzero(broken.any(axis=1))
     if len(rows) == 0:
         return sq, idx
+    if len(rows) == len(sq):  # all broken, as on tied data: no copy to patch
+        order = np.lexsort((idx, sq), axis=1)
+        return np.take_along_axis(sq, order, axis=1), np.take_along_axis(idx, order, axis=1)
     sq, idx = sq.copy(), idx.copy()
     order = np.lexsort((idx[rows], sq[rows]), axis=1)
     sq[rows] = np.take_along_axis(sq[rows], order, axis=1)
@@ -235,12 +243,13 @@ def matching_structures(
             f"m={m} exceeds an arm size (treated {dataset.n_treated}, control {dataset.n_control})"
         )
     x = dataset.covariates
-    treated = np.flatnonzero(dataset.treatment == 1)
-    control = np.flatnonzero(dataset.treatment == 0)
+    arms = [np.flatnonzero(dataset.treatment == t) for t in (1, 0)]
+    models = [NeighborModel(x[arm], metric, m) for arm in arms]
     matched_outcome = np.empty(dataset.n)
     matched_times = np.empty(dataset.n, dtype=np.int64)
-    for own, other in ((treated, control), (control, treated)):
-        model = NeighborModel(x[other], metric, m)
+    for a in (0, 1):
+        # each arm queries in its own tree's leaf order, so a block is compact
+        own, other, model = arms[a][models[a]._tree.indices], arms[1 - a], models[1 - a]
         y_other = dataset.outcome[other]
         counts = np.zeros(len(other), dtype=np.int64)
         for rows, _, local in _knn_blocks(model, x[own]):

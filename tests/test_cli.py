@@ -226,6 +226,21 @@ class TestVerify:
         assert header["status"] == "fail"
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "50", "--reps", "2"],
+        ["verify", "--instances", "2"],
+        ["weights", "--dgp", "logistic", "--n", "100"],
+    ],
+)
+def test_jobs_below_one_exits_two(capsys, argv, jobs):
+    # a pool size below one is an input error, not a silent serial run
+    assert cli.main([*argv, "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 class TestReportFormat:
     def test_numbers_round_trip(self, tmp_path):
         _, text = run(tmp_path, "verify", "--instances", "2", "--seed", "7")

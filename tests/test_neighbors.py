@@ -298,6 +298,34 @@ class TestBlockedQueries:
                 tracemalloc.stop()
             assert peak <= 12 * data.n * 8, (m, peak)
 
+    def test_default_blocks_bound_match_memory(self):
+        # leaf-ordered queries in blocks of _BLOCK_ENTRIES candidates at the
+        # library default: 11.2 MB traced with 2^18-entry blocks in file order
+        data = generate(logistic_dgp(), 20_000, seed=0)
+        tracemalloc.start()
+        try:
+            matching_structures(data, None, 55)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20, peak
+
+    def test_row_result_does_not_depend_on_query_order(self):
+        # shuffling the units reorders every arm's queries and its tree's
+        # leaves; each unit's reductions must follow it bit for bit
+        rng = np.random.default_rng(17)
+        n, m = 3000, 12
+        x = rng.normal(size=(n, 3))
+        treat = (rng.random(n) < 0.4).astype(int)
+        data = ObservationalDataset(covariates=x, treatment=treat, outcome=rng.standard_normal(n))
+        perm = rng.permutation(n)
+        shuffled = ObservationalDataset(
+            covariates=x[perm], treatment=treat[perm], outcome=data.outcome[perm]
+        )
+        whole, moved = matching_structures(data, None, m), matching_structures(shuffled, None, m)
+        np.testing.assert_array_equal(moved.matched_outcome, whole.matched_outcome[perm])
+        np.testing.assert_array_equal(moved.matched_times, whole.matched_times[perm])
+
     def test_tied_match_memory_stays_bounded(self):
         # 8 cells of ~625 units per arm: every row widens past its tie on its
         # own; re-querying whole blocks at the widened k would take ~600 MB
@@ -357,6 +385,21 @@ class TestRowSort:
     def test_single_column(self):
         sq = np.array([[0.5], [0.0], [3.0]])
         idx = np.array([[4], [0], [2]])
+        self._check(sq, idx)
+
+    def test_all_broken_rows_sort_without_copies(self):
+        # on tied data every row breaks: one sort of the whole block, with no
+        # copy of sq and idx to patch (5.2x the block's bytes when copied)
+        rng = np.random.default_rng(5)
+        sq = np.sort(rng.random((2000, 64)), axis=1)[:, ::-1].copy()
+        idx = np.stack([rng.permutation(10_000)[:64] for _ in range(2000)])
+        tracemalloc.start()
+        try:
+            _row_sort(sq, idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * sq.nbytes, peak / sq.nbytes
         self._check(sq, idx)
 
     def test_no_row_out_of_order_returns_input(self):
