@@ -21,16 +21,13 @@ from .riesz import nn_representer_values
 
 @dataclass(frozen=True)
 class OutcomeModel:
-    """Per-arm polynomial least-squares fits of the outcome means."""
+    """Per-arm polynomial least-squares outcome fits, and both fits at every training row."""
 
     degree: int
     coef_treated: np.ndarray
     coef_control: np.ndarray
-
-    def means(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fitted treated and control means at x, from one feature evaluation."""
-        phi = polynomial_feature_matrix(x, self.degree)
-        return phi @ self.coef_treated, phi @ self.coef_control
+    mu_treated: np.ndarray
+    mu_control: np.ndarray
 
 
 def fit_outcome(dataset: ObservationalDataset, degree: int) -> OutcomeModel:
@@ -50,7 +47,14 @@ def fit_outcome(dataset: ObservationalDataset, degree: int) -> OutcomeModel:
         if rank < n_coef:
             raise np.linalg.LinAlgError(f"rank-deficient design in the {name} arm")
         coefs[arm] = coef
-    return OutcomeModel(degree=degree, coef_treated=coefs[1], coef_control=coefs[0])
+    return OutcomeModel(degree, coefs[1], coefs[0], features @ coefs[1], features @ coefs[0])
+
+
+def _fitted_means(dataset: ObservationalDataset, outcome: OutcomeModel):
+    """The stored fitted means, once the outcome is known to be fitted on ``dataset``'s rows."""
+    if len(outcome.mu_treated) != dataset.n:
+        raise ValueError(f"outcome model fitted on {len(outcome.mu_treated)} rows, not {dataset.n}")
+    return outcome.mu_treated, outcome.mu_control
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,7 @@ def ate_weight_form(dataset: ObservationalDataset, structures: MatchStructures) 
 
 def ate_regression(dataset: ObservationalDataset, outcome: OutcomeModel) -> AteEstimate:
     """Plug-in mean of the fitted arm contrast."""
-    mu1, mu0 = outcome.means(dataset.covariates)
+    mu1, mu0 = _fitted_means(dataset, outcome)
     return AteEstimate(
         tau=float(np.mean(mu1 - mu0)),
         variant="regression_plugin",
@@ -114,7 +118,7 @@ def ate_bias_corrected(
     dataset: ObservationalDataset, structures: MatchStructures, outcome: OutcomeModel
 ) -> AteEstimate:
     """Regression plug-in plus the weighted residual correction."""
-    mu1, mu0 = outcome.means(dataset.covariates)
+    mu1, mu0 = _fitted_means(dataset, outcome)
     treated = dataset.treatment == 1
     residuals = dataset.outcome - np.where(treated, mu1, mu0)
     weights = structures.weights
@@ -137,7 +141,7 @@ def ate_dr_riesz(
     Same algebra as the bias-corrected form in a different factorization;
     the two agree to floating-point roundoff.
     """
-    mu1, mu0 = outcome.means(dataset.covariates)
+    mu1, mu0 = _fitted_means(dataset, outcome)
     residuals = dataset.outcome - np.where(dataset.treatment == 1, mu1, mu0)
     alpha = nn_representer_values(dataset, structures)
     tau = float(np.mean(mu1 - mu0 + alpha * residuals))

@@ -228,6 +228,7 @@ class MatchStructures:
     matched_outcome: np.ndarray  # (n,) float
     matched_times: np.ndarray  # (n,) int
     m: int
+    models: tuple[NeighborModel, NeighborModel]  # the arms' M-NN models, treated first
 
     @property
     def weights(self) -> np.ndarray:
@@ -256,4 +257,4 @@ def matching_structures(
             matched_outcome[own[rows]] = y_other[local].mean(axis=1)
             counts += np.bincount(local.ravel(), minlength=len(other))
         matched_times[other] = counts
-    return MatchStructures(matched_outcome=matched_outcome, matched_times=matched_times, m=m)
+    return MatchStructures(matched_outcome, matched_times, m, models=tuple(models))

@@ -6,6 +6,8 @@ weight function can be fitted by the same quadratic risk as LSIF: the squared
 term averages over the arm, the linear term over the whole sample.  Fitting
 both arms at once minimizes the joint Riesz regression risk; the joint system
 is block diagonal, so the coefficients coincide with the two arm-wise fits.
+Both fits solve on a basis matrix evaluated once by their caller, so
+``equivalence.separability_max_gap`` runs all three solves on one evaluation.
 
 With the per-point catchment indicator basis and no ridge penalty the fitted
 weight at unit i is exactly 1 + K_M(i)/M, the matched-times weight of
@@ -20,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dataset import ObservationalDataset
 from .lsif import Basis, evaluate_matrix, solve_spd
@@ -39,10 +40,14 @@ def _arm_moments(dataset: ObservationalDataset, arm: int, phi: np.ndarray):
 
 def fit_weight_arm(dataset: ObservationalDataset, arm: int, basis: Basis, lam: float) -> np.ndarray:
     """Closed-form coefficients of one arm's inverse-propensity weight model."""
+    return _arm_solve(dataset, arm, evaluate_matrix(basis, dataset.covariates), lam)
+
+
+def _arm_solve(dataset: ObservationalDataset, arm: int, phi: np.ndarray, lam: float):
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    h_mat, h_vec = _arm_moments(dataset, arm, evaluate_matrix(basis, dataset.covariates))
-    system = h_mat if lam == 0 else h_mat + lam * np.eye(basis.dimension)
+    h_mat, h_vec = _arm_moments(dataset, arm, phi)
+    system = h_mat if lam == 0 else h_mat + lam * np.eye(phi.shape[1])
     try:
         return solve_spd(system, h_vec)
     except np.linalg.LinAlgError:
@@ -71,22 +76,23 @@ def riesz_fit(dataset: ObservationalDataset, basis: Basis, lam: float) -> Weight
     The stacked system is block diagonal over arms, so the result matches
     ``fit_weight_arm`` for each arm; tests assert that identity.
     """
+    theta1, theta0 = _joint_solve(dataset, evaluate_matrix(basis, dataset.covariates), lam)
+    return WeightModel(basis, theta_treated=theta1, theta_control=theta0, lam=float(lam))
+
+
+def _joint_solve(dataset: ObservationalDataset, phi: np.ndarray, lam: float):
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    phi = evaluate_matrix(basis, dataset.covariates)
-    h1, h_vec = _arm_moments(dataset, 1, phi)
-    h0, _ = _arm_moments(dataset, 0, phi)
-    b = basis.dimension
+    (h1, h_vec), (h0, _) = _arm_moments(dataset, 1, phi), _arm_moments(dataset, 0, phi)
+    b = phi.shape[1]
     ridge = lam * np.eye(b)
-    joint = scipy.linalg.block_diag(h1 + ridge, h0 + ridge)
-    rhs = np.concatenate([h_vec, h_vec])
+    joint = np.zeros((2 * b, 2 * b))
+    joint[:b, :b], joint[b:, b:] = h1 + ridge, h0 + ridge
     try:
-        theta = solve_spd(joint, rhs)
+        theta = solve_spd(joint, np.concatenate([h_vec, h_vec]))
     except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(
-            f"singular joint moment matrix at lambda={lam:g}"
-        ) from None
-    return WeightModel(basis, theta_treated=theta[:b], theta_control=theta[b:], lam=float(lam))
+        raise np.linalg.LinAlgError(f"singular joint moment matrix at lambda={lam:g}") from None
+    return theta[:b], theta[b:]
 
 
 def nn_representer_values(dataset: ObservationalDataset, structures: MatchStructures) -> np.ndarray:

@@ -95,7 +95,7 @@ def test_03_weight_identity():
     for _ in range(100):
         data, metric, m = random_observational_instance(rng, max_n=120)
         structures = matching_structures(data, metric, m)
-        worst = max(worst, weight_identity_max_gap(data, metric, structures))
+        worst = max(worst, weight_identity_max_gap(data, structures))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12
     report("03", "nn-weight-identity", ok, f"max gap {worst:.2e}, {elapsed:.1f}s")
@@ -110,7 +110,7 @@ def test_04_joint_fit_separability():
     for _ in range(100):
         data, _, _ = random_observational_instance(rng, max_n=250)
         lam = float(rng.uniform(1e-4, 1e-1))
-        worst = max(worst, separability_max_gap(data, lam))
+        worst = max(worst, *separability_max_gap(data, lam))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12
     report("04", "riesz-separability", ok, f"max gap {worst:.2e}, {elapsed:.1f}s")

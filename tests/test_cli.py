@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,17 @@ class TestVerify:
         _, records = parse_report(text)
         assert len(records) == 1
 
+    def test_large_coefficient_separability_judged_relative(self, tmp_path):
+        # instance 14 (n=25, degree 2) has a control coefficient near 279: its
+        # absolute joint vs arm-wise gap exceeds 1e-12, its relative gap does not
+        code, text = run(tmp_path, "verify", "--instances", "50", "--seed", "5845163996291497452")
+        assert code == 0
+        header, records = parse_report(text)
+        assert header["status"] == "pass"
+        assert records[14]["separability_gap"] == "1.2505552149377763e-12"
+        assert float(records[14]["separability_rel_gap"]) <= 1e-14
+        assert float(header["max.separability_gap"]) > float(header["threshold"])
+
     def test_unwritable_output_exits_two(self, tmp_path, capsys):
         out = tmp_path / "missing" / "report.txt"
         assert cli.main(["verify", "--instances", "1", "--output", str(out)]) == 2
@@ -209,15 +222,7 @@ class TestVerify:
 
         def broken(index, seed, max_n=160):
             record = real(index, seed, max_n)
-            return equivalence.InstanceRecord(
-                index=record.index,
-                theorem1_gap=record.theorem1_gap + 1e-6,
-                eq1_gap=record.eq1_gap,
-                weight_identity_gap=record.weight_identity_gap,
-                separability_gap=record.separability_gap,
-                dr_gap=record.dr_gap,
-                score_mean=record.score_mean,
-            )
+            return dataclasses.replace(record, theorem1_gap=record.theorem1_gap + 1e-6)
 
         monkeypatch.setattr(cli.eq, "run_instance", broken)
         code, text = run(tmp_path, "verify", "--instances", "2", "--seed", "1")

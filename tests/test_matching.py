@@ -141,7 +141,7 @@ class TestFitOutcome:
         y = np.where(treat == 1, 1.0 + 2.0 * x[:, 0], -0.5 + x[:, 0])
         data = ObservationalDataset(covariates=x, treatment=treat, outcome=y)
         model = fit_outcome(data, degree=1)
-        resid = data.outcome - np.where(treat == 1, *model.means(x))
+        resid = data.outcome - np.where(treat == 1, model.mu_treated, model.mu_control)
         assert np.abs(resid).max() <= 1e-10
 
     def test_degree_zero_is_arm_mean(self):
@@ -151,8 +151,8 @@ class TestFitOutcome:
         y = rng.normal(size=30)
         data = ObservationalDataset(covariates=x, treatment=treat, outcome=y)
         model = fit_outcome(data, degree=0)
-        assert model.means(x)[0][0] == pytest.approx(y[treat == 1].mean())
-        assert model.means(x)[1][0] == pytest.approx(y[treat == 0].mean())
+        assert model.mu_treated[0] == pytest.approx(y[treat == 1].mean())
+        assert model.mu_control[0] == pytest.approx(y[treat == 0].mean())
 
     def test_normal_equations(self):
         rng = np.random.default_rng(6)
@@ -171,7 +171,7 @@ class TestFitOutcome:
     def test_variance_reduction_on_logistic_dgp(self):
         data = generate(logistic_dgp(), 1000, seed=21)
         model = fit_outcome(data, degree=1)
-        resid = data.outcome - np.where(data.treatment == 1, *model.means(data.covariates))
+        resid = data.outcome - np.where(data.treatment == 1, model.mu_treated, model.mu_control)
         for arm in (0, 1):
             mask = data.treatment == arm
             assert resid[mask].var() < data.outcome[mask].var()
@@ -182,6 +182,26 @@ class TestFitOutcome:
         data = ObservationalDataset(covariates=x, treatment=treat, outcome=np.arange(10.0))
         with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
             fit_outcome(data, degree=1)
+
+    def test_stored_means_are_the_fitted_values(self):
+        data = generate(logistic_dgp(), 300, seed=5)
+        model = fit_outcome(data, degree=2)
+        features = polynomial_feature_matrix(data.covariates, 2)
+        np.testing.assert_array_equal(model.mu_treated, features @ model.coef_treated)
+        np.testing.assert_array_equal(model.mu_control, features @ model.coef_control)
+
+    def test_model_fitted_on_other_rows_is_rejected(self, euclidean):
+        data = generate(logistic_dgp(), 300, seed=5)
+        model = fit_outcome(generate(logistic_dgp(), 299, seed=5), degree=1)
+        structures = matching_structures(data, euclidean, 3)
+        with pytest.raises(ValueError, match="fitted on 299 rows"):
+            ate_regression(data, model)
+        with pytest.raises(ValueError, match="fitted on 299 rows"):
+            ate_bias_corrected(data, structures, model)
+        with pytest.raises(ValueError, match="fitted on 299 rows"):
+            ate_dr_riesz(data, structures, model)
+        with pytest.raises(ValueError, match="fitted on 299 rows"):
+            equivalence.dr_identity_gaps(data, structures, model)
 
     def test_arm_too_small(self):
         x = np.arange(5.0)[:, None]
@@ -209,8 +229,8 @@ class TestBiasCorrected:
 
     def test_four_unit_degree_zero(self, four_unit_dataset, euclidean):
         model = fit_outcome(four_unit_dataset, degree=0)
-        assert model.means(four_unit_dataset.covariates)[0][0] == pytest.approx(2.0)
-        assert model.means(four_unit_dataset.covariates)[1][0] == pytest.approx(1.0)
+        assert model.mu_treated[0] == pytest.approx(2.0)
+        assert model.mu_control[0] == pytest.approx(1.0)
         assert ate_regression(four_unit_dataset, model).tau == pytest.approx(1.0)
         structures = matching_structures(four_unit_dataset, euclidean, 1)
         est = ate_bias_corrected(four_unit_dataset, structures, model)
@@ -313,3 +333,28 @@ class TestMatchOnce:
         row = cli._simulate_replication((0, 7, "logistic", 300, 8, 1))
         assert abs(row["tau_matching"] - row["tau_weight_form"]) <= 1e-12
         assert len(calls) == 1
+
+    def test_run_instance_builds_each_intermediate_once(self, monkeypatch):
+        # seed 12345: separability on the degree-2 basis, the outcome at degree 1
+        features, trees = [], []
+        real_features = lsif.polynomial_feature_matrix
+
+        def counted_features(points, degree):
+            features.append((id(points), degree))
+            return real_features(points, degree)
+
+        class CountedTree(neighbors.cKDTree):
+            def __init__(self, data, *args, **kwargs):
+                trees.append(len(data))
+                super().__init__(data, *args, **kwargs)
+
+        monkeypatch.setattr(lsif, "polynomial_feature_matrix", counted_features)
+        monkeypatch.setattr(matching, "polynomial_feature_matrix", counted_features)
+        monkeypatch.setattr(neighbors, "cKDTree", CountedTree)
+        record = equivalence.run_instance(0, seed=12345)
+        assert record.max_gap <= equivalence.GAP_THRESHOLD
+        assert [degree for _, degree in features] == [2, 1]
+        assert len(set(features)) == len(features)
+        # the Theorem-1 denominator, then the match's two arms, which the
+        # weight identity reuses
+        assert len(trees) == 3
