@@ -14,7 +14,7 @@ import argparse
 
 import numpy as np
 
-from rieszmatch import Metric, generate, logistic_dgp, matching_structures
+from rieszmatch import generate, logistic_dgp, matching_structures
 
 
 def main() -> None:
@@ -24,7 +24,6 @@ def main() -> None:
     args = parser.parse_args()
 
     spec = logistic_dgp()
-    metric = Metric()
     configs = [(250, 12), (500, 16), (1000, 20), (2000, 25), (4000, 32), (8000, 40)]
 
     print(f"{'n':>6} {'M':>4} {'median |w - 1/e|':>18} {'sd over seeds':>14}")
@@ -32,7 +31,7 @@ def main() -> None:
         errors = []
         for s in range(args.seeds):
             data = generate(spec, n, seed=args.seed0 + s)
-            weights = matching_structures(data, metric, m).weights
+            weights = matching_structures(data, m).weights
             e = spec.propensity(data.covariates)
             treated = data.treatment == 1
             errors.append(np.median(np.abs(weights[treated] - 1.0 / e[treated])))

@@ -37,7 +37,7 @@ from .matching import (
     fit_outcome,
     impute,
 )
-from .neighbors import Metric, matching_structures
+from .neighbors import matching_structures
 from .riesz import (
     WeightModel,
     dr_score,
@@ -53,7 +53,6 @@ __all__ = [
     "DgpSpec",
     "LOGISTIC_TRUE_ATE",
     "LsifFit",
-    "Metric",
     "ObservationalDataset",
     "OutcomeModel",
     "TwoSampleData",

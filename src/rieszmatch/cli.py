@@ -20,7 +20,7 @@ import numpy as np
 from . import dataset as ds
 from . import equivalence as eq
 from . import lsif, matching
-from .neighbors import Metric, matching_structures
+from .neighbors import matching_structures
 from .report import render_report
 
 _ESTIMATORS = ("matching", "weight", "bc", "dr")
@@ -91,15 +91,14 @@ def _emit(body: str, output: str | None) -> None:
 def _pool_map(worker, args_list, jobs: int) -> list:
     if jobs <= 1 or len(args_list) <= 1:
         return [worker(args) for args in args_list]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(args_list))) as pool:
         return list(pool.map(worker, args_list))
 
 
 def cmd_ate(args) -> tuple[str, int]:
     data = ds.load_csv(args.input)
     m = args.m if args.m is not None else default_match_count(data.n)
-    metric = Metric()
-    structures = matching_structures(data, metric, m)
+    structures = matching_structures(data, m)
     # fitted after the match, so its stored means stay out of the match's peak
     outcome = matching.fit_outcome(data, args.degree) if args.estimator in ("bc", "dr") else None
     if args.estimator == "matching":
@@ -116,7 +115,7 @@ def cmd_ate(args) -> tuple[str, int]:
         ("estimator", args.estimator),
         ("m", m),
         ("degree", args.degree),
-        ("metric", metric.kind),
+        ("metric", "euclidean"),
         ("n", data.n),
         ("n_treated", data.n_treated),
         ("n_control", data.n_control),
@@ -135,10 +134,9 @@ def cmd_dre(args) -> tuple[str, int]:
     data = ds.TwoSampleData(denominator=den, numerator=num)
     if points.shape[1] != data.d:
         raise ValueError("evaluation points have the wrong dimension")
-    metric = Metric()
     if args.basis == "indicator":
         lam = 0.0 if args.lam is None else args.lam
-        values = lsif.indicator_dre(data, metric, args.m, points, lam)
+        values = lsif.indicator_dre(data, args.m, points, lam)
     else:
         if args.basis == "poly":
             basis = lsif.polynomial_basis(data.d, args.degree)
@@ -157,7 +155,7 @@ def cmd_dre(args) -> tuple[str, int]:
         ("basis", args.basis),
         ("m", args.m),
         ("lambda", float(lam)),
-        ("metric", metric.kind),
+        ("metric", "euclidean"),
         ("n_denominator", data.n_denominator),
         ("n_numerator", data.n_numerator),
     ]
@@ -184,12 +182,11 @@ def cmd_weights(args) -> tuple[str, int]:
         oracle = np.where(data.treatment == 1, 1.0 / e, 1.0 / (1.0 - e))
         source = [("dgp", args.dgp), ("n", args.n), ("seed", args.seed)]
     m = args.m if args.m is not None else default_match_count(data.n)
-    metric = Metric()
-    structures = matching_structures(data, metric, m)
+    structures = matching_structures(data, m)
     weights = structures.weights
     header = [("command", "weights")] + source + [
         ("m", m),
-        ("metric", metric.kind),
+        ("metric", "euclidean"),
         ("n", data.n),
         ("max_weight", float(weights.max())),
     ]
@@ -211,7 +208,7 @@ def _simulate_replication(task: tuple) -> dict:
     spec = ds.builtin_dgp(dgp_name)
     data = ds.generate(spec, n, rep_seed)
     outcome = matching.fit_outcome(data, degree)
-    structures = matching_structures(data, Metric(), m)
+    structures = matching_structures(data, m)
     return {
         "rep": rep,
         "seed": rep_seed,
@@ -249,7 +246,7 @@ def cmd_simulate(args) -> tuple[str, int]:
         ("seed", args.seed),
         ("m", m),
         ("degree", args.degree),
-        ("metric", Metric().kind),
+        ("metric", "euclidean"),
         ("true_ate", spec.true_ate),
     ]
     for column in _SIM_COLUMNS:
@@ -286,7 +283,7 @@ def cmd_verify(args) -> tuple[str, int]:
         ("command", "verify"),
         ("seed", args.seed),
         ("instances", args.instances),
-        ("metric", Metric().kind),
+        ("metric", "euclidean"),
         ("threshold", eq.GAP_THRESHOLD),
     ]
     header += [(f"max.{name}", value) for name, value in max_gaps.items()]

@@ -11,11 +11,16 @@ builds each intermediate once per instance for every suite that needs it:
 one match with its two arm kd-trees, one outcome model with its fitted means,
 and one evaluation of the separability basis.
 ``verify`` and the acceptance tests run on these.
+
+In 30% of instances the generators draw a weighted Euclidean distance, weights
+w in [0.5, 2], as the per-coordinate scale sqrt(w) (else 1.0).  A two-sample
+instance comes back rescaled; ``run_instance`` matches an observational one on
+a rescaled copy and fits the outcome, separability and DR suites on the raw one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -35,7 +40,7 @@ from .matching import (
     ate_weight_form,
     fit_outcome,
 )
-from .neighbors import MatchStructures, Metric, _mth_sq_radius_batch, matching_structures
+from .neighbors import MatchStructures, _mth_sq_radius_batch, matching_structures
 from .riesz import _arm_solve, _joint_solve, dr_score, nn_representer_values
 
 GAP_THRESHOLD = 1e-12
@@ -45,22 +50,23 @@ _MAX_D, _MAX_M = 3, 5
 
 def random_two_sample_instance(
     rng: np.random.Generator, max_n: int = 300
-) -> tuple[TwoSampleData, Metric, int]:
-    """Random continuous two-sample instance; points are distinct a.s."""
+) -> tuple[TwoSampleData, int]:
+    """Random continuous two-sample instance, already rescaled; points are distinct a.s."""
     m = int(rng.integers(1, _MAX_M + 1))
     d = int(rng.integers(1, _MAX_D + 1))
     n0 = int(rng.integers(max(m, 5), max_n + 1))
     n1 = int(rng.integers(5, max_n + 1))
     den = rng.normal(size=(n0, d))
     num = rng.normal(loc=0.3, size=(n1, d))
-    metric = Metric() if rng.random() < 0.7 else Metric(weights=rng.uniform(0.5, 2.0, size=d))
-    return TwoSampleData(denominator=den, numerator=num), metric, m
+    scale = 1.0 if rng.random() < 0.7 else np.sqrt(rng.uniform(0.5, 2.0, size=d))
+    return TwoSampleData(denominator=den * scale, numerator=num * scale), m
 
 
 def random_observational_instance(
     rng: np.random.Generator, max_n: int = 300
-) -> tuple[ObservationalDataset, Metric, int]:
-    """Random observational instance with both arms at least m large."""
+) -> tuple[ObservationalDataset, np.ndarray | float, int]:
+    """Random observational instance with both arms at least m large, and the
+    per-coordinate scale to match it in."""
     m = int(rng.integers(1, _MAX_M + 1))
     d = int(rng.integers(1, _MAX_D + 1))
     n = int(rng.integers(max(4 * m, 20), max_n + 1))
@@ -71,13 +77,13 @@ def random_observational_instance(
         if m <= treat.sum() <= n - m:
             break
     y = np.sin(x[:, 0]) + treat * (1.0 + 0.5 * x[:, 0]) + rng.normal(size=n)
-    metric = Metric() if rng.random() < 0.7 else Metric(weights=rng.uniform(0.5, 2.0, size=d))
-    return ObservationalDataset(covariates=x, treatment=treat, outcome=y), metric, m
+    scale = 1.0 if rng.random() < 0.7 else np.sqrt(rng.uniform(0.5, 2.0, size=d))
+    return ObservationalDataset(covariates=x, treatment=treat, outcome=y), scale, m
 
 
-def theorem1_max_gap(data: TwoSampleData, metric: Metric | None, m: int) -> float:
+def theorem1_max_gap(data: TwoSampleData, m: int) -> float:
     """Largest LSIF vs one-step gap over all numerator evaluation points."""
-    return verify_theorem1_all(data, metric, m).max_gap
+    return verify_theorem1_all(data, m).max_gap
 
 
 def eq1_gap(dataset: ObservationalDataset, structures: MatchStructures) -> float:
@@ -162,12 +168,14 @@ JUDGED_GAPS = tuple(name for name in GAP_NAMES if name != "separability_gap")
 def run_instance(index: int, seed: int, max_n: int = 160) -> InstanceRecord:
     """All equivalence gaps on one random instance pair; worker for ``verify``."""
     rng = np.random.default_rng(seed)
-    two_sample, metric2, m2 = random_two_sample_instance(rng, max_n=max_n)
-    dataset, metric_obs, m_obs = random_observational_instance(rng, max_n=max_n)
-    th1 = theorem1_max_gap(two_sample, metric2, m2)
-    structures = matching_structures(dataset, metric_obs, m_obs)
+    two_sample, m2 = random_two_sample_instance(rng, max_n=max_n)
+    dataset, scale, m_obs = random_observational_instance(rng, max_n=max_n)
+    th1 = theorem1_max_gap(two_sample, m2)
+    # a plain Euclidean scale of 1.0 needs no rescaled copy
+    matched = replace(dataset, covariates=dataset.covariates * scale) if np.ndim(scale) else dataset
+    structures = matching_structures(matched, m_obs)
     eq1 = eq1_gap(dataset, structures)
-    wid = weight_identity_max_gap(dataset, structures)
+    wid = weight_identity_max_gap(matched, structures)
     sep, sep_rel = separability_max_gap(dataset, lam=1e-3)
     degree = 1 if min(dataset.n_treated, dataset.n_control) > dataset.d + 1 else 0
     outcome = fit_outcome(dataset, degree)

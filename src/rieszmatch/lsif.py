@@ -7,11 +7,12 @@ empirical quadratic risk
 
 where H averages Phi Phi' over the denominator sample and h averages Phi over
 the numerator sample.  The unique minimizer is (H + lambda I)^{-1} h, solved
-by a symmetric positive-definite factorization with explicit singularity
-detection (nothing is silently regularized).  ``fit`` without a lambda takes
-the numerical-safety ridge 1e-6 trace(H)/b from the denominator features it
-has evaluated anyway.  The sample objective and its gradient, which the tests
-check the fit against, live in ``tests/oracles.py``.
+by ``ridge_solve`` (shared with Riesz regression) through a symmetric
+positive-definite factorization with explicit singularity detection (nothing
+is silently regularized).  ``fit`` without a lambda takes the numerical-safety
+ridge 1e-6 trace(H)/b from the denominator features it has evaluated anyway.
+The sample objective and its gradient, which the tests check the fit against,
+live in ``tests/oracles.py``.
 
 The catchment indicator basis turns this machinery into the one-step
 nearest-neighbor ratio estimate: with that single feature and lambda = 0 the
@@ -20,6 +21,7 @@ the matched-times count.  ``indicator_dre`` and ``verify_theorem1_all`` fit
 the indicator at every anchor at once from one batched catchment count for
 both moments, bit for bit the per-point fits; the per-point indicator basis
 and Theorem-1 check they are tested against live in ``tests/oracles.py``.
+Catchments are M-NN balls in plain Euclidean distance on the samples given.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import scipy.linalg
 
 from .dataset import TwoSampleData
 from .neighbors import (
-    Metric,
     NeighborModel,
     _as_points,
     _catchment_counts,
@@ -42,6 +43,8 @@ from .neighbors import (
 )
 
 _PIVOT_RTOL = 1e-12
+# Most Gaussian grid centers a basis may have: its b x b moment matrix is then 128 MiB.
+_MAX_GRID_CENTERS = 4096
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,17 @@ def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve(factor, np.asarray(rhs, dtype=float), check_finite=False)
 
 
+def ridge_solve(h_mat: np.ndarray, h_vec: np.ndarray, lam: float, singular: str) -> np.ndarray:
+    """Solve (H + lambda I) beta = h, the minimizer of a ridge-penalized quadratic
+    risk.  A singular system raises LinAlgError with ``singular`` formatted at
+    ``lam``; each caller checks its lambda before it assembles the moments."""
+    system = h_mat if lam == 0 else h_mat + lam * np.eye(len(h_vec))
+    try:
+        return solve_spd(system, h_vec)
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError(singular.format(lam=lam)) from None
+
+
 def evaluate_matrix(basis: Basis, points: np.ndarray) -> np.ndarray:
     """Evaluate a basis on an (k, d) matrix in one batch call."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -108,14 +122,11 @@ def fit(data: TwoSampleData, basis: Basis, lam: float | None = None) -> LsifFit:
     phi_num = evaluate_matrix(basis, data.numerator)
     h_mat = phi_den.T @ phi_den / data.n_denominator
     h_vec = phi_num.mean(axis=0)
-    system = h_mat if lam == 0 else h_mat + lam * np.eye(basis.dimension)
-    try:
-        beta = solve_spd(system, h_vec)
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(
-            f"singular moment matrix at lambda={lam:g}; "
-            "the basis has no unique minimizer on this sample"
-        ) from None
+    singular = (
+        "singular moment matrix at lambda={lam:g}; "
+        "the basis has no unique minimizer on this sample"
+    )
+    beta = ridge_solve(h_mat, h_vec, lam, singular)
     return LsifFit(basis=basis, lam=float(lam), H_hat=h_mat, h_hat=h_vec, beta=beta)
 
 
@@ -160,6 +171,12 @@ def gaussian_grid_basis(points: np.ndarray, per_dim: int = 4) -> Basis:
     if per_dim < 1:
         raise ValueError(f"Gaussian grid size must be >= 1, got {per_dim}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    count = per_dim ** pts.shape[1]  # a Python int: nothing is allocated yet
+    if count > _MAX_GRID_CENTERS:
+        raise ValueError(
+            f"Gaussian grid of {per_dim} per dimension in d={pts.shape[1]} has {count} centers, "
+            f"above the limit {_MAX_GRID_CENTERS}"
+        )
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     axes = [np.linspace(lo[k], hi[k], per_dim) for k in range(pts.shape[1])]
@@ -192,44 +209,44 @@ class Theorem1Batch:
 
 def _indicator_values(model, anchors, anchor_radii, numerator, num_radii, n_den, n_num, lam=0.0):
     """Indicator-LSIF fits at every anchor c at once, bit for bit the fit on
-    the oracle basis ``catchment_indicator(reference, metric, m, c)`` of
+    the oracle basis ``catchment_indicator(reference, m, c)`` of
     ``tests/oracles.py`` evaluated at c: the squared moment sums the reference
     rows and divides by ``n_den``, the linear one sums ``numerator`` and divides
     by ``n_num``.  The radii are the squared M-th nearest-reference radii of
     the anchors and of the numerator points."""
-    ref, metric = model.reference_points, model.metric
+    ref = model.reference_points
     ref_rows = set(map(tuple, ref.tolist()))  # float ==, as catchment_indicator
     is_ref = np.array([row in ref_rows for row in map(tuple, numerator.tolist())], dtype=bool)
-    h_mat = _catchment_counts(metric, anchors, anchor_radii, ref, 0.0, np.ones(len(ref), bool))
-    h_vec = _catchment_counts(metric, anchors, anchor_radii, numerator, num_radii, is_ref)
+    h_mat = _catchment_counts(anchors, anchor_radii, ref, 0.0, np.ones(len(ref), bool))
+    h_vec = _catchment_counts(anchors, anchor_radii, numerator, num_radii, is_ref)
     h_mat, h_vec = h_mat / n_den, h_vec / n_num
     # h_mat >= M / n_den > 0; scalar Cholesky solve by the reciprocal pivot, as LAPACK's
     inv_chol = 1.0 / np.sqrt(h_mat + lam)
     return h_vec * inv_chol * inv_chol
 
 
-def indicator_dre(data: TwoSampleData, metric: Metric | None, m: int, points, lam=0.0):
+def indicator_dre(data: TwoSampleData, m: int, points, lam=0.0):
     """The indicator-basis LSIF fit anchored at each point p, evaluated at p."""
     if m > data.n_denominator:
         raise ValueError(f"m={m} exceeds the denominator sample size {data.n_denominator}")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    model, num = NeighborModel(data.denominator, metric, m), data.numerator
+    model, num = NeighborModel(data.denominator, m), data.numerator
     pts = _as_points(points, data.d)
     radii, num_radii = _mth_sq_radius_batch(model, pts), _mth_sq_radius_batch(model, num)
     n_den, n_num = data.n_denominator, data.n_numerator
     return _indicator_values(model, pts, radii, num, num_radii, n_den, n_num, lam)
 
 
-def verify_theorem1_all(data: TwoSampleData, metric: Metric | None, m: int) -> Theorem1Batch:
+def verify_theorem1_all(data: TwoSampleData, m: int) -> Theorem1Batch:
     """Indicator-LSIF value and one-step estimate at every numerator point.
 
     One denominator model and one radius query of the numerator feed both
     routes: the indicator-LSIF fit and the one-step matched-times count."""
-    model, num = NeighborModel(data.denominator, metric, m), data.numerator
+    model, num = NeighborModel(data.denominator, m), data.numerator
     radii = _mth_sq_radius_batch(model, num)
     n_den, n_num = data.n_denominator, data.n_numerator
     lsif_values = _indicator_values(model, num, radii, num, radii, n_den, n_num)
-    k_counts = _catchment_counts(model.metric, num, radii, num, radii, np.zeros(len(num), bool))
+    k_counts = _catchment_counts(num, radii, num, radii, np.zeros(len(num), bool))
     one_step = n_den / n_num * k_counts / m
     return Theorem1Batch(lsif_values, one_step, np.abs(lsif_values - one_step))

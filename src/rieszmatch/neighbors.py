@@ -1,4 +1,8 @@
-"""Metric geometry of matching: M-NN queries, catchment areas, matched-times counts.
+"""Geometry of matching: M-NN queries, catchment areas, matched-times counts.
+
+Distances are plain Euclidean on the points given.  A distance weighted by w
+per coordinate is the plain one on the points times sqrt(w), so a caller who
+wants it rescales its points once.
 
 Queries run against a static kd-tree built once per reference set, in any
 dimension, with exact deterministic tie-breaking: candidates are ordered by
@@ -36,37 +40,6 @@ _BLOCK_ENTRIES = 1 << 16
 # Relative bound on how far the kd-tree's squared distances may stray from
 # _sq_dists through summation order; far above d * 2^-52 for any practical d.
 _TREE_ROUNDING = 1e-9
-
-
-@dataclass(frozen=True)
-class Metric:
-    """Euclidean distance, optionally with positive per-coordinate weights."""
-
-    weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.weights is not None:
-            w = np.array(self.weights, dtype=float, copy=True)
-            if w.ndim != 1 or len(w) == 0 or not np.all(np.isfinite(w)) or np.any(w <= 0):
-                raise ValueError("metric weights must be a 1-d array of positive reals")
-            w.setflags(write=False)
-            object.__setattr__(self, "weights", w)
-
-    @property
-    def kind(self) -> str:
-        return "euclidean" if self.weights is None else "weighted-euclidean"
-
-    def scale(self, points: np.ndarray) -> np.ndarray:
-        """Map points so plain Euclidean distance on the image equals this metric."""
-        pts = np.asarray(points, dtype=float)
-        if self.weights is None:
-            return pts
-        if pts.shape[-1] != len(self.weights):
-            raise ValueError("dimension mismatch between metric weights and points")
-        return pts * np.sqrt(self.weights)
-
-
-EUCLIDEAN = Metric()
 
 
 def _as_points(points, d: int | None = None) -> np.ndarray:
@@ -131,7 +104,7 @@ def _row_sort(sq: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class NeighborModel:
     """An immutable M-nearest-neighbor index over a fixed reference sample."""
 
-    def __init__(self, reference_points, metric: Metric | None = None, m: int = 1):
+    def __init__(self, reference_points, m: int):
         ref = _as_points(reference_points).copy()
         if not np.all(np.isfinite(ref)):
             raise ValueError("reference points must be finite")
@@ -141,10 +114,8 @@ class NeighborModel:
             raise ValueError(f"m={m} exceeds the reference size {len(ref)}")
         ref.setflags(write=False)
         self.reference_points = ref
-        self.metric = metric if metric is not None else EUCLIDEAN
         self.m = int(m)
-        self._scaled = np.ascontiguousarray(self.metric.scale(ref))
-        self._tree = cKDTree(self._scaled)
+        self._tree = cKDTree(ref)
 
     @property
     def n_reference(self) -> int:
@@ -177,9 +148,9 @@ def _knn_blocks(model: NeighborModel, queries):
     and indices of each row's tie-broken M nearest references, (distance, index)
     order.  Short rows alone are queried again, at doubled k, in sub-blocks."""
     pts, m, n_ref = _as_points(queries, model.d), model.m, model.n_reference
-    columns, first_k = np.ascontiguousarray(model._scaled.T), min(n_ref, m + 1)
+    columns, first_k = np.ascontiguousarray(model.reference_points.T), min(n_ref, m + 1)
     for rows in _row_blocks(len(pts), first_k):
-        q = model.metric.scale(pts[rows])
+        q = pts[rows]
         sq, idx, short = _tree_candidates(model, columns, q, first_k)
         open_rows, k_req = np.flatnonzero(short), first_k
         while len(open_rows):
@@ -199,18 +170,17 @@ def _mth_sq_radius_batch(model: NeighborModel, queries) -> np.ndarray:
     return np.concatenate(radii or [np.empty(0)])
 
 
-def _catchment_counts(metric: Metric, anchors, anchor_radii, points, point_radii, anchor_side):
+def _catchment_counts(anchors, anchor_radii, points, point_radii, anchor_side):
     """Per anchor c, count the points x with squared distance (c, x) at most
     ``anchor_radii[c]`` where ``anchor_side[x]`` holds and ``point_radii[x]``
     elsewhere.  With squared M-th nearest-reference radii and ``anchor_side``
     marking the reference rows this sums the feature of the per-point
     ``catchment_indicator`` oracle in ``tests/oracles.py``; anchors go in
     blocks of _BLOCK_ENTRIES distances."""
-    anchors_s, points_s = metric.scale(anchors), metric.scale(points)
     counts = np.empty(len(anchors), dtype=np.int64)
     for block in _row_blocks(len(anchors), len(points)):
         radii = np.where(anchor_side, anchor_radii[block, None], point_radii)
-        counts[block] = (_sq_dists(anchors_s[block], points_s) <= radii).sum(axis=1)
+        counts[block] = (_sq_dists(anchors[block], points) <= radii).sum(axis=1)
     return counts
 
 
@@ -236,16 +206,14 @@ class MatchStructures:
         return 1.0 + self.matched_times / self.m
 
 
-def matching_structures(
-    dataset: ObservationalDataset, metric: Metric | None, m: int
-) -> MatchStructures:
+def matching_structures(dataset: ObservationalDataset, m: int) -> MatchStructures:
     if m > min(dataset.n_treated, dataset.n_control):
         raise ValueError(
             f"m={m} exceeds an arm size (treated {dataset.n_treated}, control {dataset.n_control})"
         )
     x = dataset.covariates
     arms = [np.flatnonzero(dataset.treatment == t) for t in (1, 0)]
-    models = [NeighborModel(x[arm], metric, m) for arm in arms]
+    models = [NeighborModel(x[arm], m) for arm in arms]
     matched_outcome = np.empty(dataset.n)
     matched_times = np.empty(dataset.n, dtype=np.int64)
     for a in (0, 1):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ObservationalDataset
-from .lsif import Basis, evaluate_matrix, solve_spd
+from .lsif import Basis, evaluate_matrix, ridge_solve
 from .neighbors import MatchStructures
 
 
@@ -47,13 +47,8 @@ def _arm_solve(dataset: ObservationalDataset, arm: int, phi: np.ndarray, lam: fl
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     h_mat, h_vec = _arm_moments(dataset, arm, phi)
-    system = h_mat if lam == 0 else h_mat + lam * np.eye(phi.shape[1])
-    try:
-        return solve_spd(system, h_vec)
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(
-            f"singular moment matrix for arm {arm} at lambda={lam:g}"
-        ) from None
+    singular = f"singular moment matrix for arm {arm} at lambda={{lam:g}}"
+    return ridge_solve(h_mat, h_vec, lam, singular)
 
 
 @dataclass(frozen=True)
@@ -85,13 +80,10 @@ def _joint_solve(dataset: ObservationalDataset, phi: np.ndarray, lam: float):
         raise ValueError("lambda must be nonnegative")
     (h1, h_vec), (h0, _) = _arm_moments(dataset, 1, phi), _arm_moments(dataset, 0, phi)
     b = phi.shape[1]
-    ridge = lam * np.eye(b)
     joint = np.zeros((2 * b, 2 * b))
-    joint[:b, :b], joint[b:, b:] = h1 + ridge, h0 + ridge
-    try:
-        theta = solve_spd(joint, np.concatenate([h_vec, h_vec]))
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(f"singular joint moment matrix at lambda={lam:g}") from None
+    joint[:b, :b], joint[b:, b:] = h1, h0
+    rhs = np.concatenate([h_vec, h_vec])
+    theta = ridge_solve(joint, rhs, lam, "singular joint moment matrix at lambda={lam:g}")
     return theta[:b], theta[b:]
 
 

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from rieszmatch import Metric, ObservationalDataset, TwoSampleData
-
-
-@pytest.fixture
-def euclidean():
-    return Metric()
+from rieszmatch import ObservationalDataset, TwoSampleData
 
 
 @pytest.fixture

@@ -14,18 +14,17 @@ match sets that ``matching_structures`` reduces without holding.
 The rest is test-only machinery the library has no use for: matched-times
 counts at arbitrary points (``matched_times_at``), the constant basis, the
 sample LSIF objective and its gradient, the sample Riesz arm risk and its
-gradient, and ``parse_report``, which reads a rendered report back.
+gradient, ``parse_report``, which reads a rendered report back, and
+``rescaled``, which puts a dataset in the weighted distance it is matched in.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from rieszmatch.dataset import ObservationalDataset, TwoSampleData
 from rieszmatch.lsif import Basis, LsifFit, evaluate_matrix, fit
 from rieszmatch.neighbors import (
-    EUCLIDEAN,
-    Metric,
     NeighborModel,
     _as_points,
     _catchment_counts,
@@ -42,14 +41,14 @@ def query_indices(model: NeighborModel, queries) -> np.ndarray:
     return np.concatenate([idx for _, _, idx in _knn_blocks(model, queries)])
 
 
-def brute_force_sq_knn(scaled_queries, scaled_ref, m: int):
+def brute_force_sq_knn(queries, ref, m: int):
     """Full scan: squared distances summed coordinate by coordinate (the
     library's arithmetic, so boundary ties agree), then a stable argsort of each
     row, which keeps equal distances in ascending reference index.  Returns the
     (k, m) squared distances and reference indices."""
-    sq = np.zeros((len(scaled_queries), len(scaled_ref)))
-    for k in range(scaled_ref.shape[1]):
-        sq += (scaled_queries[:, k, None] - scaled_ref[None, :, k]) ** 2
+    sq = np.zeros((len(queries), len(ref)))
+    for k in range(ref.shape[1]):
+        sq += (queries[:, k, None] - ref[None, :, k]) ** 2
     order = np.argsort(sq, axis=1, kind="stable")[:, :m]
     return np.take_along_axis(sq, order, axis=1), order
 
@@ -66,21 +65,19 @@ def _opposite_arm_sets(dataset: ObservationalDataset, m: int, local_knn) -> np.n
     return sets
 
 
-def library_match_sets(dataset: ObservationalDataset, metric: Metric | None, m: int):
+def library_match_sets(dataset: ObservationalDataset, m: int):
     """The library's match sets, one ``_knn_blocks`` query per arm."""
     return _opposite_arm_sets(
-        dataset, m, lambda own, other: query_indices(NeighborModel(other, metric, m), own)
+        dataset, m, lambda own, other: query_indices(NeighborModel(other, m), own)
     )
 
 
-def brute_force_match_sets(dataset: ObservationalDataset, metric: Metric | None, m: int):
+def brute_force_match_sets(dataset: ObservationalDataset, m: int):
     """The match sets by full scan, 500 query rows at a time."""
-    metric = metric if metric is not None else EUCLIDEAN
 
     def local_knn(own, other):
-        scaled_other = metric.scale(other)
         blocks = [
-            brute_force_sq_knn(metric.scale(own[start : start + 500]), scaled_other, m)[1]
+            brute_force_sq_knn(own[start : start + 500], other, m)[1]
             for start in range(0, len(own), 500)
         ]
         return np.concatenate(blocks)
@@ -88,16 +85,15 @@ def brute_force_match_sets(dataset: ObservationalDataset, metric: Metric | None,
     return _opposite_arm_sets(dataset, m, local_knn)
 
 
-def brute_force_knn(reference_points, metric: Metric | None, query, m: int) -> np.ndarray:
+def brute_force_knn(reference_points, query, m: int) -> np.ndarray:
     """Oracle M-NN query of one point: full distance scan plus (distance, index) order."""
-    metric = metric if metric is not None else EUCLIDEAN
     ref = _as_points(reference_points)
     q = _as_points(query, ref.shape[1])
     if q.shape[0] != 1:
         raise ValueError("query must be a single point")
     if not 1 <= m <= len(ref):
         raise ValueError("m out of range")
-    _, idx = brute_force_sq_knn(metric.scale(q), metric.scale(ref), m)
+    _, idx = brute_force_sq_knn(q, ref, m)
     return idx[0]
 
 
@@ -107,7 +103,7 @@ def fitted_value(fit_result: LsifFit, x) -> float:
     return float(np.dot(fit_result.beta, phi))
 
 
-def catchment_indicator(reference_points, metric: Metric | None, m: int, c) -> Basis:
+def catchment_indicator(reference_points, m: int, c) -> Basis:
     """One-dimensional matched-membership indicator anchored at ``c``.
 
     The feature tests whether a point and the anchor fall inside one M-NN
@@ -124,46 +120,43 @@ def catchment_indicator(reference_points, metric: Metric | None, m: int, c) -> B
 
     Both boundaries are inclusive.  The anchor itself always evaluates to 1.
     """
-    metric = metric if metric is not None else EUCLIDEAN
     ref = _as_points(reference_points).copy()
-    model = NeighborModel(ref, metric, m)
+    model = NeighborModel(ref, m)
     anchor = _as_points(c, ref.shape[1])
     if anchor.shape[0] != 1:
         raise ValueError("anchor must be a single point")
-    anchor_scaled = metric.scale(anchor)
     anchor_sq_radius = float(_mth_sq_radius_batch(model, anchor)[0])
 
     def evaluate(points):
         p = _as_points(points, ref.shape[1])
-        scaled = metric.scale(p)
         is_ref = (p[:, None, :] == ref[None, :, :]).all(axis=2).any(axis=1)
         out = np.zeros((len(p), 1))
         if is_ref.any():
-            sq = _sq_dists(scaled[is_ref], anchor_scaled)[:, 0]
+            sq = _sq_dists(p[is_ref], anchor)[:, 0]
             out[is_ref, 0] = sq <= anchor_sq_radius
         rest = ~is_ref
         if rest.any():
             radii_sq = _mth_sq_radius_batch(model, p[rest])
-            sq = _sq_dists(anchor_scaled, scaled[rest])[0]
+            sq = _sq_dists(anchor, p[rest])[0]
             out[rest, 0] = sq <= radii_sq
         return out
 
     return Basis(dimension=1, evaluate=evaluate)
 
 
-def indicator_basis(data: TwoSampleData, metric: Metric | None, m: int, c) -> Basis:
+def indicator_basis(data: TwoSampleData, m: int, c) -> Basis:
     """Catchment indicator anchored at ``c`` over the denominator sample."""
     if m > data.n_denominator:
         raise ValueError(f"m={m} exceeds the denominator sample size {data.n_denominator}")
-    return catchment_indicator(data.denominator, metric, m, c)
+    return catchment_indicator(data.denominator, m, c)
 
 
-def one_step_dre(data: TwoSampleData, metric: Metric | None, m: int, c) -> float:
+def one_step_dre(data: TwoSampleData, m: int, c) -> float:
     """Nearest-neighbor one-step ratio estimate (N0/N1) K_M(c) / M."""
     anchor = _as_points(c, data.d)
     if anchor.shape[0] != 1:
         raise ValueError("c must be a single point")
-    k = int(matched_times_at(data, metric, m, anchor)[0])
+    k = int(matched_times_at(data, m, anchor)[0])
     return data.n_denominator / data.n_numerator * k / m
 
 
@@ -174,16 +167,16 @@ class Theorem1Check:
     gap: float
 
 
-def verify_theorem1(data: TwoSampleData, metric: Metric | None, m: int, c) -> Theorem1Check:
+def verify_theorem1(data: TwoSampleData, m: int, c) -> Theorem1Check:
     """Fit the indicator-basis LSIF at lambda=0 and compare with the one-step value."""
-    lsif_value = fitted_value(fit(data, indicator_basis(data, metric, m, c), lam=0.0), c)
-    one_step = one_step_dre(data, metric, m, c)
+    lsif_value = fitted_value(fit(data, indicator_basis(data, m, c), lam=0.0), c)
+    one_step = one_step_dre(data, m, c)
     return Theorem1Check(
         lsif_value=lsif_value, one_step_value=one_step, gap=abs(lsif_value - one_step)
     )
 
 
-def matched_times_at(data: TwoSampleData, metric: Metric | None, m: int, points) -> np.ndarray:
+def matched_times_at(data: TwoSampleData, m: int, points) -> np.ndarray:
     """Matched-times counts at arbitrary points.
 
     Entry t counts the numerator points whose M-th nearest-denominator radius
@@ -191,10 +184,16 @@ def matched_times_at(data: TwoSampleData, metric: Metric | None, m: int, points)
     """
     if m > data.n_denominator:
         raise ValueError(f"m={m} exceeds the denominator sample size {data.n_denominator}")
-    model, num = NeighborModel(data.denominator, metric, m), data.numerator
+    model, num = NeighborModel(data.denominator, m), data.numerator
     pts, radii = _as_points(points, data.d), _mth_sq_radius_batch(model, num)
     unused = np.zeros(len(pts))  # no point is on the anchor side
-    return _catchment_counts(model.metric, pts, unused, num, radii, np.zeros(len(num), bool))
+    return _catchment_counts(pts, unused, num, radii, np.zeros(len(num), bool))
+
+
+def rescaled(dataset: ObservationalDataset, scale) -> ObservationalDataset:
+    """The dataset with its covariates multiplied by ``scale`` coordinate by
+    coordinate, as ``equivalence.run_instance`` builds the one it matches."""
+    return replace(dataset, covariates=dataset.covariates * scale)
 
 
 def constant_basis(dimension_in: int) -> Basis:

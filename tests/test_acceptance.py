@@ -23,9 +23,9 @@ from oracles import (
     objective_gradient,
     objective_value,
     query_indices,
+    rescaled,
 )
 from rieszmatch import (
-    Metric,
     ObservationalDataset,
     ate_bias_corrected,
     ate_matching,
@@ -63,8 +63,8 @@ def test_01_theorem1_exactness():
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(200):
-        data, metric, m = random_two_sample_instance(rng, max_n=300)
-        worst = max(worst, verify_theorem1_all(data, metric, m).max_gap)
+        data, m = random_two_sample_instance(rng, max_n=300)
+        worst = max(worst, verify_theorem1_all(data, m).max_gap)
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12 and elapsed < 30.0
     report("01", "theorem1-exactness", ok, f"max gap {worst:.2e}, {elapsed:.1f}s")
@@ -78,8 +78,8 @@ def test_02_weight_form_rewriting():
     rng = np.random.default_rng(202)
     worst = 0.0
     for _ in range(200):
-        data, metric, m = random_observational_instance(rng, max_n=300)
-        worst = max(worst, eq1_gap(data, matching_structures(data, metric, m)))
+        data, scale, m = random_observational_instance(rng, max_n=300)
+        worst = max(worst, eq1_gap(data, matching_structures(rescaled(data, scale), m)))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12 and elapsed < 30.0
     report("02", "matching-weight-form", ok, f"max gap {worst:.2e}, {elapsed:.1f}s")
@@ -93,9 +93,9 @@ def test_03_weight_identity():
     rng = np.random.default_rng(303)
     worst = 0.0
     for _ in range(100):
-        data, metric, m = random_observational_instance(rng, max_n=120)
-        structures = matching_structures(data, metric, m)
-        worst = max(worst, weight_identity_max_gap(data, structures))
+        data, scale, m = random_observational_instance(rng, max_n=120)
+        matched = rescaled(data, scale)
+        worst = max(worst, weight_identity_max_gap(matched, matching_structures(matched, m)))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12
     report("03", "nn-weight-identity", ok, f"max gap {worst:.2e}, {elapsed:.1f}s")
@@ -124,9 +124,9 @@ def test_05_dr_algebra():
     worst_gap = 0.0
     worst_mean = 0.0
     for _ in range(200):
-        data, metric, m = random_observational_instance(rng, max_n=300)
+        data, scale, m = random_observational_instance(rng, max_n=300)
         degree = 1 if min(data.n_treated, data.n_control) > data.d + 1 else 0
-        structures = matching_structures(data, metric, m)
+        structures = matching_structures(rescaled(data, scale), m)
         gap, score_mean = dr_identity_gaps(data, structures, fit_outcome(data, degree))
         worst_gap = max(worst_gap, gap)
         worst_mean = max(worst_mean, score_mean)
@@ -162,7 +162,7 @@ def test_06_optimality_checks():
             worst_fd = max(worst_fd, np.abs(fd - grad).max() / scale)
 
     for _ in range(5):
-        data, metric, m = random_two_sample_instance(rng, max_n=120)
+        data, _ = random_two_sample_instance(rng, max_n=120)
         for basis, lam in (
             (constant_basis(data.d), 0.0),
             (polynomial_basis(data.d, 1), 1e-3),
@@ -177,7 +177,7 @@ def test_06_optimality_checks():
             )
 
     for _ in range(5):
-        data, metric, m = random_observational_instance(rng, max_n=120)
+        data, _, _ = random_observational_instance(rng, max_n=120)
         basis = polynomial_basis(data.d, well_posed_degree(data))
         lam = 1e-3
         for arm in (0, 1):
@@ -206,17 +206,19 @@ def test_07_neighbor_oracle():
         n = int(rng.integers(5, 501))
         d = int(rng.integers(1, 6))
         m = int(rng.integers(1, min(n, 10) + 1))
-        metric = Metric() if rng.random() < 0.7 else Metric(weights=rng.uniform(0.5, 2.0, size=d))
+        # a weighted Euclidean distance, in 30% of cases, as a rescaling
+        scale = 1.0 if rng.random() < 0.7 else np.sqrt(rng.uniform(0.5, 2.0, size=d))
         # mixing a coarse grid in makes exact distance ties common
         if rng.random() < 0.3:
             ref = rng.integers(-4, 5, size=(n, d)).astype(float)
         else:
             ref = rng.normal(size=(n, d))
-        model = NeighborModel(ref, metric, m)
-        queries = [rng.normal(size=d) for _ in range(6)]
+        ref = ref * scale
+        model = NeighborModel(ref, m)
+        queries = [rng.normal(size=d) * scale for _ in range(6)]
         queries += [ref[int(rng.integers(n))] for _ in range(4)]
         for q in queries:
-            expected = brute_force_knn(ref, metric, q, m)
+            expected = brute_force_knn(ref, q, m)
             np.testing.assert_array_equal(query_indices(model, q)[0], expected)
             checked += 1
     elapsed = time.perf_counter() - started
@@ -227,13 +229,12 @@ def test_08_weight_consistency():
     """Matched-times weights approach the true inverse propensities as n, M grow."""
     started = time.perf_counter()
     spec = logistic_dgp()
-    metric = Metric()
     wins = 0
     for seed in range(20):
         errors = {}
         for n, m in ((500, 16), (4000, 32)):
             data = generate(spec, n, seed=800 + seed)
-            weights = matching_structures(data, metric, m).weights
+            weights = matching_structures(data, m).weights
             e = spec.propensity(data.covariates)
             treated = data.treatment == 1
             errors[n] = np.median(np.abs(weights[treated] - 1.0 / e[treated]))
@@ -247,14 +248,13 @@ def test_08_weight_consistency():
 
 def _bias_corrected_replications(degree: int, reps: int = 100):
     spec = logistic_dgp()
-    metric = Metric()
     n = 2000
     m = math.ceil(2 * n ** (1.0 / 3.0))
     taus = np.empty(reps)
     for rep in range(reps):
         data = generate(spec, n, seed=900_000 + rep)
         outcome = fit_outcome(data, degree)
-        taus[rep] = ate_bias_corrected(data, matching_structures(data, metric, m), outcome).tau
+        taus[rep] = ate_bias_corrected(data, matching_structures(data, m), outcome).tau
     return taus, spec.true_ate
 
 
@@ -280,7 +280,6 @@ def _noise_free_matching_bias(n: int, reps: int = 100) -> np.ndarray:
     ``_bias_corrected_replications``.
     """
     spec = logistic_dgp()
-    metric = Metric()
     m = math.ceil(2 * n ** (1.0 / 3.0))
     biases = np.empty(reps)
     for rep in range(reps):
@@ -288,7 +287,7 @@ def _noise_free_matching_bias(n: int, reps: int = 100) -> np.ndarray:
         x, treatment = data.covariates, data.treatment
         mu1, mu0 = spec.outcome_mean_treated(x), spec.outcome_mean_control(x)
         noise_free = ObservationalDataset(x, treatment, np.where(treatment == 1, mu1, mu0))
-        pairs = impute(noise_free, matching_structures(noise_free, metric, m))
+        pairs = impute(noise_free, matching_structures(noise_free, m))
         biases[rep] = np.mean(pairs[:, 1] - pairs[:, 0]) - np.mean(mu1 - mu0)
     return biases
 

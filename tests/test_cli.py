@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import fitted_value, parse_report
-from rieszmatch import TwoSampleData, cli, lsif
+from rieszmatch import TwoSampleData, cli, lsif, save_points_csv
 
 FOUR_UNIT_CSV = "x0,d,y\n0.0,1,1.0\n2.0,1,3.0\n0.1,0,0.0\n1.9,0,2.0\n"
 DEN_CSV = "x0\n0.0\n1.0\n2.0\n3.0\n"
@@ -85,6 +85,22 @@ class TestDre:
         ])
         assert code == 2
         assert f"grid size must be >= 1, got {grid}" in capsys.readouterr().err
+
+    def test_oversized_gaussian_grid_exits_two(self, tmp_path, capsys):
+        # the default 4 per dimension in d=17 is 4^17 centers: refused before
+        # anything is allocated, as an input error
+        rng = np.random.default_rng(0)
+        for name in ("den", "num"):
+            save_points_csv(rng.normal(size=(30, 17)), tmp_path / f"{name}.csv")
+        code = cli.main([
+            "dre", "--denominator", str(tmp_path / "den.csv"),
+            "--numerator", str(tmp_path / "num.csv"),
+            "--eval-points", str(tmp_path / "num.csv"),
+            "--basis", "gauss",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Gaussian grid of 4 per dimension in d=17 has 17179869184 centers" in err
 
     @pytest.mark.parametrize("basis", ["poly", "gauss"])
     def test_smooth_bases_run(self, tmp_path, basis):
@@ -171,6 +187,29 @@ class TestSimulate:
 
     def test_unknown_dgp_exits_two(self, tmp_path):
         assert cli.main(["simulate", "--dgp", "nope", "--n", "100", "--reps", "2"]) == 2
+
+    def test_pool_starts_no_more_workers_than_tasks(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        argv = ["simulate", "--n", "100", "--reps", "3"]
+        _, serial = run(tmp_path, *argv)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        _, pooled = run(tmp_path, *argv, "--jobs", "8")
+        assert sizes == [3]
+        assert pooled == serial
 
 
 class TestVerify:

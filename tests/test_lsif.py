@@ -15,7 +15,6 @@ from oracles import (
     verify_theorem1,
 )
 from rieszmatch import (
-    Metric,
     TwoSampleData,
     fit,
     gaussian_grid_basis,
@@ -47,8 +46,8 @@ class TestFit:
             result = fit(data, basis, lam)
             assert np.linalg.norm(result.beta) <= np.linalg.norm(result.h_hat) / lam
 
-    def test_indicator_running_instance(self, running_two_sample, euclidean):
-        basis = indicator_basis(running_two_sample, euclidean, 1, [0.0])
+    def test_indicator_running_instance(self, running_two_sample):
+        basis = indicator_basis(running_two_sample, 1, [0.0])
         result = fit(running_two_sample, basis, lam=0.0)
         np.testing.assert_allclose(result.H_hat, [[0.25]])
         np.testing.assert_allclose(result.h_hat, [0.5])
@@ -106,60 +105,60 @@ class TestPredict:
         for x in (-3.0, 0.0, 11.0):
             assert fitted_value(result, [x]) == pytest.approx(1.0)
 
-    def test_indicator_support(self, running_two_sample, euclidean):
-        basis = indicator_basis(running_two_sample, euclidean, 1, [0.0])
+    def test_indicator_support(self, running_two_sample):
+        basis = indicator_basis(running_two_sample, 1, [0.0])
         result = fit(running_two_sample, basis, lam=0.0)
         assert fitted_value(result, [0.0]) == 2.0   # at the anchor
         assert fitted_value(result, [5.0]) == 0.0   # outside every catchment
 
 
 class TestIndicatorBasis:
-    def test_anchor_always_one(self, running_two_sample, euclidean):
+    def test_anchor_always_one(self, running_two_sample):
         for c in ([0.0], [0.4], [1.7]):
-            basis = indicator_basis(running_two_sample, euclidean, 1, c)
+            basis = indicator_basis(running_two_sample, 1, c)
             assert basis.evaluate(np.array(c)) == pytest.approx(1.0)
 
-    def test_denominator_evaluations(self, running_two_sample, euclidean):
-        basis = indicator_basis(running_two_sample, euclidean, 1, [0.4])
+    def test_denominator_evaluations(self, running_two_sample):
+        basis = indicator_basis(running_two_sample, 1, [0.4])
         values = evaluate_matrix(basis, running_two_sample.denominator)
         np.testing.assert_array_equal(values.ravel(), [1.0, 0.0, 0.0, 0.0])
 
-    def test_numerator_at_anchor(self, running_two_sample, euclidean):
-        basis = indicator_basis(running_two_sample, euclidean, 1, [0.4])
+    def test_numerator_at_anchor(self, running_two_sample):
+        basis = indicator_basis(running_two_sample, 1, [0.4])
         assert basis.evaluate(np.array([0.4])) == pytest.approx(1.0)
 
-    def test_m_exceeds_denominator(self, running_two_sample, euclidean):
+    def test_m_exceeds_denominator(self, running_two_sample):
         with pytest.raises(ValueError, match="exceeds"):
-            indicator_basis(running_two_sample, euclidean, 9, [0.0])
+            indicator_basis(running_two_sample, 9, [0.0])
 
     def test_h_equals_m_over_n0_and_h_vec_equals_k_over_n1(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            data, metric, m = random_two_sample_instance(rng, max_n=60)
+            data, m = random_two_sample_instance(rng, max_n=60)
             t = int(rng.integers(data.n_numerator))
             c = data.numerator[t]
-            result = fit(data, indicator_basis(data, metric, m, c), lam=0.0)
+            result = fit(data, indicator_basis(data, m, c), lam=0.0)
             assert result.H_hat[0, 0] == m / data.n_denominator
-            k = matched_times_at(data, metric, m, c[None, :])[0]
+            k = matched_times_at(data, m, c[None, :])[0]
             assert result.h_hat[0] == k / data.n_numerator
 
 
 class TestOneStep:
-    def test_running_instance(self, running_two_sample, euclidean):
-        assert one_step_dre(running_two_sample, euclidean, 1, [0.0]) == 2.0
+    def test_running_instance(self, running_two_sample):
+        assert one_step_dre(running_two_sample, 1, [0.0]) == 2.0
 
-    def test_empty_catchment_count(self, euclidean):
+    def test_empty_catchment_count(self):
         data = TwoSampleData(denominator=[0.0, 1.0], numerator=[0.2])
-        assert one_step_dre(data, euclidean, 1, [50.0]) == 0.0
+        assert one_step_dre(data, 1, [50.0]) == 0.0
 
-    def test_balanced_case(self, euclidean):
+    def test_balanced_case(self):
         data = TwoSampleData(denominator=[0.0, 10.0], numerator=[0.1, 9.9])
-        assert one_step_dre(data, euclidean, 1, [0.0]) == 1.0
+        assert one_step_dre(data, 1, [0.0]) == 1.0
 
 
 class TestTheorem1:
-    def test_running_instance(self, running_two_sample, euclidean):
-        check = verify_theorem1(running_two_sample, euclidean, 1, [0.0])
+    def test_running_instance(self, running_two_sample):
+        check = verify_theorem1(running_two_sample, 1, [0.0])
         assert check.lsif_value == 2.0
         assert check.one_step_value == 2.0
         assert check.gap == 0.0
@@ -169,25 +168,25 @@ class TestTheorem1:
         data = TwoSampleData(
             denominator=rng.normal(size=(400, 1)), numerator=rng.normal(size=(400, 1))
         )
-        batch = verify_theorem1_all(data, None, 20)
+        batch = verify_theorem1_all(data, 20)
         assert abs(np.median(batch.lsif_values) - 1.0) < 0.3
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_gap_below_1e12_on_random_instances(self, seed):
         rng = np.random.default_rng(seed)
-        data, metric, m = random_two_sample_instance(rng, max_n=80)
-        assert verify_theorem1_all(data, metric, m).max_gap <= 1e-12
+        data, m = random_two_sample_instance(rng, max_n=80)
+        assert verify_theorem1_all(data, m).max_gap <= 1e-12
 
     def test_batched_equals_per_point_exactly(self):
         rng = np.random.default_rng(4)
         instances = [random_two_sample_instance(rng, max_n=50) for _ in range(10)]
         # integer grids: numerator points equal denominator rows, distances tie
-        instances += [(grid_two_sample(30, 25, d, seed=d), Metric(), 3) for d in (1, 2)]
-        for data, metric, m in instances:
-            batch = verify_theorem1_all(data, metric, m)
+        instances += [(grid_two_sample(30, 25, d, seed=d), 3) for d in (1, 2)]
+        for data, m in instances:
+            batch = verify_theorem1_all(data, m)
             for t in range(0, data.n_numerator, 3):
-                single = verify_theorem1(data, metric, m, data.numerator[t])
+                single = verify_theorem1(data, m, data.numerator[t])
                 assert single.lsif_value == batch.lsif_values[t]
                 assert single.one_step_value == batch.one_step_values[t]
 
@@ -207,8 +206,8 @@ class TestTheorem1:
 
         monkeypatch.setattr(neighbors, "cKDTree", CountingTree)
         monkeypatch.setattr(neighbors, "_knn_blocks", counting_blocks)
-        data, metric, m = random_two_sample_instance(np.random.default_rng(6), max_n=80)
-        verify_theorem1_all(data, metric, m)
+        data, m = random_two_sample_instance(np.random.default_rng(6), max_n=80)
+        verify_theorem1_all(data, m)
         assert len(builds) == 1
         assert query_rows == [data.n_numerator]
 
@@ -220,10 +219,9 @@ def grid_two_sample(n0, n1, d, seed):
     return TwoSampleData(denominator=den, numerator=num)
 
 
-def dense_matched_times(data, metric, m, points):
+def dense_matched_times(data, m, points):
     """Brute-force count: squared distances accumulated coordinate by coordinate."""
     def sq(a, b):
-        a, b = metric.scale(a), metric.scale(b)
         out = np.zeros((len(a), len(b)))
         for k in range(a.shape[1]):
             out += (a[:, k, None] - b[None, :, k]) ** 2
@@ -239,31 +237,31 @@ class TestIndicatorDre:
         rng = np.random.default_rng(53)
         cases = [random_two_sample_instance(rng, max_n=50) for _ in range(3)]
         grid = grid_two_sample(40, 30, 2, seed=3)
-        cases += [(grid, Metric(), 4), (grid, Metric(), 40)]
-        for data, metric, m in cases:
+        cases += [(grid, 4), (grid, 40)]
+        for data, m in cases:
             points = np.vstack([data.numerator[:8], data.denominator[:4], [[7.0] * data.d]])
-            values = indicator_dre(data, metric, m, points, lam)
+            values = indicator_dre(data, m, points, lam)
             for t, point in enumerate(points):
-                single = fitted_value(fit(data, indicator_basis(data, metric, m, point), lam), point)
+                single = fitted_value(fit(data, indicator_basis(data, m, point), lam), point)
                 assert values[t] == single
 
-    def test_rejects_bad_m_and_lambda(self, running_two_sample, euclidean):
+    def test_rejects_bad_m_and_lambda(self, running_two_sample):
         with pytest.raises(ValueError, match="exceeds"):
-            indicator_dre(running_two_sample, euclidean, 5, [[0.0]])
+            indicator_dre(running_two_sample, 5, [[0.0]])
         with pytest.raises(ValueError, match="nonnegative"):
-            indicator_dre(running_two_sample, euclidean, 1, [[0.0]], lam=-1.0)
+            indicator_dre(running_two_sample, 1, [[0.0]], lam=-1.0)
 
     def test_matched_times_at_equals_dense_count(self, monkeypatch):
         rng = np.random.default_rng(59)
         grid = grid_two_sample(50, 45, 2, seed=11)
-        cases = [(grid, Metric(), 1), (grid, Metric(), 6), (grid, Metric(), 50)]
+        cases = [(grid, 1), (grid, 6), (grid, 50)]
         cases += [random_two_sample_instance(rng, max_n=60) for _ in range(4)]
-        for data, metric, m in cases:
+        for data, m in cases:
             points = np.vstack([data.numerator, data.denominator, rng.normal(size=(5, data.d))])
-            expected = dense_matched_times(data, metric, m, points)
-            np.testing.assert_array_equal(matched_times_at(data, metric, m, points), expected)
+            expected = dense_matched_times(data, m, points)
+            np.testing.assert_array_equal(matched_times_at(data, m, points), expected)
             monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 7)
-            np.testing.assert_array_equal(matched_times_at(data, metric, m, points), expected)
+            np.testing.assert_array_equal(matched_times_at(data, m, points), expected)
             monkeypatch.undo()
 
 
@@ -335,6 +333,12 @@ class TestBuiltInBases:
         assert polynomial_basis(3, 3).dimension == 20
         assert polynomial_basis(2, 0).dimension == 1
 
+    def test_gaussian_grid_center_limit(self):
+        pts = np.random.default_rng(0).normal(size=(10, 2))
+        assert gaussian_grid_basis(pts, per_dim=64).dimension == 4096
+        with pytest.raises(ValueError, match="65 per dimension in d=2 has 4225 centers"):
+            gaussian_grid_basis(pts, per_dim=65)
+
     def test_gaussian_grid_shape(self):
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(40, 2))
@@ -352,7 +356,7 @@ class TestBuiltInBases:
             constant_basis(d),
             polynomial_basis(d, 2),
             gaussian_grid_basis(pts, per_dim=3),
-            catchment_indicator(pts, None, 2, pts[0]),
+            catchment_indicator(pts, 2, pts[0]),
         ]
         for basis in bases:
             assert basis.evaluate(pts[0]).shape == (1, basis.dimension)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import rescaled
 from rieszmatch import (
-    Metric,
     ObservationalDataset,
     ate_bias_corrected,
     ate_dr_riesz,
@@ -24,34 +24,34 @@ from rieszmatch.lsif import polynomial_feature_matrix
 
 
 class TestImpute:
-    def test_four_unit_instance(self, four_unit_dataset, euclidean):
-        structures = matching_structures(four_unit_dataset, euclidean, 1)
+    def test_four_unit_instance(self, four_unit_dataset):
+        structures = matching_structures(four_unit_dataset, 1)
         pairs = impute(four_unit_dataset, structures)
         np.testing.assert_array_equal(pairs, [[0.0, 1.0], [2.0, 3.0], [0.0, 1.0], [2.0, 3.0]])
 
-    def test_constant_outcome(self, euclidean):
+    def test_constant_outcome(self):
         data = ObservationalDataset(
             covariates=np.arange(6.0)[:, None],
             treatment=np.array([1, 0, 1, 0, 1, 0]),
             outcome=np.full(6, 4.2),
         )
-        pairs = impute(data, matching_structures(data, euclidean, 2))
+        pairs = impute(data, matching_structures(data, 2))
         np.testing.assert_array_equal(pairs, np.full((6, 2), 4.2))
 
-    def test_full_averaging_when_m_is_arm_size(self, euclidean):
+    def test_full_averaging_when_m_is_arm_size(self):
         data = ObservationalDataset(
             covariates=np.array([[0.0], [1.0], [2.0], [0.2], [0.8], [0.5]]),
             treatment=np.array([1, 1, 1, 0, 0, 0]),
             outcome=np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
         )
-        pairs = impute(data, matching_structures(data, euclidean, 3))
+        pairs = impute(data, matching_structures(data, 3))
         np.testing.assert_allclose(pairs[data.treatment == 1, 0], 5.0)  # control mean
         np.testing.assert_allclose(pairs[data.treatment == 0, 1], 2.0)  # treated mean
 
-    def test_observed_arm_kept_exactly(self, euclidean):
+    def test_observed_arm_kept_exactly(self):
         rng = np.random.default_rng(3)
-        data, metric, m = random_instance(rng)
-        pairs = impute(data, matching_structures(data, metric, m))
+        data, scale, m = random_instance(rng)
+        pairs = impute(data, matching_structures(rescaled(data, scale), m))
         treated = data.treatment == 1
         np.testing.assert_array_equal(pairs[treated, 1], data.outcome[treated])
         np.testing.assert_array_equal(pairs[~treated, 0], data.outcome[~treated])
@@ -62,22 +62,22 @@ def random_instance(rng, max_n=200):
 
 
 class TestAteMatching:
-    def test_four_unit_instance(self, four_unit_dataset, euclidean):
-        est = ate_matching(four_unit_dataset, matching_structures(four_unit_dataset, euclidean, 1))
+    def test_four_unit_instance(self, four_unit_dataset):
+        est = ate_matching(four_unit_dataset, matching_structures(four_unit_dataset, 1))
         assert est.tau == 1.0
         assert est.variant == "matching"
         assert est.diagnostics["m"] == 1
         assert est.diagnostics["max_weight"] == 2.0
 
-    def test_constant_outcome_gives_zero(self, euclidean):
+    def test_constant_outcome_gives_zero(self):
         data = ObservationalDataset(
             covariates=np.arange(8.0)[:, None],
             treatment=np.array([1, 0] * 4),
             outcome=np.full(8, 3.3),
         )
-        assert ate_matching(data, matching_structures(data, euclidean, 2)).tau == 0.0
+        assert ate_matching(data, matching_structures(data, 2)).tau == 0.0
 
-    def test_null_effect_near_zero(self, euclidean):
+    def test_null_effect_near_zero(self):
         # treatment-independent noisy outcome: mean tau over seeds is near zero
         from rieszmatch.dataset import DgpSpec
 
@@ -95,46 +95,47 @@ class TestAteMatching:
         taus = []
         for s in range(100):
             data = generate(null_spec, 1000, seed=s)
-            taus.append(ate_matching(data, matching_structures(data, euclidean, 1)).tau)
+            taus.append(ate_matching(data, matching_structures(data, 1)).tau)
         taus = np.array(taus)
         assert abs(taus.mean()) < 3 * taus.std(ddof=1) / np.sqrt(len(taus))
 
 
 class TestAteWeightForm:
-    def test_four_unit_instance(self, four_unit_dataset, euclidean):
-        est = ate_weight_form(four_unit_dataset, matching_structures(four_unit_dataset, euclidean, 1))
+    def test_four_unit_instance(self, four_unit_dataset):
+        est = ate_weight_form(four_unit_dataset, matching_structures(four_unit_dataset, 1))
         assert est.tau == 1.0
         assert est.variant == "weight_form"
 
-    def test_constant_outcome_zero_by_conservation(self, euclidean):
+    def test_constant_outcome_zero_by_conservation(self):
         rng = np.random.default_rng(11)
-        data, metric, m = random_instance(rng, max_n=60)
+        data, scale, m = random_instance(rng, max_n=60)
         data = ObservationalDataset(
             covariates=data.covariates, treatment=data.treatment, outcome=np.full(data.n, 7.7)
         )
-        assert abs(ate_weight_form(data, matching_structures(data, metric, m)).tau) < 1e-12
+        structures = matching_structures(rescaled(data, scale), m)
+        assert abs(ate_weight_form(data, structures).tau) < 1e-12
 
-    def test_single_pair(self, euclidean):
+    def test_single_pair(self):
         data = ObservationalDataset(
             covariates=np.array([[0.0], [1.0]]),
             treatment=np.array([1, 0]),
             outcome=np.array([5.0, 2.0]),
         )
-        assert ate_weight_form(data, matching_structures(data, euclidean, 1)).tau == 3.0
+        assert ate_weight_form(data, matching_structures(data, 1)).tau == 3.0
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_equals_matching_form(self, seed):
         rng = np.random.default_rng(seed)
-        data, metric, m = random_instance(rng, max_n=120)
-        structures = matching_structures(data, metric, m)
+        data, scale, m = random_instance(rng, max_n=120)
+        structures = matching_structures(rescaled(data, scale), m)
         a = ate_matching(data, structures).tau
         b = ate_weight_form(data, structures).tau
         assert abs(a - b) <= 1e-12
 
 
 class TestFitOutcome:
-    def test_linear_outcome_zero_residuals(self, euclidean):
+    def test_linear_outcome_zero_residuals(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(40, 2))
         treat = np.array([1, 0] * 20)
@@ -190,10 +191,10 @@ class TestFitOutcome:
         np.testing.assert_array_equal(model.mu_treated, features @ model.coef_treated)
         np.testing.assert_array_equal(model.mu_control, features @ model.coef_control)
 
-    def test_model_fitted_on_other_rows_is_rejected(self, euclidean):
+    def test_model_fitted_on_other_rows_is_rejected(self):
         data = generate(logistic_dgp(), 300, seed=5)
         model = fit_outcome(generate(logistic_dgp(), 299, seed=5), degree=1)
-        structures = matching_structures(data, euclidean, 3)
+        structures = matching_structures(data, 3)
         with pytest.raises(ValueError, match="fitted on 299 rows"):
             ate_regression(data, model)
         with pytest.raises(ValueError, match="fitted on 299 rows"):
@@ -213,7 +214,7 @@ class TestFitOutcome:
 
 
 class TestBiasCorrected:
-    def test_perfect_model_recovers_truth_exactly(self, euclidean):
+    def test_perfect_model_recovers_truth_exactly(self):
         # noiseless linear design: degree-1 residuals vanish, so tau_bc = tau_reg
         rng = np.random.default_rng(8)
         x = rng.uniform(-1, 1, size=(50, 2))
@@ -222,45 +223,45 @@ class TestBiasCorrected:
         data = ObservationalDataset(covariates=x, treatment=treat, outcome=y)
         model = fit_outcome(data, degree=1)
         reg = ate_regression(data, model)
-        bc = ate_bias_corrected(data, matching_structures(data, euclidean, 3), model)
+        bc = ate_bias_corrected(data, matching_structures(data, 3), model)
         true_ate = np.mean(1.0 + x[:, 1])
         assert bc.tau == pytest.approx(reg.tau, abs=1e-12)
         assert bc.tau == pytest.approx(true_ate, abs=1e-10)
 
-    def test_four_unit_degree_zero(self, four_unit_dataset, euclidean):
+    def test_four_unit_degree_zero(self, four_unit_dataset):
         model = fit_outcome(four_unit_dataset, degree=0)
         assert model.mu_treated[0] == pytest.approx(2.0)
         assert model.mu_control[0] == pytest.approx(1.0)
         assert ate_regression(four_unit_dataset, model).tau == pytest.approx(1.0)
-        structures = matching_structures(four_unit_dataset, euclidean, 1)
+        structures = matching_structures(four_unit_dataset, 1)
         est = ate_bias_corrected(four_unit_dataset, structures, model)
         assert est.tau == pytest.approx(1.0, abs=1e-14)
 
 
 class TestDrRiesz:
-    def test_zero_residuals_equals_regression(self, euclidean):
+    def test_zero_residuals_equals_regression(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(30, 1))
         treat = np.array([1, 0] * 15)
         y = np.where(treat == 1, 2.0 + x[:, 0], x[:, 0])
         data = ObservationalDataset(covariates=x, treatment=treat, outcome=y)
         model = fit_outcome(data, degree=1)
-        dr = ate_dr_riesz(data, matching_structures(data, euclidean, 2), model)
+        dr = ate_dr_riesz(data, matching_structures(data, 2), model)
         assert dr.tau == pytest.approx(ate_regression(data, model).tau, abs=1e-12)
 
-    def test_four_unit_degree_zero(self, four_unit_dataset, euclidean):
+    def test_four_unit_degree_zero(self, four_unit_dataset):
         model = fit_outcome(four_unit_dataset, degree=0)
-        structures = matching_structures(four_unit_dataset, euclidean, 1)
+        structures = matching_structures(four_unit_dataset, 1)
         assert ate_dr_riesz(four_unit_dataset, structures, model).tau == pytest.approx(1.0)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_equals_bias_corrected(self, seed):
         rng = np.random.default_rng(seed)
-        data, metric, m = random_instance(rng, max_n=120)
+        data, scale, m = random_instance(rng, max_n=120)
         degree = 1 if min(data.n_treated, data.n_control) > data.d + 1 else 0
         model = fit_outcome(data, degree)
-        structures = matching_structures(data, metric, m)
+        structures = matching_structures(rescaled(data, scale), m)
         a = ate_bias_corrected(data, structures, model).tau
         b = ate_dr_riesz(data, structures, model).tau
         assert abs(a - b) <= 1e-12
@@ -270,7 +271,7 @@ class TestEstimatorInvariances:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
-            data, metric, m = random_instance(rng, max_n=150)
+            data, scale, m = random_instance(rng, max_n=150)
             model = fit_outcome(data, degree=0)
             perm = rng.permutation(data.n)
             shuffled = ObservationalDataset(
@@ -279,8 +280,8 @@ class TestEstimatorInvariances:
                 outcome=data.outcome[perm],
             )
             model_p = fit_outcome(shuffled, degree=0)
-            match = matching_structures(data, metric, m)
-            match_p = matching_structures(shuffled, metric, m)
+            match = matching_structures(rescaled(data, scale), m)
+            match_p = matching_structures(rescaled(shuffled, scale), m)
             for before, after in (
                 (ate_matching(data, match), ate_matching(shuffled, match_p)),
                 (ate_weight_form(data, match), ate_weight_form(shuffled, match_p)),
@@ -294,14 +295,14 @@ class TestEstimatorInvariances:
     def test_location_equivariance(self):
         rng = np.random.default_rng(16)
         for _ in range(10):
-            data, metric, m = random_instance(rng, max_n=150)
+            data, scale, m = random_instance(rng, max_n=150)
             shifted = ObservationalDataset(
                 covariates=data.covariates,
                 treatment=data.treatment,
                 outcome=data.outcome + 37.5,
             )
-            match = matching_structures(data, metric, m)
-            match_s = matching_structures(shifted, metric, m)
+            match = matching_structures(rescaled(data, scale), m)
+            match_s = matching_structures(rescaled(shifted, scale), m)
             for variant in (ate_matching, ate_weight_form):
                 assert abs(variant(data, match).tau - variant(shifted, match_s).tau) <= 1e-10
 
@@ -358,3 +359,34 @@ class TestMatchOnce:
         # the Theorem-1 denominator, then the match's two arms, which the
         # weight identity reuses
         assert len(trees) == 3
+
+    def test_run_instance_matches_rescaled_and_fits_raw(self, monkeypatch):
+        # seed 9 draws a weighted observational instance in d=2, whose match
+        # differs from the plain Euclidean one
+        rng = np.random.default_rng(9)
+        equivalence.random_two_sample_instance(rng, max_n=160)
+        raw, scale, m = equivalence.random_observational_instance(rng, max_n=160)
+        matched = rescaled(raw, scale)
+        plain_times = matching_structures(raw, m).matched_times
+        assert np.any(matching_structures(matched, m).matched_times != plain_times)
+
+        seen = {}
+
+        def recorded(name):
+            real = getattr(equivalence, name)
+
+            def wrapper(dataset, *args, **kwargs):
+                seen[name] = dataset.covariates
+                return real(dataset, *args, **kwargs)
+
+            monkeypatch.setattr(equivalence, name, wrapper)
+
+        on_matched = ("matching_structures", "weight_identity_max_gap")
+        on_raw = ("separability_max_gap", "fit_outcome", "dr_identity_gaps")
+        for name in on_matched + on_raw:
+            recorded(name)
+        assert equivalence.run_instance(0, seed=9).max_gap <= equivalence.GAP_THRESHOLD
+        for name in on_matched:
+            np.testing.assert_array_equal(seen[name], matched.covariates)
+        for name in on_raw:
+            np.testing.assert_array_equal(seen[name], raw.covariates)

@@ -13,7 +13,7 @@ from oracles import (
     matched_times_at,
     query_indices,
 )
-from rieszmatch import Metric, TwoSampleData, matching_structures
+from rieszmatch import TwoSampleData, matching_structures
 from rieszmatch import generate, logistic_dgp, neighbors
 from rieszmatch.dataset import ObservationalDataset
 from rieszmatch.neighbors import (
@@ -35,12 +35,12 @@ def _assert_reduced(structures, data, sets):
     )
 
 
-def _assert_reduced_at_every_block_size(monkeypatch, data, metric, m, sets):
+def _assert_reduced_at_every_block_size(monkeypatch, data, m, sets):
     # one row per block, an uneven last block, the library default
     for entries in (1, 997, _DEFAULT_BLOCK_ENTRIES):
         with monkeypatch.context() as patch:
             patch.setattr(neighbors, "_BLOCK_ENTRIES", entries)
-            _assert_reduced(matching_structures(data, metric, m), data, sets)
+            _assert_reduced(matching_structures(data, m), data, sets)
 
 
 class TestKnn:
@@ -89,7 +89,7 @@ def covers(reference, m, x, z):
     """Whether the M-th nearest-reference radius of z covers x: the
     matched-times count at x of the one-point numerator sample {z}."""
     data = TwoSampleData(denominator=reference, numerator=[z])
-    return bool(matched_times_at(data, None, m, [x])[0])
+    return bool(matched_times_at(data, m, [x])[0])
 
 
 class TestCatchment:
@@ -118,25 +118,25 @@ class TestCatchment:
 
 
 class TestMatchedTimes:
-    def test_running_instance(self, running_two_sample, euclidean):
+    def test_running_instance(self, running_two_sample):
         data = running_two_sample
-        counts = matched_times_at(data, euclidean, 1, data.denominator)
+        counts = matched_times_at(data, 1, data.denominator)
         np.testing.assert_array_equal(counts, [1, 0, 0, 1])
 
-    def test_coincident_singletons(self, euclidean):
+    def test_coincident_singletons(self):
         data = TwoSampleData(denominator=[3.3], numerator=[3.3])
-        np.testing.assert_array_equal(matched_times_at(data, euclidean, 1, data.denominator), [1])
+        np.testing.assert_array_equal(matched_times_at(data, 1, data.denominator), [1])
 
-    def test_two_far_denominators(self, euclidean):
+    def test_two_far_denominators(self):
         data = TwoSampleData(denominator=[0.0, 10.0], numerator=[0.1, 0.2])
-        counts = matched_times_at(data, euclidean, 1, data.denominator)
+        counts = matched_times_at(data, 1, data.denominator)
         np.testing.assert_array_equal(counts, [2, 0])
 
-    def test_m_exceeds_denominator(self, running_two_sample, euclidean):
+    def test_m_exceeds_denominator(self, running_two_sample):
         with pytest.raises(ValueError, match="exceeds"):
-            matched_times_at(running_two_sample, euclidean, 5, running_two_sample.denominator)
+            matched_times_at(running_two_sample, 5, running_two_sample.denominator)
 
-    def test_agrees_with_knn_membership(self, euclidean):
+    def test_agrees_with_knn_membership(self):
         # catchment formulation vs direct M-NN membership, distinct distances
         rng = np.random.default_rng(77)
         for _ in range(20):
@@ -145,34 +145,34 @@ class TestMatchedTimes:
             data = TwoSampleData(
                 denominator=rng.normal(size=(n0, d)), numerator=rng.normal(size=(n1, d))
             )
-            counts = matched_times_at(data, euclidean, m, data.denominator)
-            model = NeighborModel(data.denominator, euclidean, m)
+            counts = matched_times_at(data, m, data.denominator)
+            model = NeighborModel(data.denominator, m)
             direct = np.bincount(query_indices(model, data.numerator).ravel(), minlength=n0)
             np.testing.assert_array_equal(counts, direct)
             assert counts.sum() == n1 * m
 
-    def test_at_arbitrary_points(self, running_two_sample, euclidean):
-        counts = matched_times_at(running_two_sample, euclidean, 1, [[0.0], [5.0]])
+    def test_at_arbitrary_points(self, running_two_sample):
+        counts = matched_times_at(running_two_sample, 1, [[0.0], [5.0]])
         np.testing.assert_array_equal(counts, [1, 0])
 
 
 class TestMatchingStructures:
-    def test_four_unit_instance(self, monkeypatch, four_unit_dataset, euclidean):
-        structures = matching_structures(four_unit_dataset, euclidean, 1)
+    def test_four_unit_instance(self, monkeypatch, four_unit_dataset):
+        structures = matching_structures(four_unit_dataset, 1)
         np.testing.assert_array_equal(structures.matched_times, [1, 1, 1, 1])
         np.testing.assert_array_equal(structures.matched_outcome, [0.0, 2.0, 1.0, 3.0])
-        sets = library_match_sets(four_unit_dataset, euclidean, 1)
+        sets = library_match_sets(four_unit_dataset, 1)
         np.testing.assert_array_equal(sets[:, 0], [2, 3, 0, 1])
-        np.testing.assert_array_equal(sets, brute_force_match_sets(four_unit_dataset, euclidean, 1))
-        _assert_reduced_at_every_block_size(monkeypatch, four_unit_dataset, euclidean, 1, sets)
+        np.testing.assert_array_equal(sets, brute_force_match_sets(four_unit_dataset, 1))
+        _assert_reduced_at_every_block_size(monkeypatch, four_unit_dataset, 1, sets)
 
-    def test_saturation_when_m_equals_control_arm(self, monkeypatch, euclidean):
+    def test_saturation_when_m_equals_control_arm(self, monkeypatch):
         data = ObservationalDataset(
             covariates=np.array([[0.0], [5.0], [7.0], [9.0], [1.0], [2.0], [3.0]]),
             treatment=np.array([1, 1, 1, 1, 0, 0, 0]),
             outcome=np.zeros(7),
         )
-        structures = matching_structures(data, euclidean, 3)
+        structures = matching_structures(data, 3)
         # with m equal to the control count, every treated unit matches all
         # controls, so each control is matched n_treated times
         np.testing.assert_array_equal(structures.matched_times[4:], [4, 4, 4])
@@ -185,24 +185,24 @@ class TestMatchingStructures:
             treatment=np.array([1] * 34 + [0] * 6),
             outcome=rng.standard_normal(40),
         )
-        structures = matching_structures(data, euclidean, 6)
+        structures = matching_structures(data, 6)
         np.testing.assert_array_equal(structures.matched_times[34:], [34] * 6)
-        sets = brute_force_match_sets(data, euclidean, 6)
-        np.testing.assert_array_equal(library_match_sets(data, euclidean, 6), sets)
-        _assert_reduced_at_every_block_size(monkeypatch, data, euclidean, 6, sets)
+        sets = brute_force_match_sets(data, 6)
+        np.testing.assert_array_equal(library_match_sets(data, 6), sets)
+        _assert_reduced_at_every_block_size(monkeypatch, data, 6, sets)
 
-    def test_lone_treated_unit(self, euclidean):
+    def test_lone_treated_unit(self):
         data = ObservationalDataset(
             covariates=np.array([[0.0], [1.0], [2.0], [3.0]]),
             treatment=np.array([1, 0, 0, 0]),
             outcome=np.zeros(4),
         )
-        structures = matching_structures(data, euclidean, 1)
+        structures = matching_structures(data, 1)
         np.testing.assert_array_equal(structures.matched_times, [3, 1, 0, 0])
 
-    def test_m_exceeds_arm(self, four_unit_dataset, euclidean):
+    def test_m_exceeds_arm(self, four_unit_dataset):
         with pytest.raises(ValueError, match="exceeds an arm size"):
-            matching_structures(four_unit_dataset, euclidean, 3)
+            matching_structures(four_unit_dataset, 3)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -217,7 +217,7 @@ class TestMatchingStructures:
                 break
         data = ObservationalDataset(covariates=x, treatment=treat, outcome=np.zeros(n))
         m = int(rng.integers(1, min(data.n_treated, data.n_control) + 1))
-        structures = matching_structures(data, None, m)
+        structures = matching_structures(data, m)
         treated = data.treatment == 1
         assert structures.matched_times[treated].sum() == m * data.n_control
         assert structures.matched_times[~treated].sum() == m * data.n_treated
@@ -230,26 +230,26 @@ class TestMatchingStructures:
         x = rng.integers(0, 4, size=(n, 2)).astype(float)
         treat = (rng.random(n) < 0.5).astype(int)
         data = ObservationalDataset(covariates=x, treatment=treat, outcome=rng.standard_normal(n))
-        expected = brute_force_match_sets(data, None, m)
-        np.testing.assert_array_equal(library_match_sets(data, None, m), expected)
-        _assert_reduced_at_every_block_size(monkeypatch, data, None, m, expected)
+        expected = brute_force_match_sets(data, m)
+        np.testing.assert_array_equal(library_match_sets(data, m), expected)
+        _assert_reduced_at_every_block_size(monkeypatch, data, m, expected)
 
 
 def _blocked_case(name):
-    """Covariates, treatment and metric for the blocked-query tests (n=400, M=5)."""
+    """Covariates and treatment for the blocked-query tests (n=400, M=5)."""
     rng = np.random.default_rng(31)
     n = 400
     treat = np.zeros(n, dtype=int)
     treat[rng.permutation(n)[:170]] = 1
     if name == "grid":  # 4x4 cells of ~12 units per arm: every block widens
-        return rng.integers(0, 4, size=(n, 2)).astype(float), treat, Metric()
-    if name == "weighted":
-        return rng.normal(size=(n, 3)), treat, Metric(weights=np.array([0.5, 2.0, 7.0]))
+        return rng.integers(0, 4, size=(n, 2)).astype(float), treat
+    if name == "weighted":  # the distance weighted (0.5, 2, 7), as a rescaling
+        return rng.normal(size=(n, 3)) * np.sqrt([0.5, 2.0, 7.0]), treat
     if name == "d17":  # above d=16 the tree's sums may differ in the last bit
-        return rng.normal(size=(n, 17)), treat, Metric()
+        return rng.normal(size=(n, 17)), treat
     if name == "d17grid":  # the same with ties at the M-th distance
-        return rng.integers(0, 3, size=(n, 17)).astype(float), treat, Metric()
-    return rng.normal(size=(n, 2)), treat, Metric()
+        return rng.integers(0, 3, size=(n, 17)).astype(float), treat
+    return rng.normal(size=(n, 2)), treat
 
 
 class TestBlockedQueries:
@@ -257,27 +257,27 @@ class TestBlockedQueries:
     @pytest.mark.parametrize("case", ["continuous", "grid", "weighted", "d17", "d17grid"])
     def test_blocks_equal_one_pass_and_brute_force(self, monkeypatch, case, entries):
         m = 5
-        x, treat, metric = _blocked_case(case)
+        x, treat = _blocked_case(case)
         # continuous outcomes: two different match sets give different means
         outcome = np.random.default_rng(7).standard_normal(len(x))
         data = ObservationalDataset(covariates=x, treatment=treat, outcome=outcome)
         treated, control = np.flatnonzero(treat == 1), np.flatnonzero(treat == 0)
-        model = NeighborModel(x[control], metric, m)
-        whole = matching_structures(data, metric, m)
-        whole_sets = library_match_sets(data, metric, m)
+        model = NeighborModel(x[control], m)
+        whole = matching_structures(data, m)
+        whole_sets = library_match_sets(data, m)
         whole_radii = _mth_sq_radius_batch(model, x[treated])
         whole_first = query_indices(model, x[treated[0]])[0]
 
         monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", entries)
-        blocked = matching_structures(data, metric, m)
-        np.testing.assert_array_equal(library_match_sets(data, metric, m), whole_sets)
+        blocked = matching_structures(data, m)
+        np.testing.assert_array_equal(library_match_sets(data, m), whole_sets)
         np.testing.assert_array_equal(blocked.matched_outcome, whole.matched_outcome)
         np.testing.assert_array_equal(blocked.matched_times, whole.matched_times)
         np.testing.assert_array_equal(_mth_sq_radius_batch(model, x[treated]), whole_radii)
         np.testing.assert_array_equal(query_indices(model, x[treated[0]])[0], whole_first)
 
-        expected = brute_force_match_sets(data, metric, m)
-        sq, _ = brute_force_sq_knn(metric.scale(x[treated]), metric.scale(x[control]), m)
+        expected = brute_force_match_sets(data, m)
+        sq, _ = brute_force_sq_knn(x[treated], x[control], m)
         np.testing.assert_array_equal(whole_radii, sq[:, m - 1])
         np.testing.assert_array_equal(whole_sets, expected)
         np.testing.assert_array_equal(control[whole_first], expected[treated[0]])
@@ -292,7 +292,7 @@ class TestBlockedQueries:
         for m in (30, 120):
             tracemalloc.start()
             try:
-                matching_structures(data, None, m)
+                matching_structures(data, m)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -304,7 +304,7 @@ class TestBlockedQueries:
         data = generate(logistic_dgp(), 20_000, seed=0)
         tracemalloc.start()
         try:
-            matching_structures(data, None, 55)
+            matching_structures(data, 55)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -322,7 +322,7 @@ class TestBlockedQueries:
         shuffled = ObservationalDataset(
             covariates=x[perm], treatment=treat[perm], outcome=data.outcome[perm]
         )
-        whole, moved = matching_structures(data, None, m), matching_structures(shuffled, None, m)
+        whole, moved = matching_structures(data, m), matching_structures(shuffled, m)
         np.testing.assert_array_equal(moved.matched_outcome, whole.matched_outcome[perm])
         np.testing.assert_array_equal(moved.matched_times, whole.matched_times[perm])
 
@@ -336,12 +336,12 @@ class TestBlockedQueries:
         data = ObservationalDataset(covariates=x, treatment=treat, outcome=rng.standard_normal(n))
         tracemalloc.start()
         try:
-            structures = matching_structures(data, None, m)
+            structures = matching_structures(data, m)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20, peak
-        _assert_reduced(structures, data, brute_force_match_sets(data, None, m))
+        _assert_reduced(structures, data, brute_force_match_sets(data, m))
 
 
 def _lexsort_rows(sq, idx):
@@ -418,12 +418,13 @@ class TestSpatialIndexOracle:
             n = int(rng.integers(5, 200))
             d = int(rng.integers(1, d_max + 1))
             m = int(rng.integers(1, min(n, 8) + 1))
-            metric = Metric(weights=rng.uniform(0.5, 3.0, size=d)) if weighted else Metric()
-            ref = rng.normal(size=(n, d))
-            model = NeighborModel(ref, metric, m)
+            # a weighted distance is the plain one on rescaled points
+            scale = np.sqrt(rng.uniform(0.5, 3.0, size=d)) if weighted else 1.0
+            ref = rng.normal(size=(n, d)) * scale
+            model = NeighborModel(ref, m)
             for _ in range(5):
-                q = rng.normal(size=d)
-                expected = brute_force_knn(ref, metric, q, m)
+                q = rng.normal(size=d) * scale
+                expected = brute_force_knn(ref, q, m)
                 np.testing.assert_array_equal(query_indices(model, q)[0], expected)
 
     @given(
@@ -440,16 +441,16 @@ class TestSpatialIndexOracle:
         # small integer grid: exact ties and duplicate points are common
         ref = np.array(points, dtype=float) / 2.0
         m = min(m, len(ref))
-        model = NeighborModel(ref, None, m)
+        model = NeighborModel(ref, m)
         q = np.array(query, dtype=float) / 2.0
-        np.testing.assert_array_equal(query_indices(model, q)[0], brute_force_knn(ref, None, q, m))
+        np.testing.assert_array_equal(query_indices(model, q)[0], brute_force_knn(ref, q, m))
 
     def test_high_dimension_equals_brute_force(self):
         rng = np.random.default_rng(5)
         ref = rng.normal(size=(40, 20))
-        model = NeighborModel(ref, None, 3)
+        model = NeighborModel(ref, 3)
         for q in rng.normal(size=(10, 20)):
-            expected = brute_force_knn(ref, None, q, 3)
+            expected = brute_force_knn(ref, q, 3)
             np.testing.assert_array_equal(query_indices(model, q)[0], expected)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -462,14 +463,14 @@ class TestSpatialIndexOracle:
         rng = np.random.default_rng(d)
         base = np.resize([0.1, 0.2, 0.3, 0.7, 1.1, 1e-3, 3.3], d)
         ref = np.unique([rng.permutation(base) for _ in range(300)], axis=0)
-        model = NeighborModel(ref, None, m)
+        model = NeighborModel(ref, m)
         q = np.zeros(d)
-        np.testing.assert_array_equal(query_indices(model, q)[0], brute_force_knn(ref, None, q, m))
+        np.testing.assert_array_equal(query_indices(model, q)[0], brute_force_knn(ref, q, m))
 
     def test_batch_matches_single_queries(self):
         rng = np.random.default_rng(9)
         ref = rng.normal(size=(30, 3))
-        model = NeighborModel(ref, None, 4)
+        model = NeighborModel(ref, 4)
         queries = rng.normal(size=(10, 3))
         batch_idx = np.concatenate([idx for _, _, idx in _knn_blocks(model, queries)])
         for row, q in zip(batch_idx, queries):
@@ -477,25 +478,23 @@ class TestSpatialIndexOracle:
 
 
 class TestMetric:
+    """A weighted Euclidean distance is the plain one on points rescaled by sqrt(w)."""
+
     def test_weighted_changes_neighbors(self):
         ref = np.array([[1.0, 0.0], [0.0, 1.2]])
         q = np.zeros(2)
-        assert query_indices(NeighborModel(ref, Metric(), 1), q)[0][0] == 0
-        heavy_x = Metric(weights=np.array([10.0, 0.1]))
-        assert query_indices(NeighborModel(ref, heavy_x, 1), q)[0][0] == 1
+        assert query_indices(NeighborModel(ref, 1), q)[0][0] == 0
+        heavy_x = np.sqrt([10.0, 0.1])
+        assert query_indices(NeighborModel(ref * heavy_x, 1), q * heavy_x)[0][0] == 1
 
     def test_distance_properties(self):
-        metric = Metric(weights=np.array([2.0, 0.5]))
-        a = np.array([[0.3, -1.0]])
-        b = np.array([[1.5, 0.7]])
+        scale = np.sqrt([2.0, 0.5])
+        a = np.array([[0.3, -1.0]]) * scale
+        b = np.array([[1.5, 0.7]]) * scale
 
         def distance(x, z):
-            return np.sqrt(_sq_dists(metric.scale(x), metric.scale(z))[0, 0])
+            return np.sqrt(_sq_dists(x, z)[0, 0])
 
         assert distance(a, b) == distance(b, a)
         assert distance(a, a) == 0.0
         assert distance(a, b) > 0
-
-    def test_rejects_nonpositive_weights(self):
-        with pytest.raises(ValueError, match="positive"):
-            Metric(weights=np.array([1.0, 0.0]))

@@ -8,8 +8,10 @@ from oracles import (
     arm_objective_value,
     catchment_indicator,
     constant_basis,
+    rescaled,
 )
 from rieszmatch import (
+    Basis,
     ObservationalDataset,
     dr_score,
     fit_weight_arm,
@@ -21,7 +23,7 @@ from rieszmatch import (
 from rieszmatch import neighbors
 from rieszmatch.equivalence import random_observational_instance
 from rieszmatch.lsif import _indicator_values, evaluate_matrix
-from rieszmatch.neighbors import Metric, NeighborModel, _mth_sq_radius_batch
+from rieszmatch.neighbors import NeighborModel, _mth_sq_radius_batch
 
 
 def balanced_dataset(n=20, seed=0):
@@ -47,15 +49,16 @@ class TestFitWeightArm:
         data = balanced_dataset()
         np.testing.assert_allclose(fit_weight_arm(data, 1, constant_basis(2), 0.0), [2.0])
 
-    def test_indicator_at_unit_equals_matching_weight(self, euclidean):
+    def test_indicator_at_unit_equals_matching_weight(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
-            data, metric, m = random_observational_instance(rng, max_n=60)
-            weights = matching_structures(data, metric, m).weights
+            data, scale, m = random_observational_instance(rng, max_n=60)
+            data = rescaled(data, scale)
+            weights = matching_structures(data, m).weights
             for i in range(0, data.n, 5):
                 arm = int(data.treatment[i])
                 reference = data.covariates[data.treatment == arm]
-                basis = catchment_indicator(reference, metric, m, data.covariates[i])
+                basis = catchment_indicator(reference, m, data.covariates[i])
                 theta = fit_weight_arm(data, arm, basis, lam=0.0)
                 assert abs(theta[0] - weights[i]) <= 1e-12
 
@@ -72,17 +75,27 @@ class TestFitWeightArm:
         with pytest.raises(ValueError, match="arm"):
             fit_weight_arm(data, 2, constant_basis(2), 0.0)
 
+    def test_lambda_checked_first_and_singular_named(self):
+        data = balanced_dataset()
+        with pytest.raises(ValueError, match="nonnegative"):
+            fit_weight_arm(data, 2, constant_basis(2), -1.0)
+        repeated = Basis(dimension=2, evaluate=lambda points: np.ones((len(points), 2)))
+        with pytest.raises(np.linalg.LinAlgError, match="for arm 1 at lambda=0$"):
+            fit_weight_arm(data, 1, repeated, 0.0)
+        with pytest.raises(np.linalg.LinAlgError, match="^singular joint moment matrix at lambda=0$"):
+            riesz_fit(data, repeated, 0.0)
 
-def assert_batched_weights_exact(data, metric, m):
+
+def assert_batched_weights_exact(data, m):
     """Each arm's batched indicator fit equals the per-unit fit with ==."""
     x = data.covariates
     for arm in (0, 1):
         rows = data.treatment == arm
-        model = NeighborModel(x[rows], metric, m)
+        model = NeighborModel(x[rows], m)
         radii = _mth_sq_radius_batch(model, x)
         theta = _indicator_values(model, x[rows], radii[rows], x, radii, data.n, data.n)
         for j, i in enumerate(np.flatnonzero(rows)):
-            basis = catchment_indicator(x[rows], metric, m, x[i])
+            basis = catchment_indicator(x[rows], m, x[i])
             assert theta[j] == fit_weight_arm(data, arm, basis, lam=0.0)[0]
 
 
@@ -96,12 +109,13 @@ class TestBatchedWeightIdentity:
     def test_continuous_instances(self):
         rng = np.random.default_rng(37)
         for _ in range(6):
-            data, metric, m = random_observational_instance(rng, max_n=70)
-            assert_batched_weights_exact(data, metric, m)
+            data, scale, m = random_observational_instance(rng, max_n=70)
+            data = rescaled(data, scale)
+            assert_batched_weights_exact(data, m)
 
     @pytest.mark.parametrize("d,m", [(1, 1), (2, 3), (2, 7), (3, 4)])
     def test_integer_grid(self, d, m):
-        assert_batched_weights_exact(grid_dataset(60, d, seed=d + m), Metric(), m)
+        assert_batched_weights_exact(grid_dataset(60, d, seed=d + m), m)
 
     def test_control_row_equals_treated_row(self):
         rng = np.random.default_rng(43)
@@ -112,50 +126,51 @@ class TestBatchedWeightIdentity:
         x[3] = [-0.0, 0.5]  # equal to x[0] under ==
         x[6] = x[5]
         data = ObservationalDataset(covariates=x, treatment=treat, outcome=np.zeros(40))
-        for m in (1, 2, 5):
-            assert_batched_weights_exact(data, Metric(weights=np.array([1.0, 2.5])), m)
+        for m in (1, 2, 5):  # in the distance weighted (1.0, 2.5)
+            assert_batched_weights_exact(rescaled(data, np.sqrt([1.0, 2.5])), m)
 
     def test_m_equals_arm_size(self):
         rng = np.random.default_rng(47)
         x = rng.normal(size=(20, 2))
         treat = np.array([1] * 6 + [0] * 14)
         data = ObservationalDataset(covariates=x, treatment=treat, outcome=np.zeros(20))
-        assert_batched_weights_exact(data, Metric(), 6)
-        assert_batched_weights_exact(grid_dataset(24, 2, seed=5), Metric(), 12)
+        assert_batched_weights_exact(data, 6)
+        assert_batched_weights_exact(grid_dataset(24, 2, seed=5), 12)
 
     def test_blocks_of_one_row(self, monkeypatch):
         monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 1)
-        assert_batched_weights_exact(grid_dataset(30, 2, seed=9), Metric(), 3)
+        assert_batched_weights_exact(grid_dataset(30, 2, seed=9), 3)
 
 
 class TestNnWeight:
-    def test_unmatched_unit_weight_one(self, euclidean):
+    def test_unmatched_unit_weight_one(self):
         data = ObservationalDataset(
             covariates=np.array([[0.0], [0.1], [50.0]]),
             treatment=np.array([1, 0, 0]),
             outcome=np.zeros(3),
         )
         # the far control is never used as a match
-        assert matching_structures(data, euclidean, 1).weights[2] == 1.0
+        assert matching_structures(data, 1).weights[2] == 1.0
 
-    def test_four_unit_instance(self, four_unit_dataset, euclidean):
+    def test_four_unit_instance(self, four_unit_dataset):
         for i in range(4):
-            assert matching_structures(four_unit_dataset, euclidean, 1).weights[i] == 2.0
+            assert matching_structures(four_unit_dataset, 1).weights[i] == 2.0
 
-    def test_k_equals_m_gives_two(self, euclidean):
+    def test_k_equals_m_gives_two(self):
         data = ObservationalDataset(
             covariates=np.array([[0.0], [1.0], [0.4], [0.6]]),
             treatment=np.array([1, 1, 0, 0]),
             outcome=np.zeros(4),
         )
-        weights = matching_structures(data, euclidean, 2).weights
+        weights = matching_structures(data, 2).weights
         np.testing.assert_allclose(weights, 2.0)
 
     def test_weights_at_least_one(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
-            data, metric, m = random_observational_instance(rng, max_n=80)
-            assert matching_structures(data, metric, m).weights.min() >= 1.0
+            data, scale, m = random_observational_instance(rng, max_n=80)
+            data = rescaled(data, scale)
+            assert matching_structures(data, m).weights.min() >= 1.0
 
 
 class TestRieszFit:
@@ -205,14 +220,15 @@ class TestRieszFit:
                 data, arm, basis, lam, zeros
             )
 
-    def test_nn_representer_matches_per_point_fits(self, euclidean):
+    def test_nn_representer_matches_per_point_fits(self):
         rng = np.random.default_rng(29)
-        data, metric, m = random_observational_instance(rng, max_n=50)
-        alpha = nn_representer_values(data, matching_structures(data, metric, m))
+        data, scale, m = random_observational_instance(rng, max_n=50)
+        data = rescaled(data, scale)
+        alpha = nn_representer_values(data, matching_structures(data, m))
         for i in range(0, data.n, 7):
             arm = int(data.treatment[i])
             reference = data.covariates[data.treatment == arm]
-            basis = catchment_indicator(reference, metric, m, data.covariates[i])
+            basis = catchment_indicator(reference, m, data.covariates[i])
             theta = fit_weight_arm(data, arm, basis, lam=0.0)
             weight = float(np.dot(theta, evaluate_matrix(basis, data.covariates[i][None])[0]))
             value = weight if arm == 1 else -weight
@@ -220,8 +236,9 @@ class TestRieszFit:
 
     def test_sign_convention(self):
         rng = np.random.default_rng(31)
-        data, metric, m = random_observational_instance(rng, max_n=60)
-        alpha = nn_representer_values(data, matching_structures(data, metric, m))
+        data, scale, m = random_observational_instance(rng, max_n=60)
+        data = rescaled(data, scale)
+        alpha = nn_representer_values(data, matching_structures(data, m))
         signs = np.sign(alpha)
         np.testing.assert_array_equal(signs, 2.0 * data.treatment - 1.0)
 
