@@ -2,8 +2,8 @@
 regression for average-treatment-effect estimation, with exact equivalence
 checks between the three routes."""
 
-from .constants import LOGISTIC_TRUE_ATE
 from .dataset import (
+    LOGISTIC_TRUE_ATE,
     DensitySpec,
     DgpSpec,
     ObservationalDataset,
@@ -27,7 +27,6 @@ from .lsif import (
     verify_theorem1_all,
 )
 from .matching import (
-    AteEstimate,
     OutcomeModel,
     ate_bias_corrected,
     ate_dr_riesz,
@@ -39,7 +38,6 @@ from .matching import (
 )
 from .neighbors import matching_structures
 from .riesz import (
-    WeightModel,
     dr_score,
     fit_weight_arm,
     nn_representer_values,
@@ -47,7 +45,6 @@ from .riesz import (
 )
 
 __all__ = [
-    "AteEstimate",
     "Basis",
     "DensitySpec",
     "DgpSpec",
@@ -56,7 +53,6 @@ __all__ = [
     "ObservationalDataset",
     "OutcomeModel",
     "TwoSampleData",
-    "WeightModel",
     "ate_bias_corrected",
     "ate_dr_riesz",
     "ate_matching",

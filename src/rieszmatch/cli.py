@@ -23,7 +23,8 @@ from . import lsif, matching
 from .neighbors import matching_structures
 from .report import render_report
 
-_ESTIMATORS = ("matching", "weight", "bc", "dr")
+# --estimator name -> the report's variant name
+_VARIANTS = dict(matching="matching", weight="weight_form", bc="bias_corrected", dr="dr_riesz")
 
 
 def default_match_count(n: int) -> int:
@@ -44,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ate = sub.add_parser("ate", help="estimate the ATE from a CSV dataset")
     p_ate.add_argument("--input", required=True)
     p_ate.add_argument("--m", type=int, default=None, help="match count (default 2 n^{1/3})")
-    p_ate.add_argument("--estimator", choices=_ESTIMATORS, default="matching")
+    p_ate.add_argument("--estimator", choices=tuple(_VARIANTS), default="matching")
     p_ate.add_argument("--degree", type=int, default=1, choices=range(4))
     _add_common(p_ate)
 
@@ -102,13 +103,13 @@ def cmd_ate(args) -> tuple[str, int]:
     # fitted after the match, so its stored means stay out of the match's peak
     outcome = matching.fit_outcome(data, args.degree) if args.estimator in ("bc", "dr") else None
     if args.estimator == "matching":
-        est = matching.ate_matching(data, structures)
+        tau = matching.ate_matching(data, structures)
     elif args.estimator == "weight":
-        est = matching.ate_weight_form(data, structures)
+        tau = matching.ate_weight_form(data, structures)
     elif args.estimator == "bc":
-        est = matching.ate_bias_corrected(data, structures, outcome)
+        tau = matching.ate_bias_corrected(data, structures, outcome)
     else:
-        est = matching.ate_dr_riesz(data, structures, outcome)
+        tau = matching.ate_dr_riesz(data, structures, outcome)
     header = [
         ("command", "ate"),
         ("input", args.input),
@@ -119,11 +120,10 @@ def cmd_ate(args) -> tuple[str, int]:
         ("n", data.n),
         ("n_treated", data.n_treated),
         ("n_control", data.n_control),
-        ("tau", est.tau),
+        ("tau", tau),
     ]
-    record = [("tau", est.tau), ("variant", est.variant), ("m", m)]
-    if "max_weight" in est.diagnostics:
-        record.append(("max_weight", est.diagnostics["max_weight"]))
+    variant, max_weight = _VARIANTS[args.estimator], float(structures.weights.max())
+    record = [("tau", tau), ("variant", variant), ("m", m), ("max_weight", max_weight)]
     return render_report(header, [record]), 0
 
 
@@ -212,11 +212,11 @@ def _simulate_replication(task: tuple) -> dict:
     return {
         "rep": rep,
         "seed": rep_seed,
-        "tau_matching": matching.ate_matching(data, structures).tau,
-        "tau_weight_form": matching.ate_weight_form(data, structures).tau,
-        "tau_regression": matching.ate_regression(data, outcome).tau,
-        "tau_bias_corrected": matching.ate_bias_corrected(data, structures, outcome).tau,
-        "tau_dr_riesz": matching.ate_dr_riesz(data, structures, outcome).tau,
+        "tau_matching": matching.ate_matching(data, structures),
+        "tau_weight_form": matching.ate_weight_form(data, structures),
+        "tau_regression": matching.ate_regression(data, outcome),
+        "tau_bias_corrected": matching.ate_bias_corrected(data, structures, outcome),
+        "tau_dr_riesz": matching.ate_dr_riesz(data, structures, outcome),
     }
 
 

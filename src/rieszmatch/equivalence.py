@@ -41,7 +41,7 @@ from .matching import (
     fit_outcome,
 )
 from .neighbors import MatchStructures, _mth_sq_radius_batch, matching_structures
-from .riesz import _arm_solve, _joint_solve, dr_score, nn_representer_values
+from .riesz import dr_score, fit_weight_arm, nn_representer_values, riesz_fit
 
 GAP_THRESHOLD = 1e-12
 # Random instances draw their dimension from 1..3 and M from 1..5.
@@ -88,7 +88,7 @@ def theorem1_max_gap(data: TwoSampleData, m: int) -> float:
 
 def eq1_gap(dataset: ObservationalDataset, structures: MatchStructures) -> float:
     """Gap between imputation-form and weight-form matching estimates."""
-    return abs(ate_matching(dataset, structures).tau - ate_weight_form(dataset, structures).tau)
+    return abs(ate_matching(dataset, structures) - ate_weight_form(dataset, structures))
 
 
 def weight_identity_max_gap(dataset: ObservationalDataset, structures: MatchStructures) -> float:
@@ -123,8 +123,8 @@ def separability_max_gap(dataset: ObservationalDataset, lam: float) -> tuple[flo
     solves share one evaluation of the polynomial basis of ``well_posed_degree``."""
     basis = polynomial_basis(dataset.d, well_posed_degree(dataset))
     phi = evaluate_matrix(basis, dataset.covariates)
-    joint = _joint_solve(dataset, phi, lam)
-    arms = _arm_solve(dataset, 1, phi, lam), _arm_solve(dataset, 0, phi, lam)
+    joint = riesz_fit(dataset, phi, lam)
+    arms = fit_weight_arm(dataset, 1, phi, lam), fit_weight_arm(dataset, 0, phi, lam)
     gaps = [np.abs(theta - arm) for theta, arm in zip(joint, arms)]
     rel = [gap / np.maximum(1.0, np.abs(arm)) for gap, arm in zip(gaps, arms)]
     return float(max(gap.max() for gap in gaps)), float(max(r.max() for r in rel))
@@ -139,8 +139,8 @@ def dr_identity_gaps(
     mu1, mu0 = outcome.mu_treated, outcome.mu_control  # rows checked by bc and dr
     gamma = np.where(dataset.treatment == 1, mu1, mu0)
     alpha = nn_representer_values(dataset, structures)
-    psi = dr_score(mu1 - mu0, gamma, alpha, dataset.outcome, dr.tau)
-    return abs(dr.tau - bc.tau), abs(float(np.mean(psi)))
+    psi = dr_score(mu1 - mu0, gamma, alpha, dataset.outcome, dr)
+    return abs(dr - bc), abs(float(np.mean(psi)))
 
 
 @dataclass(frozen=True)

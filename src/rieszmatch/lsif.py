@@ -39,6 +39,7 @@ from .neighbors import (
     _as_points,
     _catchment_counts,
     _mth_sq_radius_batch,
+    _row_blocks,
     _sq_dists,
 )
 
@@ -186,8 +187,11 @@ def gaussian_grid_basis(points: np.ndarray, per_dim: int = 4) -> Basis:
     inv_two_sq = 1.0 / (2.0 * bandwidth * bandwidth)
 
     def evaluate(qpoints):
-        sq = _sq_dists(_as_points(qpoints, centers.shape[1]), centers)
-        return np.exp(-sq * inv_two_sq)
+        q = _as_points(qpoints, centers.shape[1])
+        out = np.empty((len(q), len(centers)))
+        for rows in _row_blocks(len(q), len(centers)):
+            np.exp(-_sq_dists(q[rows], centers) * inv_two_sq, out=out[rows])
+        return out
 
     return Basis(dimension=len(centers), evaluate=evaluate)
 

@@ -4,12 +4,13 @@ Four routes to the same target: imputation-form matching, its weight-form
 rewriting through matched-times counts, the bias-corrected estimator that
 matches on outcome-regression residuals, and the doubly robust score form
 driven by the signed matching weights.  The first two are algebraically
-identical, as are the last two; tests assert both identities at 1e-12.
+identical, as are the last two; ``verify`` checks both identities at 1e-12.
+Each estimator returns the estimate tau as a float.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,11 +22,8 @@ from .riesz import nn_representer_values
 
 @dataclass(frozen=True)
 class OutcomeModel:
-    """Per-arm polynomial least-squares outcome fits, and both fits at every training row."""
+    """Both arms' polynomial least-squares outcome fits, evaluated at every training row."""
 
-    degree: int
-    coef_treated: np.ndarray
-    coef_control: np.ndarray
     mu_treated: np.ndarray
     mu_control: np.ndarray
 
@@ -47,7 +45,7 @@ def fit_outcome(dataset: ObservationalDataset, degree: int) -> OutcomeModel:
         if rank < n_coef:
             raise np.linalg.LinAlgError(f"rank-deficient design in the {name} arm")
         coefs[arm] = coef
-    return OutcomeModel(degree, coefs[1], coefs[0], features @ coefs[1], features @ coefs[0])
+    return OutcomeModel(features @ coefs[1], features @ coefs[0])
 
 
 def _fitted_means(dataset: ObservationalDataset, outcome: OutcomeModel):
@@ -55,22 +53,6 @@ def _fitted_means(dataset: ObservationalDataset, outcome: OutcomeModel):
     if len(outcome.mu_treated) != dataset.n:
         raise ValueError(f"outcome model fitted on {len(outcome.mu_treated)} rows, not {dataset.n}")
     return outcome.mu_treated, outcome.mu_control
-
-
-@dataclass(frozen=True)
-class AteEstimate:
-    tau: float
-    variant: str
-    diagnostics: dict = field(default_factory=dict)
-
-
-def _diagnostics(dataset: ObservationalDataset, m: int | None, max_weight: float | None) -> dict:
-    out = {"n_treated": dataset.n_treated, "n_control": dataset.n_control}
-    if m is not None:
-        out["m"] = m
-    if max_weight is not None:
-        out["max_weight"] = float(max_weight)
-    return out
 
 
 def impute(dataset: ObservationalDataset, structures: MatchStructures) -> np.ndarray:
@@ -89,34 +71,26 @@ def impute(dataset: ObservationalDataset, structures: MatchStructures) -> np.nda
     return out
 
 
-def ate_matching(dataset: ObservationalDataset, structures: MatchStructures) -> AteEstimate:
+def ate_matching(dataset: ObservationalDataset, structures: MatchStructures) -> float:
     """Mean imputed treated-minus-control contrast."""
     pairs = impute(dataset, structures)
-    tau = float(np.mean(pairs[:, 1] - pairs[:, 0]))
-    diagnostics = _diagnostics(dataset, structures.m, structures.weights.max())
-    return AteEstimate(tau=tau, variant="matching", diagnostics=diagnostics)
+    return float(np.mean(pairs[:, 1] - pairs[:, 0]))
 
 
-def ate_weight_form(dataset: ObservationalDataset, structures: MatchStructures) -> AteEstimate:
+def ate_weight_form(dataset: ObservationalDataset, structures: MatchStructures) -> float:
     """Signed matched-times weighting (1/n) sum (2 D_i - 1)(1 + K_M(i)/M) Y_i."""
-    tau = float(np.mean(nn_representer_values(dataset, structures) * dataset.outcome))
-    diagnostics = _diagnostics(dataset, structures.m, structures.weights.max())
-    return AteEstimate(tau=tau, variant="weight_form", diagnostics=diagnostics)
+    return float(np.mean(nn_representer_values(dataset, structures) * dataset.outcome))
 
 
-def ate_regression(dataset: ObservationalDataset, outcome: OutcomeModel) -> AteEstimate:
+def ate_regression(dataset: ObservationalDataset, outcome: OutcomeModel) -> float:
     """Plug-in mean of the fitted arm contrast."""
     mu1, mu0 = _fitted_means(dataset, outcome)
-    return AteEstimate(
-        tau=float(np.mean(mu1 - mu0)),
-        variant="regression_plugin",
-        diagnostics=_diagnostics(dataset, None, None) | {"degree": outcome.degree},
-    )
+    return float(np.mean(mu1 - mu0))
 
 
 def ate_bias_corrected(
     dataset: ObservationalDataset, structures: MatchStructures, outcome: OutcomeModel
-) -> AteEstimate:
+) -> float:
     """Regression plug-in plus the weighted residual correction."""
     mu1, mu0 = _fitted_means(dataset, outcome)
     treated = dataset.treatment == 1
@@ -126,16 +100,12 @@ def ate_bias_corrected(
         np.sum(weights[treated] * residuals[treated])
         - np.sum(weights[~treated] * residuals[~treated])
     ) / dataset.n
-    return AteEstimate(
-        tau=float(np.mean(mu1 - mu0)) + correction,
-        variant="bias_corrected",
-        diagnostics=_diagnostics(dataset, structures.m, weights.max()) | {"degree": outcome.degree},
-    )
+    return float(np.mean(mu1 - mu0)) + correction
 
 
 def ate_dr_riesz(
     dataset: ObservationalDataset, structures: MatchStructures, outcome: OutcomeModel
-) -> AteEstimate:
+) -> float:
     """Doubly robust score mean with the matching-weight representer.
 
     Same algebra as the bias-corrected form in a different factorization;
@@ -144,10 +114,4 @@ def ate_dr_riesz(
     mu1, mu0 = _fitted_means(dataset, outcome)
     residuals = dataset.outcome - np.where(dataset.treatment == 1, mu1, mu0)
     alpha = nn_representer_values(dataset, structures)
-    tau = float(np.mean(mu1 - mu0 + alpha * residuals))
-    return AteEstimate(
-        tau=tau,
-        variant="dr_riesz",
-        diagnostics=_diagnostics(dataset, structures.m, np.abs(alpha).max())
-        | {"degree": outcome.degree},
-    )
+    return float(np.mean(mu1 - mu0 + alpha * residuals))

@@ -6,7 +6,7 @@ weight function can be fitted by the same quadratic risk as LSIF: the squared
 term averages over the arm, the linear term over the whole sample.  Fitting
 both arms at once minimizes the joint Riesz regression risk; the joint system
 is block diagonal, so the coefficients coincide with the two arm-wise fits.
-Both fits solve on a basis matrix evaluated once by their caller, so
+Both fits take the basis matrix evaluated at every unit by their caller, so
 ``equivalence.separability_max_gap`` runs all three solves on one evaluation.
 
 With the per-point catchment indicator basis and no ridge penalty the fitted
@@ -19,12 +19,10 @@ arm risk and its gradient, live in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import ObservationalDataset
-from .lsif import Basis, evaluate_matrix, ridge_solve
+from .lsif import ridge_solve
 from .neighbors import MatchStructures
 
 
@@ -38,12 +36,8 @@ def _arm_moments(dataset: ObservationalDataset, arm: int, phi: np.ndarray):
     return h_mat, h_vec
 
 
-def fit_weight_arm(dataset: ObservationalDataset, arm: int, basis: Basis, lam: float) -> np.ndarray:
+def fit_weight_arm(dataset: ObservationalDataset, arm: int, phi: np.ndarray, lam: float):
     """Closed-form coefficients of one arm's inverse-propensity weight model."""
-    return _arm_solve(dataset, arm, evaluate_matrix(basis, dataset.covariates), lam)
-
-
-def _arm_solve(dataset: ObservationalDataset, arm: int, phi: np.ndarray, lam: float):
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     h_mat, h_vec = _arm_moments(dataset, arm, phi)
@@ -51,31 +45,11 @@ def _arm_solve(dataset: ObservationalDataset, arm: int, phi: np.ndarray, lam: fl
     return ridge_solve(h_mat, h_vec, lam, singular)
 
 
-@dataclass(frozen=True)
-class WeightModel:
-    """Both arms' weight functions: one basis and a coefficient vector per arm.
-
-    The signed Riesz representer is +w(1, x) on the treated and -w(0, x) on
-    controls.
-    """
-
-    basis: Basis
-    theta_treated: np.ndarray
-    theta_control: np.ndarray
-    lam: float
-
-
-def riesz_fit(dataset: ObservationalDataset, basis: Basis, lam: float) -> WeightModel:
-    """Minimize the joint two-arm risk in one block solve.
-
-    The stacked system is block diagonal over arms, so the result matches
-    ``fit_weight_arm`` for each arm; tests assert that identity.
-    """
-    theta1, theta0 = _joint_solve(dataset, evaluate_matrix(basis, dataset.covariates), lam)
-    return WeightModel(basis, theta_treated=theta1, theta_control=theta0, lam=float(lam))
-
-
-def _joint_solve(dataset: ObservationalDataset, phi: np.ndarray, lam: float):
+def riesz_fit(dataset: ObservationalDataset, phi: np.ndarray, lam: float):
+    """``(theta_treated, theta_control)`` minimizing the joint two-arm risk in one
+    block solve; the signed representer is +phi @ theta_treated on the treated
+    and -phi @ theta_control on controls.  The system is block diagonal over
+    arms, so each half matches ``fit_weight_arm``."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     (h1, h_vec), (h0, _) = _arm_moments(dataset, 1, phi), _arm_moments(dataset, 0, phi)

@@ -49,6 +49,7 @@ from rieszmatch.equivalence import (
     weight_identity_max_gap,
     well_posed_degree,
 )
+from rieszmatch.lsif import evaluate_matrix
 from rieszmatch.neighbors import NeighborModel
 from rieszmatch.riesz import fit_weight_arm
 
@@ -181,7 +182,7 @@ def test_06_optimality_checks():
         basis = polynomial_basis(data.d, well_posed_degree(data))
         lam = 1e-3
         for arm in (0, 1):
-            theta = fit_weight_arm(data, arm, basis, lam)
+            theta = fit_weight_arm(data, arm, evaluate_matrix(basis, data.covariates), lam)
             worst_foc = max(
                 worst_foc, np.abs(arm_objective_gradient(data, arm, basis, lam, theta)).max()
             )
@@ -254,7 +255,7 @@ def _bias_corrected_replications(degree: int, reps: int = 100):
     for rep in range(reps):
         data = generate(spec, n, seed=900_000 + rep)
         outcome = fit_outcome(data, degree)
-        taus[rep] = ate_bias_corrected(data, matching_structures(data, m), outcome).tau
+        taus[rep] = ate_bias_corrected(data, matching_structures(data, m), outcome)
     return taus, spec.true_ate
 
 

@@ -27,10 +27,18 @@ def run(tmp_path, *argv):
 
 class TestAte:
     @pytest.mark.parametrize(
-        "estimator,expected",
-        [("matching", 1.0), ("weight", 1.0), ("bc", 1.0), ("dr", 1.0)],
+        "estimator,expected,variant,max_weight",
+        [
+            ("matching", 1.0, "matching", 2.0),
+            ("weight", 1.0, "weight_form", 2.0),
+            ("bc", 1.0, "bias_corrected", 2.0),
+            ("dr", 1.0, "dr_riesz", 2.0),
+        ],
+        ids=["matching-1.0", "weight-1.0", "bc-1.0", "dr-1.0"],
     )
-    def test_four_unit_tau(self, tmp_path, four_unit_file, estimator, expected):
+    def test_four_unit_tau(
+        self, tmp_path, four_unit_file, estimator, expected, variant, max_weight
+    ):
         code, text = run(
             tmp_path,
             "ate", "--input", str(four_unit_file), "--m", "1",
@@ -40,6 +48,8 @@ class TestAte:
         header, records = parse_report(text)
         assert float(header["tau"]) == pytest.approx(expected, abs=1e-12)
         assert len(records) == 1
+        assert records[0]["variant"] == variant
+        assert float(records[0]["max_weight"]) == max_weight
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code = cli.main(["ate", "--input", str(tmp_path / "nope.csv"), "--m", "1"])

@@ -272,10 +272,36 @@ class TestDatasetInvariants:
         assert data.n_treated + data.n_control == data.n
 
     def test_rejects_non_binary(self):
-        with pytest.raises(ValueError, match="non-binary"):
-            ObservationalDataset(
-                covariates=np.zeros((2, 1)), treatment=[1, 2], outcome=[0.0, 0.0]
-            )
+        for treatment in (
+            [1, 2],
+            np.array([1, 2], dtype=np.uint8),
+            np.array([1.0, 0.5]),
+            np.array([1.0, np.nan]),
+            np.array([1, 1j]),
+            np.array([1, "1"], dtype=object),
+            np.array(["1", "0"]),
+        ):
+            with pytest.raises(ValueError, match="non-binary"):
+                ObservationalDataset(
+                    covariates=np.zeros((2, 1)), treatment=treatment, outcome=[0.0, 0.0]
+                )
+
+    @pytest.mark.parametrize(
+        "treatment",
+        [
+            np.array([True, False]),
+            np.array([1, 0], dtype=np.uint8),
+            np.array([1.0, -0.0]),
+            np.array([1, 0], dtype=object),
+        ],
+        ids=["bool", "uint8", "negative-zero", "object"],
+    )
+    def test_accepts_zero_one_of_any_dtype(self, treatment):
+        data = ObservationalDataset(
+            covariates=np.zeros((2, 1)), treatment=treatment, outcome=[0.0, 0.0]
+        )
+        assert data.treatment.dtype == np.int64
+        np.testing.assert_array_equal(data.treatment, [1, 0])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -338,6 +340,28 @@ class TestBuiltInBases:
         assert gaussian_grid_basis(pts, per_dim=64).dimension == 4096
         with pytest.raises(ValueError, match="65 per dimension in d=2 has 4225 centers"):
             gaussian_grid_basis(pts, per_dim=65)
+
+    def test_gaussian_grid_evaluates_in_row_blocks(self):
+        # 1000 rows x 4096 centers: 62 row blocks of neighbors._BLOCK_ENTRIES entries
+        pts = np.random.default_rng(3).normal(size=(1000, 2))
+        per_dim = 64
+        basis = gaussian_grid_basis(pts, per_dim=per_dim)
+        tracemalloc.start()
+        try:
+            values = basis.evaluate(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * values.nbytes
+        # the unblocked formula on the same grid, bit for bit
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        axes = [np.linspace(lo[k], hi[k], per_dim) for k in range(2)]
+        centers = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+        bandwidth = float(np.mean(hi - lo)) / per_dim
+        dx = pts[:, 0, None] - centers[None, :, 0]
+        dy = pts[:, 1, None] - centers[None, :, 1]
+        expected = np.exp(-(dx * dx + dy * dy) * (1.0 / (2.0 * bandwidth * bandwidth)))
+        np.testing.assert_array_equal(values, expected)
 
     def test_gaussian_grid_shape(self):
         rng = np.random.default_rng(2)

@@ -11,7 +11,6 @@ from oracles import (
     rescaled,
 )
 from rieszmatch import (
-    Basis,
     ObservationalDataset,
     dr_score,
     fit_weight_arm,
@@ -40,14 +39,16 @@ class TestFitWeightArm:
         data = ObservationalDataset(
             covariates=rng.normal(size=(20, 1)), treatment=treat, outcome=np.zeros(20)
         )
-        theta = fit_weight_arm(data, 1, constant_basis(1), lam=0.0)
+        phi = evaluate_matrix(constant_basis(1), data.covariates)
+        theta = fit_weight_arm(data, 1, phi, lam=0.0)
         np.testing.assert_allclose(theta, [20 / 7], rtol=1e-14)
-        theta0 = fit_weight_arm(data, 0, constant_basis(1), lam=0.0)
+        theta0 = fit_weight_arm(data, 0, phi, lam=0.0)
         np.testing.assert_allclose(theta0, [20 / 13], rtol=1e-14)
 
     def test_balanced_constant_gives_two(self):
         data = balanced_dataset()
-        np.testing.assert_allclose(fit_weight_arm(data, 1, constant_basis(2), 0.0), [2.0])
+        phi = evaluate_matrix(constant_basis(2), data.covariates)
+        np.testing.assert_allclose(fit_weight_arm(data, 1, phi, 0.0), [2.0])
 
     def test_indicator_at_unit_equals_matching_weight(self):
         rng = np.random.default_rng(5)
@@ -59,27 +60,31 @@ class TestFitWeightArm:
                 arm = int(data.treatment[i])
                 reference = data.covariates[data.treatment == arm]
                 basis = catchment_indicator(reference, m, data.covariates[i])
-                theta = fit_weight_arm(data, arm, basis, lam=0.0)
+                phi = evaluate_matrix(basis, data.covariates)
+                theta = fit_weight_arm(data, arm, phi, lam=0.0)
                 assert abs(theta[0] - weights[i]) <= 1e-12
 
     def test_first_order_condition(self):
         data = balanced_dataset(seed=3)
         basis = polynomial_basis(2, 2)
         for arm in (0, 1):
-            theta = fit_weight_arm(data, arm, basis, lam=1e-3)
+            theta = fit_weight_arm(data, arm, evaluate_matrix(basis, data.covariates), lam=1e-3)
             grad = arm_objective_gradient(data, arm, basis, 1e-3, theta)
             assert np.abs(grad).max() <= 1e-10
 
     def test_invalid_arm(self):
         data = balanced_dataset()
         with pytest.raises(ValueError, match="arm"):
-            fit_weight_arm(data, 2, constant_basis(2), 0.0)
+            fit_weight_arm(data, 2, evaluate_matrix(constant_basis(2), data.covariates), 0.0)
 
     def test_lambda_checked_first_and_singular_named(self):
         data = balanced_dataset()
+        phi = evaluate_matrix(constant_basis(2), data.covariates)
         with pytest.raises(ValueError, match="nonnegative"):
-            fit_weight_arm(data, 2, constant_basis(2), -1.0)
-        repeated = Basis(dimension=2, evaluate=lambda points: np.ones((len(points), 2)))
+            fit_weight_arm(data, 2, phi, -1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            riesz_fit(data, phi, -1.0)
+        repeated = np.ones((data.n, 2))
         with pytest.raises(np.linalg.LinAlgError, match="for arm 1 at lambda=0$"):
             fit_weight_arm(data, 1, repeated, 0.0)
         with pytest.raises(np.linalg.LinAlgError, match="^singular joint moment matrix at lambda=0$"):
@@ -95,8 +100,8 @@ def assert_batched_weights_exact(data, m):
         radii = _mth_sq_radius_batch(model, x)
         theta = _indicator_values(model, x[rows], radii[rows], x, radii, data.n, data.n)
         for j, i in enumerate(np.flatnonzero(rows)):
-            basis = catchment_indicator(x[rows], m, x[i])
-            assert theta[j] == fit_weight_arm(data, arm, basis, lam=0.0)[0]
+            phi = evaluate_matrix(catchment_indicator(x[rows], m, x[i]), x)
+            assert theta[j] == fit_weight_arm(data, arm, phi, lam=0.0)[0]
 
 
 def grid_dataset(n, d, seed):
@@ -176,9 +181,9 @@ class TestNnWeight:
 class TestRieszFit:
     def test_constant_balanced(self):
         data = balanced_dataset(seed=7)
-        rep = riesz_fit(data, constant_basis(2), lam=0.0)
-        phi = evaluate_matrix(rep.basis, data.covariates)
-        w1, w0 = phi @ rep.theta_treated, phi @ rep.theta_control
+        phi = evaluate_matrix(constant_basis(2), data.covariates)
+        theta_treated, theta_control = riesz_fit(data, phi, lam=0.0)
+        w1, w0 = phi @ theta_treated, phi @ theta_control
         assert w1[0] == pytest.approx(2.0)
         assert w0[0] == pytest.approx(2.0)
         # signed representer: +w(1, x) on the treated unit 0, -w(0, x) on the control unit 1
@@ -193,17 +198,18 @@ class TestRieszFit:
         for _ in range(20):
             data, _, _ = random_observational_instance(rng, max_n=120)
             basis = polynomial_basis(data.d, well_posed_degree(data))
+            phi = evaluate_matrix(basis, data.covariates)
             lam = float(rng.uniform(1e-4, 1e-1))
-            rep = riesz_fit(data, basis, lam)
+            theta_treated, theta_control = riesz_fit(data, phi, lam)
             np.testing.assert_allclose(
-                rep.theta_treated,
-                fit_weight_arm(data, 1, basis, lam),
+                theta_treated,
+                fit_weight_arm(data, 1, phi, lam),
                 rtol=0,
                 atol=1e-12,
             )
             np.testing.assert_allclose(
-                rep.theta_control,
-                fit_weight_arm(data, 0, basis, lam),
+                theta_control,
+                fit_weight_arm(data, 0, phi, lam),
                 rtol=0,
                 atol=1e-12,
             )
@@ -213,9 +219,9 @@ class TestRieszFit:
         data, _, _ = random_observational_instance(rng, max_n=100)
         basis = polynomial_basis(data.d, 1)
         lam = 1e-4
-        rep = riesz_fit(data, basis, lam)
+        thetas = riesz_fit(data, evaluate_matrix(basis, data.covariates), lam)
         zeros = np.zeros(basis.dimension)
-        for arm, theta in ((1, rep.theta_treated), (0, rep.theta_control)):
+        for arm, theta in zip((1, 0), thetas):
             assert arm_objective_value(data, arm, basis, lam, theta) <= arm_objective_value(
                 data, arm, basis, lam, zeros
             )
@@ -229,7 +235,7 @@ class TestRieszFit:
             arm = int(data.treatment[i])
             reference = data.covariates[data.treatment == arm]
             basis = catchment_indicator(reference, m, data.covariates[i])
-            theta = fit_weight_arm(data, arm, basis, lam=0.0)
+            theta = fit_weight_arm(data, arm, evaluate_matrix(basis, data.covariates), lam=0.0)
             weight = float(np.dot(theta, evaluate_matrix(basis, data.covariates[i][None])[0]))
             value = weight if arm == 1 else -weight
             assert abs(value - alpha[i]) <= 1e-12
