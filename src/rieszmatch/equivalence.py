@@ -8,8 +8,8 @@ per-point ``catchment_indicator`` fits of the test oracle in
 ``tests/oracles.py``), the joint Riesz block solve vs arm-wise solves, and
 the doubly robust score form vs the bias-corrected form.  ``run_instance``
 builds each intermediate once per instance for every suite that needs it:
-one match with its two arm kd-trees, one outcome model with its fitted means,
-and one evaluation of the separability basis.
+two arm kd-trees that serve the match and the weight identity, one outcome
+model with its fitted means, and one evaluation of the separability basis.
 ``verify`` and the acceptance tests run on these.
 
 In 30% of instances the generators draw a weighted Euclidean distance, weights
@@ -40,7 +40,13 @@ from .matching import (
     ate_weight_form,
     fit_outcome,
 )
-from .neighbors import MatchStructures, _mth_sq_radius_batch, matching_structures
+from .neighbors import (
+    MatchStructures,
+    NeighborModel,
+    _mth_sq_radius_batch,
+    arm_models,
+    matching_structures,
+)
 from .riesz import dr_score, fit_weight_arm, nn_representer_values, riesz_fit
 
 GAP_THRESHOLD = 1e-12
@@ -91,17 +97,21 @@ def eq1_gap(dataset: ObservationalDataset, structures: MatchStructures) -> float
     return abs(ate_matching(dataset, structures) - ate_weight_form(dataset, structures))
 
 
-def weight_identity_max_gap(dataset: ObservationalDataset, structures: MatchStructures) -> float:
+def weight_identity_max_gap(
+    dataset: ObservationalDataset,
+    structures: MatchStructures,
+    models: tuple[NeighborModel, NeighborModel],
+) -> float:
     """Per-unit gap between the indicator-basis LSIF weight and 1 + K_M(i)/M.
 
     One pass per arm, whose rows are both the anchors and the reference, on
-    the arm's M-NN model that the match was built on.
+    the arm's M-NN model in ``models``, the ``arm_models`` the match was built on.
     """
     weights, x, n = structures.weights, dataset.covariates, dataset.n
     worst = 0.0
     for arm in (0, 1):
         rows = dataset.treatment == arm
-        model = structures.models[1 - arm]  # treated first
+        model = models[1 - arm]  # treated first
         radii = _mth_sq_radius_batch(model, x)
         theta = _indicator_values(model, x[rows], radii[rows], x, radii, n, n)
         worst = max(worst, float(np.abs(theta - weights[rows]).max()))
@@ -173,9 +183,10 @@ def run_instance(index: int, seed: int, max_n: int = 160) -> InstanceRecord:
     th1 = theorem1_max_gap(two_sample, m2)
     # a plain Euclidean scale of 1.0 needs no rescaled copy
     matched = replace(dataset, covariates=dataset.covariates * scale) if np.ndim(scale) else dataset
-    structures = matching_structures(matched, m_obs)
+    models = arm_models(matched, m_obs)
+    structures = matching_structures(matched, m_obs, models)
     eq1 = eq1_gap(dataset, structures)
-    wid = weight_identity_max_gap(matched, structures)
+    wid = weight_identity_max_gap(matched, structures, models)
     sep, sep_rel = separability_max_gap(dataset, lam=1e-3)
     degree = 1 if min(dataset.n_treated, dataset.n_control) > dataset.d + 1 else 0
     outcome = fit_outcome(dataset, degree)

@@ -70,15 +70,23 @@ class LsifFit:
     beta: np.ndarray   # (b,)
 
 
+def _check_lambda(lam: float) -> None:
+    """The ridge check every fit runs before it assembles its moments."""
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
+
+
 def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a symmetric positive-definite system via Cholesky.
 
-    Raises numpy.linalg.LinAlgError when the matrix is not positive definite
-    or when the relative pivot ratio falls below 1e-12.
+    The factor overwrites an F-contiguous float64 ``matrix``; LAPACK copies
+    a matrix in any other layout first and leaves it as it was.  Raises
+    numpy.linalg.LinAlgError when the matrix is not positive definite or when
+    the relative pivot ratio falls below 1e-12.
     """
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
     try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
+        factor = scipy.linalg.cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError:
         raise np.linalg.LinAlgError("matrix is singular or not positive definite") from None
     pivots = np.diag(factor[0]) ** 2
@@ -92,10 +100,16 @@ def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def ridge_solve(h_mat: np.ndarray, h_vec: np.ndarray, lam: float, singular: str) -> np.ndarray:
     """Solve (H + lambda I) beta = h, the minimizer of a ridge-penalized quadratic
     risk.  A singular system raises LinAlgError with ``singular`` formatted at
-    ``lam``; each caller checks its lambda before it assembles the moments."""
-    system = h_mat if lam == 0 else h_mat + lam * np.eye(len(h_vec))
+    ``lam``; each caller checks its lambda before it assembles the moments.
+
+    The system is one copy of ``h_mat``, factored in place through its
+    F-contiguous transpose.  Every caller builds ``h_mat`` from ``A.T @ A``
+    blocks, which numpy makes exactly symmetric, so the transpose is the same
+    matrix."""
+    system = h_mat.copy()
+    system.reshape(-1)[:: len(system) + 1] += lam
     try:
-        return solve_spd(system, h_vec)
+        return solve_spd(system.T, h_vec)
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError(singular.format(lam=lam)) from None
 
@@ -107,21 +121,23 @@ def evaluate_matrix(basis: Basis, points: np.ndarray) -> np.ndarray:
     expected = (len(pts), basis.dimension)
     if out.shape != expected:
         raise ValueError(f"basis evaluate returned shape {out.shape}, expected {expected}")
-    if not np.all(np.isfinite(out)):
-        raise ValueError("non-finite basis output")
+    for rows in _row_blocks(len(out), out.shape[1]):  # no (k, b) mask at once
+        if not np.all(np.isfinite(out[rows])):
+            raise ValueError("non-finite basis output")
     return out
 
 
 def fit(data: TwoSampleData, basis: Basis, lam: float | None = None) -> LsifFit:
     """Closed-form ridge fit of the density-ratio coefficients; ``lam=None``
     takes the default ridge 1e-6 trace(H)/b."""
-    if lam is not None and lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if lam is not None:
+        _check_lambda(lam)
     phi_den = evaluate_matrix(basis, data.denominator)
     if lam is None:
         lam = 1e-6 * (float(np.sum(phi_den * phi_den)) / data.n_denominator) / basis.dimension
     phi_num = evaluate_matrix(basis, data.numerator)
-    h_mat = phi_den.T @ phi_den / data.n_denominator
+    h_mat = phi_den.T @ phi_den
+    h_mat /= data.n_denominator
     h_vec = phi_num.mean(axis=0)
     singular = (
         "singular moment matrix at lambda={lam:g}; "
@@ -233,8 +249,7 @@ def indicator_dre(data: TwoSampleData, m: int, points, lam=0.0):
     """The indicator-basis LSIF fit anchored at each point p, evaluated at p."""
     if m > data.n_denominator:
         raise ValueError(f"m={m} exceeds the denominator sample size {data.n_denominator}")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    _check_lambda(lam)
     model, num = NeighborModel(data.denominator, m), data.numerator
     pts = _as_points(points, data.d)
     radii, num_radii = _mth_sq_radius_batch(model, pts), _mth_sq_radius_batch(model, num)

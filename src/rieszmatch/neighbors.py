@@ -15,14 +15,16 @@ the last one's by more than the relative slack ``_TREE_ROUNDING``.  Only tied or
 out-of-order rows are re-sorted, which on continuous data is almost none.
 
 Every query runs through ``_knn_blocks`` in row blocks of at most
-``_BLOCK_ENTRIES`` = 2^16 candidate distances.  Only the rows still short are
+``_BLOCK_ENTRIES`` = 2^15 candidate distances.  Only the rows still short are
 queried again, at doubled k, in sub-blocks under the same bound, and callers
 reduce each block as it arrives, so memory stays O(n) plus one block for every
 M, on ties too.  ``matching_structures`` sends each arm's queries in the leaf
-order of that arm's own kd-tree, so a block's rows are spatially compact and
-its tree walks and candidate arrays stay in cache; a row's result depends on
-that row alone, so the order changes no bit.  The per-point oracles the tests
-compare with live in ``tests/oracles.py``.
+order of that arm's own kd-tree, gathering each block's rows as it goes, so a
+block's rows are spatially compact and its tree walks and candidate arrays
+stay in cache; a row's result depends on that row alone, so the order changes
+no bit.  The match keeps only per-unit reductions: its two arm trees are freed
+when it returns, unless the caller built them (``arm_models``) to reuse them.
+The per-point oracles the tests compare with live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ from scipy.spatial import cKDTree
 
 from .dataset import ObservationalDataset
 
-# Entries held at once by a kNN block or a blocked count: 512 KiB of float64,
-# so a leaf-ordered block's candidate arrays stay in a core's L2 cache.
-_BLOCK_ENTRIES = 1 << 16
+# Entries held at once by a kNN block or a blocked count: 256 KiB of float64,
+# so a leaf-ordered block's candidate arrays stay in a core's L2 cache and
+# the few arrays live per block add little to a large match's peak.
+_BLOCK_ENTRIES = 1 << 15
 # Relative bound on how far the kd-tree's squared distances may stray from
 # _sq_dists through summation order; far above d * 2^-52 for any practical d.
 _TREE_ROUNDING = 1e-9
@@ -143,14 +146,16 @@ def _tree_candidates(model: NeighborModel, columns: np.ndarray, q: np.ndarray, k
     return sq, idx, short
 
 
-def _knn_blocks(model: NeighborModel, queries):
+def _knn_blocks(model: NeighborModel, queries, order=None):
     """Yield ``(rows, sq, idx)`` per row block of the queries: squared distances
     and indices of each row's tie-broken M nearest references, (distance, index)
-    order.  Short rows alone are queried again, at doubled k, in sub-blocks."""
+    order.  With ``order`` the queries are ``queries[order]``, gathered one block
+    at a time.  Short rows alone are queried again, at doubled k, in sub-blocks."""
     pts, m, n_ref = _as_points(queries, model.d), model.m, model.n_reference
     columns, first_k = np.ascontiguousarray(model.reference_points.T), min(n_ref, m + 1)
-    for rows in _row_blocks(len(pts), first_k):
-        q = pts[rows]
+    n_rows = len(pts) if order is None else len(order)
+    for rows in _row_blocks(n_rows, first_k):
+        q = pts[rows] if order is None else pts[order[rows]]
         sq, idx, short = _tree_candidates(model, columns, q, first_k)
         open_rows, k_req = np.flatnonzero(short), first_k
         while len(open_rows):
@@ -198,7 +203,6 @@ class MatchStructures:
     matched_outcome: np.ndarray  # (n,) float
     matched_times: np.ndarray  # (n,) int
     m: int
-    models: tuple[NeighborModel, NeighborModel]  # the arms' M-NN models, treated first
 
     @property
     def weights(self) -> np.ndarray:
@@ -206,14 +210,28 @@ class MatchStructures:
         return 1.0 + self.matched_times / self.m
 
 
-def matching_structures(dataset: ObservationalDataset, m: int) -> MatchStructures:
+def arm_models(dataset: ObservationalDataset, m: int) -> tuple[NeighborModel, NeighborModel]:
+    """The M-NN models of the treated and the control rows, treated first."""
     if m > min(dataset.n_treated, dataset.n_control):
         raise ValueError(
             f"m={m} exceeds an arm size (treated {dataset.n_treated}, control {dataset.n_control})"
         )
     x = dataset.covariates
+    return NeighborModel(x[dataset.treatment == 1], m), NeighborModel(x[dataset.treatment == 0], m)
+
+
+def matching_structures(
+    dataset: ObservationalDataset, m: int, models: tuple[NeighborModel, NeighborModel] | None = None
+) -> MatchStructures:
+    """The match's per-unit reductions.  ``models`` are ``arm_models(dataset, m)``
+    when the caller keeps them for another check; else they are built here and
+    freed on return."""
+    if models is None:
+        models = arm_models(dataset, m)
+    elif any(model.m != m for model in models):
+        raise ValueError(f"arm models were built for another m than {m}")
+    x = dataset.covariates
     arms = [np.flatnonzero(dataset.treatment == t) for t in (1, 0)]
-    models = [NeighborModel(x[arm], m) for arm in arms]
     matched_outcome = np.empty(dataset.n)
     matched_times = np.empty(dataset.n, dtype=np.int64)
     for a in (0, 1):
@@ -221,8 +239,8 @@ def matching_structures(dataset: ObservationalDataset, m: int) -> MatchStructure
         own, other, model = arms[a][models[a]._tree.indices], arms[1 - a], models[1 - a]
         y_other = dataset.outcome[other]
         counts = np.zeros(len(other), dtype=np.int64)
-        for rows, _, local in _knn_blocks(model, x[own]):
+        for rows, _, local in _knn_blocks(model, x, own):
             matched_outcome[own[rows]] = y_other[local].mean(axis=1)
             counts += np.bincount(local.ravel(), minlength=len(other))
         matched_times[other] = counts
-    return MatchStructures(matched_outcome, matched_times, m, models=tuple(models))
+    return MatchStructures(matched_outcome, matched_times, m)

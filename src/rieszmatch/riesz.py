@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import ObservationalDataset
-from .lsif import ridge_solve
+from .lsif import _check_lambda, ridge_solve
 from .neighbors import MatchStructures
 
 
@@ -38,8 +38,7 @@ def _arm_moments(dataset: ObservationalDataset, arm: int, phi: np.ndarray):
 
 def fit_weight_arm(dataset: ObservationalDataset, arm: int, phi: np.ndarray, lam: float):
     """Closed-form coefficients of one arm's inverse-propensity weight model."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    _check_lambda(lam)
     h_mat, h_vec = _arm_moments(dataset, arm, phi)
     singular = f"singular moment matrix for arm {arm} at lambda={{lam:g}}"
     return ridge_solve(h_mat, h_vec, lam, singular)
@@ -50,8 +49,7 @@ def riesz_fit(dataset: ObservationalDataset, phi: np.ndarray, lam: float):
     block solve; the signed representer is +phi @ theta_treated on the treated
     and -phi @ theta_control on controls.  The system is block diagonal over
     arms, so each half matches ``fit_weight_arm``."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    _check_lambda(lam)
     (h1, h_vec), (h0, _) = _arm_moments(dataset, 1, phi), _arm_moments(dataset, 0, phi)
     b = phi.shape[1]
     joint = np.zeros((2 * b, 2 * b))

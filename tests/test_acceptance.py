@@ -50,7 +50,7 @@ from rieszmatch.equivalence import (
     well_posed_degree,
 )
 from rieszmatch.lsif import evaluate_matrix
-from rieszmatch.neighbors import NeighborModel
+from rieszmatch.neighbors import NeighborModel, arm_models
 from rieszmatch.riesz import fit_weight_arm
 
 
@@ -96,7 +96,9 @@ def test_03_weight_identity():
     for _ in range(100):
         data, scale, m = random_observational_instance(rng, max_n=120)
         matched = rescaled(data, scale)
-        worst = max(worst, weight_identity_max_gap(matched, matching_structures(matched, m)))
+        models = arm_models(matched, m)
+        structures = matching_structures(matched, m, models)
+        worst = max(worst, weight_identity_max_gap(matched, structures, models))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12
     report("03", "nn-weight-identity", ok, f"max gap {worst:.2e}, {elapsed:.1f}s")

@@ -1,10 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import fitted_value, parse_report
-from rieszmatch import TwoSampleData, cli, lsif, save_points_csv
+from rieszmatch import TwoSampleData, cli, generate, logistic_dgp, lsif, save_csv, save_points_csv
 
 FOUR_UNIT_CSV = "x0,d,y\n0.0,1,1.0\n2.0,1,3.0\n0.1,0,0.0\n1.9,0,2.0\n"
 DEN_CSV = "x0\n0.0\n1.0\n2.0\n3.0\n"
@@ -65,6 +66,23 @@ class TestAte:
         assert cli.main(["ate", "--input", str(tmp_path), "--m", "1"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_dr_traced_peak_stays_near_the_parsed_matrix(self, tmp_path):
+        # 20k rows in d=2 at the default M=55: the match's row blocks dominate
+        # the peak, 7.7x the parsed (n, d+2) matrix with 2^16-entry blocks
+        path = tmp_path / "data.csv"
+        data = generate(logistic_dgp(), 20_000, seed=0)
+        save_csv(data, path)
+        matrix_bytes = data.n * (data.d + 2) * 8
+        argv = ["ate", "--input", str(path), "--estimator", "dr", "--output", str(tmp_path / "r")]
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 6 * matrix_bytes, peak / matrix_bytes
+
 
 class TestDre:
     def test_indicator_running_instance(self, tmp_path):
@@ -95,6 +113,20 @@ class TestDre:
         ])
         assert code == 2
         assert f"grid size must be >= 1, got {grid}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    @pytest.mark.parametrize("basis", ["indicator", "poly", "gauss"])
+    def test_lambda_not_finite_exits_two(self, tmp_path, capsys, basis, lam):
+        for name, body in (("den", DEN_CSV), ("num", NUM_CSV), ("pts", PTS_CSV)):
+            (tmp_path / f"{name}.csv").write_text(body)
+        code = cli.main([
+            "dre", "--denominator", str(tmp_path / "den.csv"),
+            "--numerator", str(tmp_path / "num.csv"),
+            "--eval-points", str(tmp_path / "pts.csv"),
+            "--basis", basis, "--lambda", lam,
+        ])
+        assert code == 2
+        assert f"lambda must be finite and nonnegative, got {lam}" in capsys.readouterr().err
 
     def test_oversized_gaussian_grid_exits_two(self, tmp_path, capsys):
         # the default 4 per dimension in d=17 is 4^17 centers: refused before

@@ -69,6 +69,45 @@ class TestFit:
         with pytest.raises(ValueError, match="non-finite basis output"):
             fit(data, bad, lam=0.0)
 
+    def test_non_finite_entry_found_in_any_block(self, monkeypatch):
+        monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 7)
+        values = np.ones((50, 3))
+        values[-1, -1] = np.nan  # in the last of 25 two-row blocks
+        bad = Basis(dimension=3, evaluate=lambda pts: values)
+        with pytest.raises(ValueError, match="non-finite basis output"):
+            evaluate_matrix(bad, np.zeros((50, 1)))
+        values[-1, -1] = 1.0
+        assert evaluate_matrix(bad, np.zeros((50, 1))) is values
+
+    def test_rejects_lambda_not_finite_or_negative(self):
+        data = TwoSampleData(denominator=[[0.0], [1.0]], numerator=[[0.5]])
+        for lam in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"lambda must be finite and nonnegative, got {lam}"):
+                fit(data, polynomial_basis(1, 1), lam)
+
+    def test_fit_holds_few_moment_matrix_copies(self):
+        # 2025 centers: H_hat and one system factored in place, each 31 MiB;
+        # adding the ridge out of place and a copying factorization take 3.2
+        rng = np.random.default_rng(5)
+        data = TwoSampleData(
+            denominator=rng.normal(size=(200, 2)), numerator=rng.normal(0.3, size=(200, 2))
+        )
+        basis = gaussian_grid_basis(data.denominator, per_dim=45)
+        b, lam = basis.dimension, 1e-3
+        tracemalloc.start()
+        try:
+            result = fit(data, basis, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * b * b * 8, peak / (b * b * 8)
+        # the out-of-place formula, bit for bit
+        phi_den = evaluate_matrix(basis, data.denominator)
+        h_mat = phi_den.T @ phi_den / data.n_denominator
+        np.testing.assert_array_equal(result.H_hat, h_mat)
+        h_vec = evaluate_matrix(basis, data.numerator).mean(axis=0)
+        np.testing.assert_array_equal(result.beta, solve_spd(h_mat + lam * np.eye(b), h_vec))
+
     def test_h_symmetric_psd(self):
         rng = np.random.default_rng(8)
         data = TwoSampleData(
@@ -250,8 +289,9 @@ class TestIndicatorDre:
     def test_rejects_bad_m_and_lambda(self, running_two_sample):
         with pytest.raises(ValueError, match="exceeds"):
             indicator_dre(running_two_sample, 5, [[0.0]])
-        with pytest.raises(ValueError, match="nonnegative"):
-            indicator_dre(running_two_sample, 1, [[0.0]], lam=-1.0)
+        for lam in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                indicator_dre(running_two_sample, 1, [[0.0]], lam=lam)
 
     def test_matched_times_at_equals_dense_count(self, monkeypatch):
         rng = np.random.default_rng(59)
@@ -342,7 +382,7 @@ class TestBuiltInBases:
             gaussian_grid_basis(pts, per_dim=65)
 
     def test_gaussian_grid_evaluates_in_row_blocks(self):
-        # 1000 rows x 4096 centers: 62 row blocks of neighbors._BLOCK_ENTRIES entries
+        # 1000 rows x 4096 centers: 125 row blocks of neighbors._BLOCK_ENTRIES entries
         pts = np.random.default_rng(3).normal(size=(1000, 2))
         per_dim = 64
         basis = gaussian_grid_basis(pts, per_dim=per_dim)
@@ -362,6 +402,18 @@ class TestBuiltInBases:
         dy = pts[:, 1, None] - centers[None, :, 1]
         expected = np.exp(-(dx * dx + dy * dy) * (1.0 / (2.0 * bandwidth * bandwidth)))
         np.testing.assert_array_equal(values, expected)
+
+    def test_evaluate_matrix_checks_finiteness_in_row_blocks(self):
+        # a whole (k, b) finiteness mask would add an eighth of the result
+        pts = np.random.default_rng(4).normal(size=(1000, 2))
+        basis = gaussian_grid_basis(pts, per_dim=64)
+        tracemalloc.start()
+        try:
+            values = evaluate_matrix(basis, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * values.nbytes, peak / values.nbytes
 
     def test_gaussian_grid_shape(self):
         rng = np.random.default_rng(2)

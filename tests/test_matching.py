@@ -346,6 +346,10 @@ class TestMatchOnce:
                 trees.append(len(data))
                 super().__init__(data, *args, **kwargs)
 
+        rng = np.random.default_rng(12345)
+        two_sample, _ = equivalence.random_two_sample_instance(rng, max_n=160)
+        dataset, _, _ = random_observational_instance(rng, max_n=160)
+
         monkeypatch.setattr(lsif, "polynomial_feature_matrix", counted_features)
         monkeypatch.setattr(matching, "polynomial_feature_matrix", counted_features)
         monkeypatch.setattr(neighbors, "cKDTree", CountedTree)
@@ -355,7 +359,7 @@ class TestMatchOnce:
         assert len(set(features)) == len(features)
         # the Theorem-1 denominator, then the match's two arms, which the
         # weight identity reuses
-        assert len(trees) == 3
+        assert trees == [two_sample.n_denominator, dataset.n_treated, dataset.n_control]
 
     def test_run_instance_matches_rescaled_and_fits_raw(self, monkeypatch):
         # seed 9 draws a weighted observational instance in d=2, whose match

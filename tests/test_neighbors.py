@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from rieszmatch.dataset import ObservationalDataset
 from rieszmatch.neighbors import (
     NeighborModel,
     _knn_blocks,
+    arm_models,
     _mth_sq_radius_batch,
     _row_sort,
     _sq_dists,
@@ -203,6 +205,31 @@ class TestMatchingStructures:
     def test_m_exceeds_arm(self, four_unit_dataset):
         with pytest.raises(ValueError, match="exceeds an arm size"):
             matching_structures(four_unit_dataset, 3)
+        with pytest.raises(ValueError, match="exceeds an arm size"):
+            arm_models(four_unit_dataset, 3)
+
+    def test_trees_freed_on_return_unless_passed(self, monkeypatch):
+        # the match keeps per-unit reductions only; arm models its caller
+        # built stay the caller's and give the same match
+        live = weakref.WeakSet()
+
+        class TrackedTree(neighbors.cKDTree):
+            def __init__(self, data, *args, **kwargs):
+                super().__init__(data, *args, **kwargs)
+                live.add(self)
+
+        monkeypatch.setattr(neighbors, "cKDTree", TrackedTree)
+        data = generate(logistic_dgp(), 500, seed=3)
+        structures = matching_structures(data, 4)
+        assert len(live) == 0
+        models = arm_models(data, 4)
+        assert [model.n_reference for model in models] == [data.n_treated, data.n_control]
+        reused = matching_structures(data, 4, models)
+        assert len(live) == 2
+        np.testing.assert_array_equal(reused.matched_outcome, structures.matched_outcome)
+        np.testing.assert_array_equal(reused.matched_times, structures.matched_times)
+        with pytest.raises(ValueError, match="another m than 5"):
+            matching_structures(data, 5, models)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)

@@ -80,10 +80,11 @@ class TestFitWeightArm:
     def test_lambda_checked_first_and_singular_named(self):
         data = balanced_dataset()
         phi = evaluate_matrix(constant_basis(2), data.covariates)
-        with pytest.raises(ValueError, match="nonnegative"):
-            fit_weight_arm(data, 2, phi, -1.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            riesz_fit(data, phi, -1.0)
+        for lam in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                fit_weight_arm(data, 2, phi, lam)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                riesz_fit(data, phi, lam)
         repeated = np.ones((data.n, 2))
         with pytest.raises(np.linalg.LinAlgError, match="for arm 1 at lambda=0$"):
             fit_weight_arm(data, 1, repeated, 0.0)
