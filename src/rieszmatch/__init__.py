@@ -4,14 +4,11 @@ checks between the three routes."""
 
 from .dataset import (
     LOGISTIC_TRUE_ATE,
-    DensitySpec,
     DgpSpec,
     ObservationalDataset,
     TwoSampleData,
     builtin_dgp,
-    gaussian_density,
     generate,
-    generate_two_sample,
     load_csv,
     load_points_csv,
     logistic_dgp,
@@ -46,7 +43,6 @@ from .riesz import (
 
 __all__ = [
     "Basis",
-    "DensitySpec",
     "DgpSpec",
     "LOGISTIC_TRUE_ATE",
     "LsifFit",
@@ -63,10 +59,8 @@ __all__ = [
     "fit",
     "fit_outcome",
     "fit_weight_arm",
-    "gaussian_density",
     "gaussian_grid_basis",
     "generate",
-    "generate_two_sample",
     "impute",
     "load_csv",
     "load_points_csv",

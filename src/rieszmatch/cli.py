@@ -316,6 +316,8 @@ def main(argv=None) -> int:
     try:
         if args.jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+        if not 0 <= args.seed < 2**64:
+            raise ValueError(f"--seed must be in [0, 2^64), got {args.seed}")
         body, status = _DISPATCH[args.command](args)
         _emit(body, args.output)
     except (*_PATH_ERRORS, ValueError, np.linalg.LinAlgError) as exc:

@@ -2,7 +2,7 @@
 
 Observational data is a sample of (covariates, binary treatment, outcome)
 triples.  Two-sample data holds a denominator sample and a numerator sample
-for density-ratio estimation, drawn here from product Gaussians.  The built-in
+for density-ratio estimation, read from point-cloud CSVs.  The built-in
 observational design carries its true ATE and propensity, so estimators and
 matching weights can be checked against known answers.
 """
@@ -19,12 +19,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import expit
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -221,55 +215,6 @@ def generate(spec: DgpSpec, n: int, seed: int) -> ObservationalDataset:
     )
     y = mu + spec.noise_sd * rng.standard_normal(n)
     return ObservationalDataset(covariates=x, treatment=treat, outcome=y)
-
-
-@dataclass(frozen=True)
-class DensitySpec:
-    """Product Gaussian on R^d: ``loc`` holds the means, ``scale`` the standard deviations."""
-
-    loc: np.ndarray
-    scale: np.ndarray
-
-    def __post_init__(self):
-        loc = _readonly(np.atleast_1d(self.loc))
-        scale = _readonly(np.atleast_1d(self.scale))
-        if loc.shape != scale.shape or loc.ndim != 1:
-            raise ValueError("loc and scale must be 1-d arrays of equal length")
-        if np.any(scale <= 0):
-            raise ValueError("scale entries must be positive")
-        object.__setattr__(self, "loc", loc)
-        object.__setattr__(self, "scale", scale)
-
-    @property
-    def dimension(self) -> int:
-        return self.loc.shape[0]
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.loc + self.scale * rng.standard_normal((n, self.dimension))
-
-
-def gaussian_density(mean, sd) -> DensitySpec:
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    sd = np.broadcast_to(np.asarray(sd, dtype=float), mean.shape).copy()
-    return DensitySpec(loc=mean, scale=sd)
-
-
-def generate_two_sample(
-    spec_num: DensitySpec,
-    spec_den: DensitySpec,
-    n_denominator: int,
-    n_numerator: int,
-    seed: int,
-) -> TwoSampleData:
-    """Draw the denominator sample, then the numerator sample, from one stream."""
-    if n_denominator < 1 or n_numerator < 1:
-        raise ValueError("both sample sizes must be >= 1")
-    if spec_num.dimension != spec_den.dimension:
-        raise ValueError("density specs must share the dimension")
-    rng = np.random.default_rng(seed)
-    den = spec_den.sample(rng, n_denominator)
-    num = spec_num.sample(rng, n_numerator)
-    return TwoSampleData(denominator=den, numerator=num)
 
 
 _EXPECTED_TAIL = ["d", "y"]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .dataset import TwoSampleData
 from .neighbors import (
@@ -77,7 +77,8 @@ def _check_lambda(lam: float) -> None:
 
 
 def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a symmetric positive-definite system via Cholesky.
+    """Solve a symmetric positive-definite system by LAPACK's Cholesky pair
+    dpotrf/dpotrs, the routines scipy's cho_factor/cho_solve wrap.
 
     The factor overwrites an F-contiguous float64 ``matrix``; LAPACK copies
     a matrix in any other layout first and leaves it as it was.  Raises
@@ -85,16 +86,15 @@ def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     the relative pivot ratio falls below 1e-12.
     """
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
-    try:
-        factor = scipy.linalg.cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        raise np.linalg.LinAlgError("matrix is singular or not positive definite") from None
-    pivots = np.diag(factor[0]) ** 2
+    factor, info = dpotrf(a, lower=True, overwrite_a=True, clean=False)
+    if info != 0:
+        raise np.linalg.LinAlgError("matrix is singular or not positive definite")
+    pivots = np.diag(factor) ** 2
     if pivots.min() <= _PIVOT_RTOL * pivots.max():
         raise np.linalg.LinAlgError(
             f"matrix is numerically singular (relative pivot below {_PIVOT_RTOL:g})"
         )
-    return scipy.linalg.cho_solve(factor, np.asarray(rhs, dtype=float), check_finite=False)
+    return dpotrs(factor, np.asarray(rhs, dtype=float), lower=True)[0]
 
 
 def ridge_solve(h_mat: np.ndarray, h_vec: np.ndarray, lam: float, singular: str) -> np.ndarray:
@@ -227,6 +227,15 @@ class Theorem1Batch:
         return float(self.gaps.max())
 
 
+def _rows_in(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Whether each row of ``points`` equals a row of ``reference`` under float ==,
+    as ``catchment_indicator``: + 0.0 turns -0.0 into 0.0, after which finite rows
+    are equal exactly when their bytes are."""
+    row = np.dtype((np.void, 8 * reference.shape[1]))
+    keys = [(np.ascontiguousarray(a) + 0.0).view(row).ravel() for a in (points, reference)]
+    return np.isin(*keys)
+
+
 def _indicator_values(model, anchors, anchor_radii, numerator, num_radii, n_den, n_num, lam=0.0):
     """Indicator-LSIF fits at every anchor c at once, bit for bit the fit on
     the oracle basis ``catchment_indicator(reference, m, c)`` of
@@ -235,8 +244,7 @@ def _indicator_values(model, anchors, anchor_radii, numerator, num_radii, n_den,
     by ``n_num``.  The radii are the squared M-th nearest-reference radii of
     the anchors and of the numerator points."""
     ref = model.reference_points
-    ref_rows = set(map(tuple, ref.tolist()))  # float ==, as catchment_indicator
-    is_ref = np.array([row in ref_rows for row in map(tuple, numerator.tolist())], dtype=bool)
+    is_ref = _rows_in(numerator, ref)
     h_mat = _catchment_counts(anchors, anchor_radii, ref, 0.0, np.ones(len(ref), bool))
     h_vec = _catchment_counts(anchors, anchor_radii, numerator, num_radii, is_ref)
     h_mat, h_vec = h_mat / n_den, h_vec / n_num

@@ -13,6 +13,8 @@ which from d = 8 on can differ from the tree's own sums in the last bit, so a
 row stops widening its candidates only once its M-th squared distance lies below
 the last one's by more than the relative slack ``_TREE_ROUNDING``.  Only tied or
 out-of-order rows are re-sorted, which on continuous data is almost none.
+A candidate whose squared distance overflows float64 is a ValueError: the tree
+reports it as missing.
 
 Every query runs through ``_knn_blocks`` in row blocks of at most
 ``_BLOCK_ENTRIES`` = 2^15 candidate distances.  Only the rows still short are
@@ -139,6 +141,8 @@ def _tree_candidates(model: NeighborModel, columns: np.ndarray, q: np.ndarray, k
     """The k candidates the tree proposes per row, in (squared distance, index)
     order, and a mask of the rows whose M nearest may lie beyond them."""
     idx = model._tree.query(q, k=k)[1].reshape(len(q), k)  # drop the tree's distances
+    if idx.max() == model.n_reference:  # k <= n_reference: the mark of an infinite distance
+        raise ValueError("covariates too far apart: a squared distance overflows float64")
     sq, idx = _row_sort(_sq_to_candidates(q, columns, idx), idx)
     # Points not returned lie at least as far as the last candidate, up to the
     # tree's rounding, so a row whose M-th distance comes that close may be short.

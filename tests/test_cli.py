@@ -327,6 +327,46 @@ def test_jobs_below_one_exits_two(capsys, argv, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["ate", "dre", "weights", "simulate", "verify"])
+def test_seed_outside_uint64_exits_two(tmp_path, capsys, four_unit_file, command, seed):
+    (tmp_path / "den.csv").write_text(DEN_CSV)
+    den = str(tmp_path / "den.csv")
+    argv = {
+        "ate": ["--input", str(four_unit_file), "--m", "1"],
+        "dre": ["--denominator", den, "--numerator", den, "--eval-points", den],
+        "weights": ["--dgp", "logistic", "--n", "100"],
+        "simulate": ["--n", "50", "--reps", "2"],
+        "verify": ["--instances", "2"],
+    }[command]
+    assert cli.main([command, *argv, "--seed", seed]) == 2
+    assert f"error: --seed must be in [0, 2^64), got {seed}\n" == capsys.readouterr().err
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    code, text = run(tmp_path, "simulate", "--n", "50", "--reps", "1", "--seed", str(2**64 - 1))
+    assert code == 0
+    assert parse_report(text)[0]["seed"] == str(2**64 - 1)
+
+
+@pytest.mark.parametrize("command", ["ate", "weights", "dre"])
+def test_overflowing_squared_distance_exits_two(tmp_path, capsys, command):
+    # every squared distance between these points overflows float64
+    xs = ["1e+200", "-1e+200", "3e+200", "-2e+200", "5e+200", "-4e+200"]
+    data, points = tmp_path / "data.csv", str(tmp_path / "points.csv")
+    data.write_text("x0,d,y\n" + "".join(f"{x},{k % 2},{k}\n" for k, x in enumerate(xs)))
+    (tmp_path / "points.csv").write_text("x0\n" + "".join(f"{x}\n" for x in xs))
+    argv = {
+        "ate": ["--input", str(data), "--m", "1"],
+        "weights": ["--input", str(data), "--m", "1"],
+        "dre": ["--basis", "indicator", "--denominator", points, "--numerator", points,
+                "--eval-points", points],
+    }[command]
+    assert cli.main([command, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: covariates too far apart: a squared distance overflows float64\n"
+
+
 class TestReportFormat:
     def test_numbers_round_trip(self, tmp_path):
         _, text = run(tmp_path, "verify", "--instances", "2", "--seed", "7")

@@ -9,9 +9,7 @@ from rieszmatch import (
     LOGISTIC_TRUE_ATE,
     ObservationalDataset,
     builtin_dgp,
-    gaussian_density,
     generate,
-    generate_two_sample,
     load_csv,
     load_points_csv,
     logistic_dgp,
@@ -389,19 +387,3 @@ class TestGenerate:
     def test_unknown_builtin(self):
         with pytest.raises(ValueError, match="unknown DGP"):
             builtin_dgp("nope")
-
-
-class TestTwoSample:
-    def test_identical_specs_unit_ratio(self):
-        spec = gaussian_density([0.0], [1.0])
-        data = generate_two_sample(spec, spec, 50, 40, seed=2)
-        assert data.n_denominator == 50
-        assert data.n_numerator == 40
-
-    def test_reproducible(self):
-        num = gaussian_density([0.0, 0.0], [1.0, 2.0])
-        den = gaussian_density([0.5, -0.5], [1.0, 0.5])
-        a = generate_two_sample(num, den, 30, 20, seed=9)
-        b = generate_two_sample(num, den, 30, 20, seed=9)
-        np.testing.assert_array_equal(a.denominator, b.denominator)
-        np.testing.assert_array_equal(a.numerator, b.numerator)

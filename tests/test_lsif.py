@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,7 @@ from rieszmatch import (
 )
 from rieszmatch import neighbors
 from rieszmatch.equivalence import random_two_sample_instance
-from rieszmatch.lsif import Basis, evaluate_matrix, indicator_dre, solve_spd
+from rieszmatch.lsif import Basis, _rows_in, evaluate_matrix, indicator_dre, solve_spd
 
 
 class TestFit:
@@ -305,6 +306,52 @@ class TestIndicatorDre:
             monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 7)
             np.testing.assert_array_equal(matched_times_at(data, m, points), expected)
             monkeypatch.undo()
+
+
+class TestRowsIn:
+    @staticmethod
+    def set_rule(points, reference):
+        rows = set(map(tuple, reference.tolist()))  # tuples compare floats by ==
+        return np.array([row in rows for row in map(tuple, points.tolist())], dtype=bool)
+
+    def test_equals_the_set_rule(self):
+        rng = np.random.default_rng(61)
+        cases = []
+        for d, levels in ((1, 9), (2, 3), (17, 2)):
+            ref = rng.integers(0, levels, size=(60, d)).astype(float)  # duplicate rows
+            points = np.vstack([ref[:10], rng.integers(0, levels + 1, size=(50, d))])
+            cases += [(points, ref), (np.asfortranarray(points), np.asfortranarray(ref))]
+        signed = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [1.0, -0.0]])
+        cases += [(signed, signed[[3]]), (signed[[0, 4]], np.array([[1.0, 0.0], [2.0, 0.0]]))]
+        for points, ref in cases:
+            expected = self.set_rule(points, ref)
+            assert expected.any() and not expected.all()
+            np.testing.assert_array_equal(_rows_in(points, ref), expected)
+
+
+class TestSolveSpd:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bit_equal_to_scipy_cholesky(self, order):
+        rng = np.random.default_rng(67)
+        for b in range(1, 41):
+            root = rng.normal(size=(b + 2, b))
+            system = root.T @ root
+            rhs = rng.normal(size=b)
+            factor = scipy.linalg.cho_factor(system, lower=True, check_finite=False)
+            expected = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+            got = solve_spd(np.array(system, order=order), rhs)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_errors_keep_their_text(self):
+        with pytest.raises(
+            np.linalg.LinAlgError, match="^matrix is singular or not positive definite$"
+        ):
+            solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+        with pytest.raises(
+            np.linalg.LinAlgError,
+            match=r"^matrix is numerically singular \(relative pivot below 1e-12\)$",
+        ):
+            solve_spd(np.diag([1.0, 1e-13]), np.ones(2))
 
 
 class TestOptimality:

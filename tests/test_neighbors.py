@@ -202,6 +202,22 @@ class TestMatchingStructures:
         structures = matching_structures(data, 1)
         np.testing.assert_array_equal(structures.matched_times, [3, 1, 0, 0])
 
+    def test_overflowing_squared_distance_is_an_error(self, monkeypatch):
+        # at 1e153 the largest squared distance, (9e153)^2, is still finite; at
+        # 7e153 and 1e200 some overflow, and the tree reports them as missing
+        def line(scale):
+            return ObservationalDataset(
+                covariates=np.array([1.0, -1.0, 3.0, -2.0, 5.0, -4.0]) * scale,
+                treatment=np.array([0, 1, 0, 1, 0, 1]),
+                outcome=np.arange(6.0),
+            )
+
+        sets = brute_force_match_sets(line(1e153), 1)
+        _assert_reduced_at_every_block_size(monkeypatch, line(1e153), 1, sets)
+        for scale in (7e153, 1e200):
+            with pytest.raises(ValueError, match="^covariates too far apart: a squared"):
+                matching_structures(line(scale), 1)
+
     def test_m_exceeds_arm(self, four_unit_dataset):
         with pytest.raises(ValueError, match="exceeds an arm size"):
             matching_structures(four_unit_dataset, 3)
