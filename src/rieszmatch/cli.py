@@ -32,12 +32,6 @@ def default_match_count(n: int) -> int:
     return int(math.ceil(2.0 * n ** (1.0 / 3.0)))
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="root seed (64-bit unsigned)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker pool size")
-    parser.add_argument("--output", type=str, default=None, help="write the report here")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rieszmatch")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -47,7 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ate.add_argument("--m", type=int, default=None, help="match count (default 2 n^{1/3})")
     p_ate.add_argument("--estimator", choices=tuple(_VARIANTS), default="matching")
     p_ate.add_argument("--degree", type=int, default=1, choices=range(4))
-    _add_common(p_ate)
 
     p_dre = sub.add_parser("dre", help="density-ratio estimates at evaluation points")
     p_dre.add_argument("--denominator", required=True, help="denominator sample CSV")
@@ -58,14 +51,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_dre.add_argument("--basis", choices=["indicator", "poly", "gauss"], default="indicator")
     p_dre.add_argument("--degree", type=int, default=2, choices=range(4))
     p_dre.add_argument("--grid", type=int, default=4, help="per-dimension Gaussian grid size")
-    _add_common(p_dre)
 
     p_w = sub.add_parser("weights", help="per-unit matching weights")
     p_w.add_argument("--input", default=None, help="dataset CSV (oracle column is na)")
     p_w.add_argument("--dgp", default=None, help="built-in DGP name (enables the oracle column)")
     p_w.add_argument("--n", type=int, default=500)
     p_w.add_argument("--m", type=int, default=None)
-    _add_common(p_w)
+    p_w.add_argument("--seed", type=int, default=0, help="seed of the --dgp draw (64-bit unsigned)")
 
     p_sim = sub.add_parser("simulate", help="known-truth replication study")
     p_sim.add_argument("--dgp", default="logistic")
@@ -73,12 +65,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int, required=True)
     p_sim.add_argument("--m", type=int, default=None)
     p_sim.add_argument("--degree", type=int, default=1, choices=range(4))
-    _add_common(p_sim)
+    p_sim.add_argument("--seed", type=int, default=0, help="root seed (64-bit unsigned)")
 
     p_ver = sub.add_parser("verify", help="run the equivalence suites on random instances")
     p_ver.add_argument("--instances", type=int, default=50)
-    _add_common(p_ver)
+    p_ver.add_argument("--seed", type=int, default=0, help="root seed (64-bit unsigned)")
 
+    jobs_help = "worker pool size of simulate and verify; ate, dre and weights ignore it"
+    for p in (p_ate, p_dre, p_w, p_sim, p_ver):
+        p.add_argument("--jobs", type=int, default=1, help=jobs_help)
+        p.add_argument("--output", type=str, default=None, help="write the report here")
     return parser
 
 
@@ -316,7 +312,7 @@ def main(argv=None) -> int:
     try:
         if args.jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-        if not 0 <= args.seed < 2**64:
+        if "seed" in args and not 0 <= args.seed < 2**64:
             raise ValueError(f"--seed must be in [0, 2^64), got {args.seed}")
         body, status = _DISPATCH[args.command](args)
         _emit(body, args.output)

@@ -110,17 +110,19 @@ class NeighborModel:
     """An immutable M-nearest-neighbor index over a fixed reference sample."""
 
     def __init__(self, reference_points, m: int):
-        ref = _as_points(reference_points).copy()
+        ref = _as_points(reference_points)
         if not np.all(np.isfinite(ref)):
             raise ValueError("reference points must be finite")
         if m < 1:
             raise ValueError("m must be >= 1")
         if m > len(ref):
             raise ValueError(f"m={m} exceeds the reference size {len(ref)}")
-        ref.setflags(write=False)
-        self.reference_points = ref
+        # keep an array that owns its data, read-only from here on; copy a view,
+        # whose owner may still write to it
+        self.reference_points = ref if ref.base is None else ref.copy()
+        self.reference_points.setflags(write=False)
         self.m = int(m)
-        self._tree = cKDTree(ref)
+        self._tree = cKDTree(self.reference_points)
 
     @property
     def n_reference(self) -> int:

@@ -328,19 +328,30 @@ def test_jobs_below_one_exits_two(capsys, argv, jobs):
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-@pytest.mark.parametrize("command", ["ate", "dre", "weights", "simulate", "verify"])
-def test_seed_outside_uint64_exits_two(tmp_path, capsys, four_unit_file, command, seed):
-    (tmp_path / "den.csv").write_text(DEN_CSV)
-    den = str(tmp_path / "den.csv")
+@pytest.mark.parametrize("command", ["weights", "simulate", "verify"])
+def test_seed_outside_uint64_exits_two(capsys, command, seed):
     argv = {
-        "ate": ["--input", str(four_unit_file), "--m", "1"],
-        "dre": ["--denominator", den, "--numerator", den, "--eval-points", den],
         "weights": ["--dgp", "logistic", "--n", "100"],
         "simulate": ["--n", "50", "--reps", "2"],
         "verify": ["--instances", "2"],
     }[command]
     assert cli.main([command, *argv, "--seed", seed]) == 2
     assert f"error: --seed must be in [0, 2^64), got {seed}\n" == capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ate", "dre"])
+def test_seed_on_a_command_that_draws_nothing_exits_two(tmp_path, capsys, four_unit_file, command):
+    # ate and dre draw no random numbers, so they have no --seed to take
+    (tmp_path / "den.csv").write_text(DEN_CSV)
+    den = str(tmp_path / "den.csv")
+    argv = {
+        "ate": ["--input", str(four_unit_file), "--m", "1"],
+        "dre": ["--denominator", den, "--numerator", den, "--eval-points", den],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, *argv, "--seed", "0"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_largest_seed_is_accepted(tmp_path):

@@ -247,6 +247,28 @@ class TestMatchingStructures:
         with pytest.raises(ValueError, match="another m than 5"):
             matching_structures(data, 5, models)
 
+    def test_arm_models_own_their_rows(self):
+        # each model keeps the fresh x[mask] it is handed, read-only, with no
+        # second copy: the peak is the rows plus the trees' index arrays
+        data = generate(logistic_dgp(), 20_000, seed=0)
+        tracemalloc.start()
+        try:
+            models = arm_models(data, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.7 * data.covariates.nbytes, peak / data.covariates.nbytes
+        for model, t in zip(models, (1, 0)):
+            assert not model.reference_points.flags.writeable
+            rows = data.covariates[data.treatment == t]
+            np.testing.assert_array_equal(model.reference_points, rows)
+        # 1-d input reaches the model as a view of the caller's array, so it is copied
+        points = np.array([0.0, 1.0, 3.0])
+        model = NeighborModel(points, 1)
+        points[0] = 10.0
+        np.testing.assert_array_equal(model.reference_points[:, 0], [0.0, 1.0, 3.0])
+        np.testing.assert_array_equal(query_indices(model, 9.0)[0], [2])
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_count_conservation(self, seed):
