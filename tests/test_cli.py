@@ -327,29 +327,41 @@ def test_jobs_below_one_exits_two(capsys, argv, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("seed", ["-1", str(2**64)])
-@pytest.mark.parametrize("command", ["weights", "simulate", "verify"])
-def test_seed_outside_uint64_exits_two(capsys, command, seed):
-    argv = {
-        "weights": ["--dgp", "logistic", "--n", "100"],
-        "simulate": ["--n", "50", "--reps", "2"],
-        "verify": ["--instances", "2"],
+ARGV_WITHOUT_SEED = {
+    "weights": ["--dgp", "logistic", "--n", "100"],
+    "simulate": ["--n", "50", "--reps", "2"],
+    "verify": ["--instances", "2"],
+}
+
+
+def draws_nothing_argv(tmp_path, four_unit_file, command):
+    (tmp_path / "den.csv").write_text(DEN_CSV)
+    den = str(tmp_path / "den.csv")
+    return {
+        "ate": ["--input", str(four_unit_file), "--m", "1"],
+        "dre": ["--denominator", den, "--numerator", den, "--eval-points", den],
     }[command]
-    assert cli.main([command, *argv, "--seed", seed]) == 2
-    assert f"error: --seed must be in [0, 2^64), got {seed}\n" == capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["ate", "dre", "weights", "simulate", "verify"])
+def test_seed_outside_uint64_exits_two(tmp_path, capsys, four_unit_file, command, seed):
+    if command in ARGV_WITHOUT_SEED:
+        assert cli.main([command, *ARGV_WITHOUT_SEED[command], "--seed", seed]) == 2
+        assert f"error: --seed must be in [0, 2^64), got {seed}\n" == capsys.readouterr().err
+        return
+    # ate and dre declare no --seed, so any seed is an argument error
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, *draws_nothing_argv(tmp_path, four_unit_file, command), "--seed", seed])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["ate", "dre"])
 def test_seed_on_a_command_that_draws_nothing_exits_two(tmp_path, capsys, four_unit_file, command):
     # ate and dre draw no random numbers, so they have no --seed to take
-    (tmp_path / "den.csv").write_text(DEN_CSV)
-    den = str(tmp_path / "den.csv")
-    argv = {
-        "ate": ["--input", str(four_unit_file), "--m", "1"],
-        "dre": ["--denominator", den, "--numerator", den, "--eval-points", den],
-    }[command]
     with pytest.raises(SystemExit) as exit_info:
-        cli.main([command, *argv, "--seed", "0"])
+        cli.main([command, *draws_nothing_argv(tmp_path, four_unit_file, command), "--seed", "0"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
