@@ -80,12 +80,10 @@ class TwoSampleData:
     numerator: np.ndarray    # (N1, d)
 
     def __post_init__(self):
-        den = np.array(self.denominator, dtype=float, copy=True)
-        num = np.array(self.numerator, dtype=float, copy=True)
-        if den.ndim == 1:
-            den = den[:, None]
-        if num.ndim == 1:
-            num = num[:, None]
+        # a 1-d sample becomes a column before the copy, so the stored array owns its data
+        den, num = (np.asarray(a, dtype=float) for a in (self.denominator, self.numerator))
+        den = np.array(den[:, None] if den.ndim == 1 else den, copy=True)
+        num = np.array(num[:, None] if num.ndim == 1 else num, copy=True)
         if den.ndim != 2 or num.ndim != 2 or len(den) == 0 or len(num) == 0:
             raise ValueError("both samples must be nonempty 2-d arrays")
         if den.shape[1] != num.shape[1]:

@@ -167,9 +167,12 @@ def monomial_exponents(dimension_in: int, degree: int) -> list[tuple[int, ...]]:
 
 def polynomial_feature_matrix(points: np.ndarray, degree: int) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    exps = monomial_exponents(pts.shape[1], degree)
-    cols = [np.prod(pts**np.array(e), axis=1) for e in exps]
-    return np.column_stack(cols)
+    exps = [np.array(e) for e in monomial_exponents(pts.shape[1], degree)]
+    out = np.empty((len(pts), len(exps)))
+    for rows in _row_blocks(len(pts), len(exps)):  # peak: the result plus one row block
+        for j, e in enumerate(exps):
+            out[rows, j] = np.prod(pts[rows] ** e, axis=1)
+    return out
 
 
 def polynomial_basis(dimension_in: int, degree: int) -> Basis:

@@ -94,12 +94,11 @@ def ate_bias_corrected(
     """Regression plug-in plus the weighted residual correction."""
     mu1, mu0 = _fitted_means(dataset, outcome)
     treated = dataset.treatment == 1
-    residuals = dataset.outcome - np.where(treated, mu1, mu0)
-    weights = structures.weights
-    correction = (
-        np.sum(weights[treated] * residuals[treated])
-        - np.sum(weights[~treated] * residuals[~treated])
-    ) / dataset.n
+    # weighted residuals w * (y - gamma), formed in one n-vector
+    weighted = np.where(treated, mu1, mu0)
+    np.subtract(dataset.outcome, weighted, out=weighted)
+    weighted *= structures.weights
+    correction = (np.sum(weighted[treated]) - np.sum(weighted[~treated])) / dataset.n
     return float(np.mean(mu1 - mu0)) + correction
 
 
@@ -112,6 +111,9 @@ def ate_dr_riesz(
     the two agree to floating-point roundoff.
     """
     mu1, mu0 = _fitted_means(dataset, outcome)
-    residuals = dataset.outcome - np.where(dataset.treatment == 1, mu1, mu0)
-    alpha = nn_representer_values(dataset, structures)
-    return float(np.mean(mu1 - mu0 + alpha * residuals))
+    # the score (mu1 - mu0) + alpha * (y - gamma), formed in one n-vector
+    score = np.where(dataset.treatment == 1, mu1, mu0)
+    np.subtract(dataset.outcome, score, out=score)
+    score *= nn_representer_values(dataset, structures)
+    score += mu1 - mu0
+    return float(np.mean(score))

@@ -24,8 +24,9 @@ M, on ties too.  ``matching_structures`` sends each arm's queries in the leaf
 order of that arm's own kd-tree, gathering each block's rows as it goes, so a
 block's rows are spatially compact and its tree walks and candidate arrays
 stay in cache; a row's result depends on that row alone, so the order changes
-no bit.  The match keeps only per-unit reductions: its two arm trees are freed
-when it returns, unless the caller built them (``arm_models``) to reuse them.
+no bit.  The match keeps only per-unit reductions and, unless the caller built
+the arm trees (``arm_models``) to reuse them, one tree at a time in 3 builds:
+treated (for its order), control (queried), treated again (queried).
 The per-point oracles the tests compare with live in ``tests/oracles.py``.
 """
 
@@ -71,12 +72,12 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sq_to_candidates(queries: np.ndarray, columns: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    # Bit for bit _sq_dists to the reference whose transpose is ``columns``: same
-    # coordinate order from the first square (0 + x == x); signs drop out squared.
+def _sq_to_candidates(queries: np.ndarray, points: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    # Bit for bit _sq_dists to ``points``, each coordinate gathered from the (n, d) points
+    # with no transposed copy: same order from the first square (0 + x == x); signs square out.
     out = None
     for k in range(queries.shape[1]):
-        diff = np.take(columns[k], idx)
+        diff = points[:, k][idx]
         diff -= queries[:, k, None]
         diff *= diff
         out = diff if out is None else np.add(out, diff, out=out)
@@ -139,13 +140,13 @@ def _row_blocks(n_rows: int, width: int):
     return (slice(start, start + step) for start in range(0, n_rows, step))
 
 
-def _tree_candidates(model: NeighborModel, columns: np.ndarray, q: np.ndarray, k: int):
+def _tree_candidates(model: NeighborModel, q: np.ndarray, k: int):
     """The k candidates the tree proposes per row, in (squared distance, index)
     order, and a mask of the rows whose M nearest may lie beyond them."""
     idx = model._tree.query(q, k=k)[1].reshape(len(q), k)  # drop the tree's distances
     if idx.max() == model.n_reference:  # k <= n_reference: the mark of an infinite distance
         raise ValueError("covariates too far apart: a squared distance overflows float64")
-    sq, idx = _row_sort(_sq_to_candidates(q, columns, idx), idx)
+    sq, idx = _row_sort(_sq_to_candidates(q, model.reference_points, idx), idx)
     # Points not returned lie at least as far as the last candidate, up to the
     # tree's rounding, so a row whose M-th distance comes that close may be short.
     short = (k < model.n_reference) & (sq[:, model.m - 1] >= (1 - _TREE_ROUNDING) * sq[:, -1])
@@ -158,17 +159,17 @@ def _knn_blocks(model: NeighborModel, queries, order=None):
     order.  With ``order`` the queries are ``queries[order]``, gathered one block
     at a time.  Short rows alone are queried again, at doubled k, in sub-blocks."""
     pts, m, n_ref = _as_points(queries, model.d), model.m, model.n_reference
-    columns, first_k = np.ascontiguousarray(model.reference_points.T), min(n_ref, m + 1)
+    first_k = min(n_ref, m + 1)
     n_rows = len(pts) if order is None else len(order)
     for rows in _row_blocks(n_rows, first_k):
         q = pts[rows] if order is None else pts[order[rows]]
-        sq, idx, short = _tree_candidates(model, columns, q, first_k)
+        sq, idx, short = _tree_candidates(model, q, first_k)
         open_rows, k_req = np.flatnonzero(short), first_k
         while len(open_rows):
             k_req, still_open = min(n_ref, 2 * k_req), []
             for sub in _row_blocks(len(open_rows), k_req):
                 at = open_rows[sub]
-                wide_sq, wide_idx, short = _tree_candidates(model, columns, q[at], k_req)
+                wide_sq, wide_idx, short = _tree_candidates(model, q[at], k_req)
                 sq[at, :m], idx[at, :m] = wide_sq[:, :m], wide_idx[:, :m]
                 still_open.append(at[short])
                 del wide_sq, wide_idx  # free before the next sub-block's query
@@ -213,15 +214,20 @@ class MatchStructures:
     @property
     def weights(self) -> np.ndarray:
         """Matching weights 1 + K_M(i)/M for every unit."""
-        return 1.0 + self.matched_times / self.m
+        weights = self.matched_times / self.m
+        return np.add(weights, 1.0, out=weights)  # in place; w + 1.0 is 1.0 + w
 
 
-def arm_models(dataset: ObservationalDataset, m: int) -> tuple[NeighborModel, NeighborModel]:
-    """The M-NN models of the treated and the control rows, treated first."""
+def _check_arm_sizes(dataset: ObservationalDataset, m: int) -> None:
     if m > min(dataset.n_treated, dataset.n_control):
         raise ValueError(
             f"m={m} exceeds an arm size (treated {dataset.n_treated}, control {dataset.n_control})"
         )
+
+
+def arm_models(dataset: ObservationalDataset, m: int) -> tuple[NeighborModel, NeighborModel]:
+    """The M-NN models of the treated and the control rows, treated first."""
+    _check_arm_sizes(dataset, m)
     x = dataset.covariates
     return NeighborModel(x[dataset.treatment == 1], m), NeighborModel(x[dataset.treatment == 0], m)
 
@@ -230,20 +236,24 @@ def matching_structures(
     dataset: ObservationalDataset, m: int, models: tuple[NeighborModel, NeighborModel] | None = None
 ) -> MatchStructures:
     """The match's per-unit reductions.  ``models`` are ``arm_models(dataset, m)``
-    when the caller keeps them for another check; else they are built here and
-    freed on return."""
+    when the caller keeps them for another check; else each arm's tree is
+    built when it is needed and dropped before the next one is built."""
     if models is None:
-        models = arm_models(dataset, m)
+        _check_arm_sizes(dataset, m)
     elif any(model.m != m for model in models):
         raise ValueError(f"arm models were built for another m than {m}")
     x = dataset.covariates
     arms = [np.flatnonzero(dataset.treatment == t) for t in (1, 0)]
+    model_of = (lambda a: models[a]) if models else (lambda a: NeighborModel(x[arms[a]], m))
     matched_outcome = np.empty(dataset.n)
     matched_times = np.empty(dataset.n, dtype=np.int64)
+    model = model_of(0)
     for a in (0, 1):
-        # each arm queries in its own tree's leaf order, so a block is compact
-        own, other, model = arms[a][models[a]._tree.indices], arms[1 - a], models[1 - a]
-        y_other = dataset.outcome[other]
+        # each arm queries in its own tree's leaf order, so a block is compact;
+        # ``model`` is arm a's tree here, and pass 1 takes pass 0's queried tree
+        own, other = arms[a][model._tree.indices], arms[1 - a]
+        del model  # one tree alive at a time: drop arm a's before the other is built
+        model, y_other = model_of(1 - a), dataset.outcome[other]
         counts = np.zeros(len(other), dtype=np.int64)
         for rows, _, local in _knn_blocks(model, x, own):
             matched_outcome[own[rows]] = y_other[local].mean(axis=1)

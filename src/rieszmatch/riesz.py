@@ -61,7 +61,9 @@ def riesz_fit(dataset: ObservationalDataset, phi: np.ndarray, lam: float):
 
 def nn_representer_values(dataset: ObservationalDataset, structures: MatchStructures) -> np.ndarray:
     """Signed matching weights (2 D_i - 1)(1 + K_M(i)/M) at the sample points."""
-    return (2.0 * dataset.treatment - 1.0) * structures.weights
+    alpha = 2.0 * dataset.treatment - 1.0
+    alpha *= structures.weights
+    return alpha
 
 
 def dr_score(m_value, gamma_value, alpha_value, y, tau):

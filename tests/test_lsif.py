@@ -24,9 +24,16 @@ from rieszmatch import (
     polynomial_basis,
     verify_theorem1_all,
 )
-from rieszmatch import neighbors
+from rieszmatch import lsif, neighbors
 from rieszmatch.equivalence import random_two_sample_instance
-from rieszmatch.lsif import Basis, _rows_in, evaluate_matrix, indicator_dre, solve_spd
+from rieszmatch.lsif import (
+    Basis,
+    _rows_in,
+    evaluate_matrix,
+    indicator_dre,
+    polynomial_feature_matrix,
+    solve_spd,
+)
 
 
 class TestFit:
@@ -421,6 +428,30 @@ class TestBuiltInBases:
     def test_polynomial_dimension(self):
         assert polynomial_basis(3, 3).dimension == 20
         assert polynomial_basis(2, 0).dimension == 1
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_polynomial_features_bit_for_bit(self, degree):
+        # the column_stack formula, at every d the CLI reaches, on 0, 1 and many rows
+        rng = np.random.default_rng(degree)
+        for d in range(1, 18):
+            exps = lsif.monomial_exponents(d, degree)
+            for k in (0, 1, 37):
+                pts = rng.normal(size=(k, d))
+                expected = np.column_stack([np.prod(pts ** np.array(e), axis=1) for e in exps])
+                out = polynomial_feature_matrix(pts, degree)
+                assert out.shape == (k, len(exps))
+                np.testing.assert_array_equal(out, expected)
+
+    def test_polynomial_features_fill_one_matrix(self):
+        # no b full columns held beside the result, as column_stack's 2x
+        pts = np.random.default_rng(12).normal(size=(20_000, 2))
+        tracemalloc.start()
+        try:
+            out = polynomial_feature_matrix(pts, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * out.nbytes, peak / out.nbytes
 
     def test_gaussian_grid_center_limit(self):
         pts = np.random.default_rng(0).normal(size=(10, 2))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,6 +264,54 @@ class TestDrRiesz:
         a = ate_bias_corrected(data, structures, model)
         b = ate_dr_riesz(data, structures, model)
         assert abs(a - b) <= 1e-12
+
+
+def estimator_case(name):
+    if name == "random":
+        return generate(logistic_dgp(), 3000, seed=21), 9
+    if name == "d17":
+        return generate(logistic_dgp(dimension=17), 2000, seed=21), 7
+    rng = np.random.default_rng(21)
+    x = rng.integers(0, 4, size=(3000, 2)).astype(float)  # a tied integer grid
+    treat = (rng.random(3000) < 0.5).astype(int)
+    y = x.sum(axis=1) + treat + rng.normal(size=3000)
+    return ObservationalDataset(covariates=x, treatment=treat, outcome=y), 20
+
+
+class TestInPlaceArithmetic:
+    @pytest.mark.parametrize("name", ["random", "d17", "grid"])
+    def test_bit_for_bit_the_one_line_formulas(self, name):
+        data, m = estimator_case(name)
+        structures = matching_structures(data, m)
+        outcome = fit_outcome(data, 1)
+        mu1, mu0 = outcome.mu_treated, outcome.mu_control
+        treated = data.treatment == 1
+        weights = 1.0 + structures.matched_times / structures.m
+        alpha = (2.0 * data.treatment - 1.0) * weights
+        residuals = data.outcome - np.where(treated, mu1, mu0)
+        bc = float(np.mean(mu1 - mu0)) + (
+            np.sum(weights[treated] * residuals[treated])
+            - np.sum(weights[~treated] * residuals[~treated])
+        ) / data.n
+        dr = float(np.mean(mu1 - mu0 + alpha * residuals))
+        np.testing.assert_array_equal(structures.weights, weights)
+        np.testing.assert_array_equal(riesz.nn_representer_values(data, structures), alpha)
+        assert ate_bias_corrected(data, structures, outcome) == bc
+        assert ate_dr_riesz(data, structures, outcome) == dr
+
+    def test_dr_traced_peak(self):
+        # one score vector beside the representer's two; the one-line formula
+        # held five n-vectors at once.  160 KB vectors stay below numpy's
+        # 256 KiB threshold for reusing temporaries, so none is elided here
+        data = generate(logistic_dgp(), 20_000, seed=21)
+        structures, outcome = matching_structures(data, 9), fit_outcome(data, 1)
+        tracemalloc.start()
+        try:
+            ate_dr_riesz(data, structures, outcome)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.6 * 8 * data.n, peak / (8 * data.n)
 
 
 class TestEstimatorInvariances:

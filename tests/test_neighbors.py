@@ -225,23 +225,37 @@ class TestMatchingStructures:
             arm_models(four_unit_dataset, 3)
 
     def test_trees_freed_on_return_unless_passed(self, monkeypatch):
-        # the match keeps per-unit reductions only; arm models its caller
-        # built stay the caller's and give the same match
-        live = weakref.WeakSet()
+        # the match keeps per-unit reductions only and holds one tree at a
+        # time: treated order, control tree, treated tree again; arm models
+        # its caller built stay the caller's and give the same match
+        live, most_alive, built = weakref.WeakSet(), [0], []
 
         class TrackedTree(neighbors.cKDTree):
             def __init__(self, data, *args, **kwargs):
                 super().__init__(data, *args, **kwargs)
                 live.add(self)
+                most_alive[0] = max(most_alive[0], len(live))
+                built.append(len(data))
 
         monkeypatch.setattr(neighbors, "cKDTree", TrackedTree)
+        real_blocks = neighbors._knn_blocks
+
+        def counted_blocks(model, queries, order=None):
+            for block in real_blocks(model, queries, order):
+                most_alive[0] = max(most_alive[0], len(live))
+                yield block
+
+        monkeypatch.setattr(neighbors, "_knn_blocks", counted_blocks)
         data = generate(logistic_dgp(), 500, seed=3)
         structures = matching_structures(data, 4)
         assert len(live) == 0
+        assert most_alive[0] == 1
+        assert built == [data.n_treated, data.n_control, data.n_treated]
         models = arm_models(data, 4)
         assert [model.n_reference for model in models] == [data.n_treated, data.n_control]
         reused = matching_structures(data, 4, models)
         assert len(live) == 2
+        assert len(built) == 5
         np.testing.assert_array_equal(reused.matched_outcome, structures.matched_outcome)
         np.testing.assert_array_equal(reused.matched_times, structures.matched_times)
         with pytest.raises(ValueError, match="another m than 5"):
@@ -268,6 +282,13 @@ class TestMatchingStructures:
         points[0] = 10.0
         np.testing.assert_array_equal(model.reference_points[:, 0], [0.0, 1.0, 3.0])
         np.testing.assert_array_equal(query_indices(model, 9.0)[0], [2])
+        # a 1-d two-sample input is stored as a column that owns its data, so
+        # the model keeps it with no second copy
+        two = TwoSampleData(denominator=np.arange(5.0), numerator=np.arange(3.0))
+        assert two.denominator.shape == (5, 1) and two.denominator.base is None
+        model = NeighborModel(two.denominator, 2)
+        assert np.shares_memory(model.reference_points, two.denominator)
+        np.testing.assert_array_equal(model.reference_points[:, 0], np.arange(5.0))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
