@@ -80,7 +80,7 @@ class TwoSampleData:
     numerator: np.ndarray    # (N1, d)
 
     def __post_init__(self):
-        # a 1-d sample becomes a column before the copy, so the stored array owns its data
+        # copied, so no later write by the caller changes the stored samples
         den, num = (np.asarray(a, dtype=float) for a in (self.denominator, self.numerator))
         den = np.array(den[:, None] if den.ndim == 1 else den, copy=True)
         num = np.array(num[:, None] if num.ndim == 1 else num, copy=True)

@@ -24,9 +24,9 @@ M, on ties too.  ``matching_structures`` sends each arm's queries in the leaf
 order of that arm's own kd-tree, gathering each block's rows as it goes, so a
 block's rows are spatially compact and its tree walks and candidate arrays
 stay in cache; a row's result depends on that row alone, so the order changes
-no bit.  The match keeps only per-unit reductions and, unless the caller built
-the arm trees (``arm_models``) to reuse them, one tree at a time in 3 builds:
-treated (for its order), control (queried), treated again (queried).
+no bit.  The match keeps only per-unit reductions and its two arm trees
+(``arm_models``), which it builds once and frees on return unless the caller
+built them to reuse.
 The per-point oracles the tests compare with live in ``tests/oracles.py``.
 """
 
@@ -63,22 +63,18 @@ def _as_points(points, d: int | None = None) -> np.ndarray:
     return pts
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Accumulate per coordinate, left to right: the arithmetic of every decision.
-    out = np.zeros((a.shape[0], b.shape[0]))
-    for k in range(a.shape[1]):
-        diff = a[:, k, None] - b[None, :, k]
-        out += diff * diff
-    return out
-
-
-def _sq_to_candidates(queries: np.ndarray, points: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    # Bit for bit _sq_dists to ``points``, each coordinate gathered from the (n, d) points
-    # with no transposed copy: same order from the first square (0 + x == x); signs square out.
+def _sq_dists(a: np.ndarray, b: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances from each row of ``a`` to every row of ``b`` or, with ``idx``,
+    to the rows ``b[idx]`` (shaped like ``idx``), summed coordinate by coordinate, left
+    to right: the arithmetic of every decision.  Each coordinate is taken from the
+    (n, d) rows of ``b``, with no transposed copy."""
     out = None
-    for k in range(queries.shape[1]):
-        diff = points[:, k][idx]
-        diff -= queries[:, k, None]
+    for k in range(a.shape[1]):
+        if idx is None:
+            diff = b[:, k] - a[:, k, None]
+        else:
+            diff = b[:, k][idx]
+            diff -= a[:, k, None]
         diff *= diff
         out = diff if out is None else np.add(out, diff, out=out)
     return out
@@ -118,9 +114,8 @@ class NeighborModel:
             raise ValueError("m must be >= 1")
         if m > len(ref):
             raise ValueError(f"m={m} exceeds the reference size {len(ref)}")
-        # keep an array that owns its data, read-only from here on; copy a view,
-        # whose owner may still write to it
-        self.reference_points = ref if ref.base is None else ref.copy()
+        # a read-only copy of its own, so no write by the caller reaches the tree
+        self.reference_points = ref.copy()
         self.reference_points.setflags(write=False)
         self.m = int(m)
         self._tree = cKDTree(self.reference_points)
@@ -146,7 +141,7 @@ def _tree_candidates(model: NeighborModel, q: np.ndarray, k: int):
     idx = model._tree.query(q, k=k)[1].reshape(len(q), k)  # drop the tree's distances
     if idx.max() == model.n_reference:  # k <= n_reference: the mark of an infinite distance
         raise ValueError("covariates too far apart: a squared distance overflows float64")
-    sq, idx = _row_sort(_sq_to_candidates(q, model.reference_points, idx), idx)
+    sq, idx = _row_sort(_sq_dists(q, model.reference_points, idx), idx)
     # Points not returned lie at least as far as the last candidate, up to the
     # tree's rounding, so a row whose M-th distance comes that close may be short.
     short = (k < model.n_reference) & (sq[:, model.m - 1] >= (1 - _TREE_ROUNDING) * sq[:, -1])
@@ -218,16 +213,12 @@ class MatchStructures:
         return np.add(weights, 1.0, out=weights)  # in place; w + 1.0 is 1.0 + w
 
 
-def _check_arm_sizes(dataset: ObservationalDataset, m: int) -> None:
+def arm_models(dataset: ObservationalDataset, m: int) -> tuple[NeighborModel, NeighborModel]:
+    """The M-NN models of the treated and the control rows, treated first."""
     if m > min(dataset.n_treated, dataset.n_control):
         raise ValueError(
             f"m={m} exceeds an arm size (treated {dataset.n_treated}, control {dataset.n_control})"
         )
-
-
-def arm_models(dataset: ObservationalDataset, m: int) -> tuple[NeighborModel, NeighborModel]:
-    """The M-NN models of the treated and the control rows, treated first."""
-    _check_arm_sizes(dataset, m)
     x = dataset.covariates
     return NeighborModel(x[dataset.treatment == 1], m), NeighborModel(x[dataset.treatment == 0], m)
 
@@ -235,27 +226,22 @@ def arm_models(dataset: ObservationalDataset, m: int) -> tuple[NeighborModel, Ne
 def matching_structures(
     dataset: ObservationalDataset, m: int, models: tuple[NeighborModel, NeighborModel] | None = None
 ) -> MatchStructures:
-    """The match's per-unit reductions.  ``models`` are ``arm_models(dataset, m)``
-    when the caller keeps them for another check; else each arm's tree is
-    built when it is needed and dropped before the next one is built."""
+    """The match's per-unit reductions on ``models = arm_models(dataset, m)``: 2 tree
+    builds, freed on return, unless the caller passes the models to reuse them."""
     if models is None:
-        _check_arm_sizes(dataset, m)
+        models = arm_models(dataset, m)
     elif any(model.m != m for model in models):
         raise ValueError(f"arm models were built for another m than {m}")
     x = dataset.covariates
     arms = [np.flatnonzero(dataset.treatment == t) for t in (1, 0)]
-    model_of = (lambda a: models[a]) if models else (lambda a: NeighborModel(x[arms[a]], m))
     matched_outcome = np.empty(dataset.n)
     matched_times = np.empty(dataset.n, dtype=np.int64)
-    model = model_of(0)
     for a in (0, 1):
-        # each arm queries in its own tree's leaf order, so a block is compact;
-        # ``model`` is arm a's tree here, and pass 1 takes pass 0's queried tree
-        own, other = arms[a][model._tree.indices], arms[1 - a]
-        del model  # one tree alive at a time: drop arm a's before the other is built
-        model, y_other = model_of(1 - a), dataset.outcome[other]
+        # each arm queries in its own tree's leaf order, so a block is compact
+        own, other = arms[a][models[a]._tree.indices], arms[1 - a]
+        y_other = dataset.outcome[other]
         counts = np.zeros(len(other), dtype=np.int64)
-        for rows, _, local in _knn_blocks(model, x, own):
+        for rows, _, local in _knn_blocks(models[1 - a], x, own):
             matched_outcome[own[rows]] = y_other[local].mean(axis=1)
             counts += np.bincount(local.ravel(), minlength=len(other))
         matched_times[other] = counts

@@ -225,69 +225,59 @@ class TestMatchingStructures:
             arm_models(four_unit_dataset, 3)
 
     def test_trees_freed_on_return_unless_passed(self, monkeypatch):
-        # the match keeps per-unit reductions only and holds one tree at a
-        # time: treated order, control tree, treated tree again; arm models
-        # its caller built stay the caller's and give the same match
-        live, most_alive, built = weakref.WeakSet(), [0], []
+        # the match builds each arm's tree once and keeps only per-unit
+        # reductions; arm models its caller built stay the caller's and give
+        # the same match
+        live, built = weakref.WeakSet(), []
 
         class TrackedTree(neighbors.cKDTree):
             def __init__(self, data, *args, **kwargs):
                 super().__init__(data, *args, **kwargs)
                 live.add(self)
-                most_alive[0] = max(most_alive[0], len(live))
                 built.append(len(data))
 
         monkeypatch.setattr(neighbors, "cKDTree", TrackedTree)
-        real_blocks = neighbors._knn_blocks
-
-        def counted_blocks(model, queries, order=None):
-            for block in real_blocks(model, queries, order):
-                most_alive[0] = max(most_alive[0], len(live))
-                yield block
-
-        monkeypatch.setattr(neighbors, "_knn_blocks", counted_blocks)
         data = generate(logistic_dgp(), 500, seed=3)
         structures = matching_structures(data, 4)
         assert len(live) == 0
-        assert most_alive[0] == 1
-        assert built == [data.n_treated, data.n_control, data.n_treated]
+        assert built == [data.n_treated, data.n_control]
         models = arm_models(data, 4)
         assert [model.n_reference for model in models] == [data.n_treated, data.n_control]
         reused = matching_structures(data, 4, models)
         assert len(live) == 2
-        assert len(built) == 5
+        assert len(built) == 4
         np.testing.assert_array_equal(reused.matched_outcome, structures.matched_outcome)
         np.testing.assert_array_equal(reused.matched_times, structures.matched_times)
         with pytest.raises(ValueError, match="another m than 5"):
             matching_structures(data, 5, models)
 
     def test_arm_models_own_their_rows(self):
-        # each model keeps the fresh x[mask] it is handed, read-only, with no
-        # second copy: the peak is the rows plus the trees' index arrays
-        data = generate(logistic_dgp(), 20_000, seed=0)
-        tracemalloc.start()
-        try:
-            models = arm_models(data, 5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.7 * data.covariates.nbytes, peak / data.covariates.nbytes
-        for model, t in zip(models, (1, 0)):
+        # each model keeps a read-only copy of its rows; the caller's arrays
+        # stay writable, and writing to them changes no query
+        data = generate(logistic_dgp(), 2_000, seed=0)
+        for model, t in zip(arm_models(data, 5), (1, 0)):
             assert not model.reference_points.flags.writeable
             rows = data.covariates[data.treatment == t]
             np.testing.assert_array_equal(model.reference_points, rows)
-        # 1-d input reaches the model as a view of the caller's array, so it is copied
-        points = np.array([0.0, 1.0, 3.0])
-        model = NeighborModel(points, 1)
-        points[0] = 10.0
+        points = np.random.default_rng(0).normal(size=(10, 2))
+        kept = points.copy()
+        model = NeighborModel(points, 2)
+        queries = np.random.default_rng(1).normal(size=(6, 2))
+        before = query_indices(model, queries)
+        assert points.flags.writeable
+        points[0, 0] = 1.0
+        points[1:] = 0.0
+        np.testing.assert_array_equal(model.reference_points, kept)
+        np.testing.assert_array_equal(query_indices(model, queries), before)
+        # 1-d input reaches the model as a column view of the caller's array
+        line = np.array([0.0, 1.0, 3.0])
+        model = NeighborModel(line, 1)
+        line[0] = 10.0
         np.testing.assert_array_equal(model.reference_points[:, 0], [0.0, 1.0, 3.0])
         np.testing.assert_array_equal(query_indices(model, 9.0)[0], [2])
-        # a 1-d two-sample input is stored as a column that owns its data, so
-        # the model keeps it with no second copy
         two = TwoSampleData(denominator=np.arange(5.0), numerator=np.arange(3.0))
-        assert two.denominator.shape == (5, 1) and two.denominator.base is None
+        assert two.denominator.shape == (5, 1)
         model = NeighborModel(two.denominator, 2)
-        assert np.shares_memory(model.reference_points, two.denominator)
         np.testing.assert_array_equal(model.reference_points[:, 0], np.arange(5.0))
 
     @given(st.integers(0, 2**32 - 1))
@@ -561,6 +551,38 @@ class TestSpatialIndexOracle:
         batch_idx = np.concatenate([idx for _, _, idx in _knn_blocks(model, queries)])
         for row, q in zip(batch_idx, queries):
             np.testing.assert_array_equal(row, query_indices(model, q)[0])
+
+
+def _accumulated_sq_dists(a, b):
+    # the textbook per-coordinate sum: zeros, then out += (a - b)^2
+    out = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(a.shape[1]):
+        diff = a[:, k, None] - b[None, :, k]
+        out += diff * diff
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 17])
+def test_sq_dists_forms_agree_bit_for_bit(d):
+    # the dense and the gathered form of the one kernel are the textbook sum
+    # bit for bit: b - a squares to (a - b)^2 and the first square is 0 + s
+    rng = np.random.default_rng(d)
+    a, b = rng.normal(size=(7, d)), rng.normal(size=(9, d))
+    a[0], b[0] = -0.0, 0.0
+    b[2] = b[1]  # duplicate rows
+    a[1] = b[3]  # a query on a reference
+    a[2, 0], b[4, 0] = 1.3e154, -1.3e154  # the square overflows
+    a[3], b[5] = 6e153, -6e153  # finite squares; from d = 2 on their sum overflows
+    a[4] = 1e154 * rng.normal(size=d)
+    idx = rng.integers(0, len(b), size=(len(a), 12))  # 12 > 9: indices repeat
+    with np.errstate(over="ignore"):
+        expected = _accumulated_sq_dists(a, b)
+        dense, gathered = _sq_dists(a, b), _sq_dists(a, b, idx)
+    assert np.isinf(expected).any() and expected[0, 0] == 0.0
+    np.testing.assert_array_equal(dense.view(np.uint64), expected.view(np.uint64))
+    np.testing.assert_array_equal(
+        gathered.view(np.uint64), np.take_along_axis(expected, idx, axis=1).view(np.uint64)
+    )
 
 
 class TestMetric:
