@@ -55,9 +55,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_w = sub.add_parser("weights", help="per-unit matching weights")
     p_w.add_argument("--input", default=None, help="dataset CSV (oracle column is na)")
     p_w.add_argument("--dgp", default=None, help="built-in DGP name (enables the oracle column)")
-    p_w.add_argument("--n", type=int, default=500)
+    # absent unless given, so that --input can refuse them
+    p_w.add_argument("--n", type=int, default=argparse.SUPPRESS, help="--dgp size (default 500)")
     p_w.add_argument("--m", type=int, default=None)
-    p_w.add_argument("--seed", type=int, default=0, help="seed of the --dgp draw (64-bit unsigned)")
+    seed_help = "seed of the --dgp draw (64-bit unsigned, default 0)"
+    p_w.add_argument("--seed", type=int, default=argparse.SUPPRESS, help=seed_help)
 
     p_sim = sub.add_parser("simulate", help="known-truth replication study")
     p_sim.add_argument("--dgp", default="logistic")
@@ -169,14 +171,16 @@ def cmd_weights(args) -> tuple[str, int]:
         raise ValueError("pass exactly one of --input or --dgp")
     oracle = None
     if args.input is not None:
+        if "n" in args or "seed" in args:
+            raise ValueError("--n and --seed set the --dgp draw; --input takes neither")
         data = ds.load_csv(args.input)
         source = [("input", args.input)]
     else:
-        spec = ds.builtin_dgp(args.dgp)
-        data = ds.generate(spec, args.n, args.seed)
+        spec, n, seed = ds.builtin_dgp(args.dgp), getattr(args, "n", 500), getattr(args, "seed", 0)
+        data = ds.generate(spec, n, seed)
         e = spec.propensity(data.covariates)
         oracle = np.where(data.treatment == 1, 1.0 / e, 1.0 / (1.0 - e))
-        source = [("dgp", args.dgp), ("n", args.n), ("seed", args.seed)]
+        source = [("dgp", args.dgp), ("n", n), ("seed", seed)]
     m = args.m if args.m is not None else default_match_count(data.n)
     structures = matching_structures(data, m)
     weights = structures.weights

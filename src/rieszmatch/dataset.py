@@ -21,6 +21,21 @@ import numpy as np
 from scipy.special import expit
 
 
+def _sample(values, name: str) -> np.ndarray:
+    """The stored form of a sample: a read-only float copy of its own, n x d with
+    n >= 1 and d >= 1 (a 1-d input is one column), every entry finite."""
+    x = np.asarray(values, dtype=float)
+    x = np.array(x[:, None] if x.ndim == 1 else x)  # copied, so no write by the caller reaches it
+    if x.ndim != 2 or 0 in x.shape:
+        raise ValueError(
+            f"{name} must be an n x d matrix with n >= 1 and d >= 1, got shape {x.shape}"
+        )
+    if not np.isfinite(x).all():
+        raise ValueError(f"non-finite value in {name}")
+    x.setflags(write=False)
+    return x
+
+
 @dataclass(frozen=True)
 class ObservationalDataset:
     """n units of (covariates, treatment flag, outcome); immutable after construction."""
@@ -30,11 +45,7 @@ class ObservationalDataset:
     outcome: np.ndarray     # (n,)
 
     def __post_init__(self):
-        x = np.array(self.covariates, dtype=float, copy=True)
-        if x.ndim == 1:
-            x = x[:, None]
-        if x.ndim != 2 or x.shape[0] == 0:
-            raise ValueError("covariates must be a nonempty n x d matrix")
+        x = _sample(self.covariates, "covariates")
         d_raw = np.asarray(self.treatment)
         if d_raw.shape != (x.shape[0],):
             raise ValueError("treatment must be a length-n vector")
@@ -44,11 +55,10 @@ class ObservationalDataset:
         y = np.array(self.outcome, dtype=float, copy=True)
         if y.shape != (x.shape[0],):
             raise ValueError("outcome must be a length-n vector")
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
-            raise ValueError("non-finite value in dataset")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("non-finite value in outcome")
         if d.sum() == 0 or d.sum() == len(d):
             raise ValueError("empty treatment arm")
-        x.setflags(write=False)
         d.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "covariates", x)
@@ -80,18 +90,9 @@ class TwoSampleData:
     numerator: np.ndarray    # (N1, d)
 
     def __post_init__(self):
-        # copied, so no later write by the caller changes the stored samples
-        den, num = (np.asarray(a, dtype=float) for a in (self.denominator, self.numerator))
-        den = np.array(den[:, None] if den.ndim == 1 else den, copy=True)
-        num = np.array(num[:, None] if num.ndim == 1 else num, copy=True)
-        if den.ndim != 2 or num.ndim != 2 or len(den) == 0 or len(num) == 0:
-            raise ValueError("both samples must be nonempty 2-d arrays")
+        den, num = _sample(self.denominator, "denominator"), _sample(self.numerator, "numerator")
         if den.shape[1] != num.shape[1]:
             raise ValueError("samples must share the column dimension")
-        if not (np.all(np.isfinite(den)) and np.all(np.isfinite(num))):
-            raise ValueError("non-finite value in sample")
-        den.setflags(write=False)
-        num.setflags(write=False)
         object.__setattr__(self, "denominator", den)
         object.__setattr__(self, "numerator", num)
 
@@ -252,26 +253,23 @@ def _raise_first_bad_row(lines: Iterable[str], width: int, binary_col: int | Non
 def _read_rows(path: Path, tail: list[str], binary_col: int | None = None) -> np.ndarray:
     """Data rows under a header x0,...,x{d-1} plus ``tail``, parsed by one loadtxt.
 
-    The UTF-8 file is streamed through loadtxt, never held as text. Where loadtxt
-    fails, skips a line (it skips blank lines), or yields a non-finite value or a
-    ``binary_col`` value other than 0 or 1, a row-by-row scan from the top raises
-    the error of the first bad row; there a byte that is not UTF-8 is unparseable."""
+    The UTF-8 file is opened once and streamed through loadtxt, never held as
+    text. The lines loadtxt reads are counted as the stream yields them, blank
+    ones included, with LF, CRLF and CR each ending a line as for csv. Where
+    loadtxt fails, reads fewer rows than lines (it skips blank lines), or yields
+    a non-finite value or a ``binary_col`` value other than 0 or 1, a row-by-row
+    scan from the top of the same handle raises the error of the first bad row;
+    there a byte that is not UTF-8 is unparseable."""
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
         width = _header_width(next(csv.reader(handle), None), path, tail)
-        values = np.empty((0, width))
-        first = next((line for line in handle if line.strip("\r\n")), None)
+        values, counter = np.empty((0, width)), itertools.count()
+        lines = (line for line, _ in zip(handle, counter))  # one count per line read
+        first = next((line for line in lines if line.strip("\r\n")), None)
         with contextlib.suppress(ValueError):  # the scan below names the first bad row
             if first is not None:  # loadtxt warns on an input of blank lines only
-                lines = itertools.chain([first], handle)
+                lines = itertools.chain([first], lines)
                 values = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None, quotechar='"')
-        n_lines, last = 0, b""
-        with open(path, "rb") as raw:  # line ends as csv reads them: LF, CRLF and CR
-            while chunk := raw.read(1 << 16):
-                n_lines += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
-                n_lines -= last == b"\r" and chunk[:1] == b"\n"  # a CRLF split across chunks
-                last = chunk[-1:]
-        n_lines += last not in (b"", b"\n", b"\r")  # a last line with no line end
-        ok = values.shape == (n_lines - 1, width) and np.isfinite(values).all()
+        ok = values.shape == (next(counter), width) and np.isfinite(values).all()
         if not ok or (binary_col is not None and not np.isin(values[:, binary_col], (0, 1)).all()):
             handle.seek(0)  # the header passed _header_width, so it is one line
             _raise_first_bad_row(itertools.islice(handle, 1, None), width, binary_col)

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .dataset import TwoSampleData
+from .dataset import TwoSampleData, _sample
 from .neighbors import (
     NeighborModel,
     _as_points,
@@ -190,7 +190,7 @@ def gaussian_grid_basis(points: np.ndarray, per_dim: int = 4) -> Basis:
     with bandwidth the mean box side over ``per_dim``."""
     if per_dim < 1:
         raise ValueError(f"Gaussian grid size must be >= 1, got {per_dim}")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _sample(points, "point cloud")
     count = per_dim ** pts.shape[1]  # a Python int: nothing is allocated yet
     if count > _MAX_GRID_CENTERS:
         raise ValueError(

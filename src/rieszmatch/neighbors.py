@@ -11,8 +11,9 @@ index.  The tree only proposes candidates.  Every ordering and boundary decision
 is made on squared distances summed coordinate by coordinate (``_sq_dists``),
 which from d = 8 on can differ from the tree's own sums in the last bit, so a
 row stops widening its candidates only once its M-th squared distance lies below
-the last one's by more than the relative slack ``_TREE_ROUNDING``.  Only tied or
-out-of-order rows are re-sorted, which on continuous data is almost none.
+the last one's by more than the relative slack ``_TREE_ROUNDING``.  A row block
+with any tied or out-of-order row is sorted whole; on continuous data almost
+none is.
 A candidate whose squared distance overflows float64 is a ValueError: the tree
 reports it as missing.
 
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .dataset import ObservationalDataset
+from .dataset import ObservationalDataset, _sample
 
 # Entries held at once by a kNN block or a blocked count: 256 KiB of float64,
 # so a leaf-ordered block's candidate arrays stay in a core's L2 cache and
@@ -48,9 +49,9 @@ _BLOCK_ENTRIES = 1 << 15
 _TREE_ROUNDING = 1e-9
 
 
-def _as_points(points, d: int | None = None) -> np.ndarray:
+def _as_points(points, d: int) -> np.ndarray:
     """Coerce to an (k, d) matrix; a 1-d array is one point if its length is d > 1,
-    else a column.  Without d any width is accepted."""
+    else a column."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 0:
         pts = pts.reshape(1, 1)
@@ -58,7 +59,7 @@ def _as_points(points, d: int | None = None) -> np.ndarray:
         pts = pts[None, :] if d != 1 and pts.shape[0] == d else pts[:, None]
     if pts.ndim != 2:
         raise ValueError("points must be at most 2-d")
-    if d is not None and pts.shape[1] != d:
+    if pts.shape[1] != d:
         raise ValueError(f"dimension mismatch: expected points of dimension {d}")
     return pts
 
@@ -83,40 +84,28 @@ def _sq_dists(a: np.ndarray, b: np.ndarray, idx: np.ndarray | None = None) -> np
 def _row_sort(sq: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Put each kd-tree row in (squared distance, reference index) order.
 
-    Rows the tree already returned in that order are left as they are; only
-    rows with an index-order tie or a distance inversion between adjacent
-    columns are re-sorted.  Indices are distinct within a row, so the key is
+    A block the tree already returned in that order is returned as it is; a
+    block with any index-order tie or distance inversion between adjacent
+    columns is sorted whole.  Indices are distinct within a row, so the key is
     unique and an in-order row is already its own sorted form.
     """
     head, tail = sq[:, :-1], sq[:, 1:]
-    broken = (head > tail) | ((head == tail) & (idx[:, :-1] > idx[:, 1:]))
-    rows = np.flatnonzero(broken.any(axis=1))
-    if len(rows) == 0:
+    if not ((head > tail) | ((head == tail) & (idx[:, :-1] > idx[:, 1:]))).any():
         return sq, idx
-    if len(rows) == len(sq):  # all broken, as on tied data: no copy to patch
-        order = np.lexsort((idx, sq), axis=1)
-        return np.take_along_axis(sq, order, axis=1), np.take_along_axis(idx, order, axis=1)
-    sq, idx = sq.copy(), idx.copy()
-    order = np.lexsort((idx[rows], sq[rows]), axis=1)
-    sq[rows] = np.take_along_axis(sq[rows], order, axis=1)
-    idx[rows] = np.take_along_axis(idx[rows], order, axis=1)
-    return sq, idx
+    order = np.lexsort((idx, sq), axis=1)
+    return np.take_along_axis(sq, order, axis=1), np.take_along_axis(idx, order, axis=1)
 
 
 class NeighborModel:
     """An immutable M-nearest-neighbor index over a fixed reference sample."""
 
     def __init__(self, reference_points, m: int):
-        ref = _as_points(reference_points)
-        if not np.all(np.isfinite(ref)):
-            raise ValueError("reference points must be finite")
+        # a read-only copy of its own, so no write by the caller reaches the tree
+        self.reference_points = _sample(reference_points, "reference points")
         if m < 1:
             raise ValueError("m must be >= 1")
-        if m > len(ref):
-            raise ValueError(f"m={m} exceeds the reference size {len(ref)}")
-        # a read-only copy of its own, so no write by the caller reaches the tree
-        self.reference_points = ref.copy()
-        self.reference_points.setflags(write=False)
+        if m > self.n_reference:
+            raise ValueError(f"m={m} exceeds the reference size {self.n_reference}")
         self.m = int(m)
         self._tree = cKDTree(self.reference_points)
 

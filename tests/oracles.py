@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from rieszmatch.dataset import ObservationalDataset, TwoSampleData
+from rieszmatch.dataset import ObservationalDataset, TwoSampleData, _sample
 from rieszmatch.lsif import Basis, LsifFit, evaluate_matrix, fit
 from rieszmatch.neighbors import (
     NeighborModel,
@@ -87,7 +87,7 @@ def brute_force_match_sets(dataset: ObservationalDataset, m: int):
 
 def brute_force_knn(reference_points, query, m: int) -> np.ndarray:
     """Oracle M-NN query of one point: full distance scan plus (distance, index) order."""
-    ref = _as_points(reference_points)
+    ref = _sample(reference_points, "reference points")
     q = _as_points(query, ref.shape[1])
     if q.shape[0] != 1:
         raise ValueError("query must be a single point")
@@ -120,7 +120,7 @@ def catchment_indicator(reference_points, m: int, c) -> Basis:
 
     Both boundaries are inclusive.  The anchor itself always evaluates to 1.
     """
-    ref = _as_points(reference_points).copy()
+    ref = _sample(reference_points, "reference points")
     model = NeighborModel(ref, m)
     anchor = _as_points(c, ref.shape[1])
     if anchor.shape[0] != 1:

@@ -201,6 +201,19 @@ class TestWeights:
         assert cli.main(["weights", "--input", str(four_unit_file), "--dgp", "logistic"]) == 2
         assert cli.main(["weights"]) == 2
 
+    @pytest.mark.parametrize("flag", [["--n", "4"], ["--seed", "0"], ["--n", "500", "--seed", "0"]])
+    def test_input_refuses_the_dgp_draw_flags(self, tmp_path, capsys, four_unit_file, flag):
+        # a CSV is read whole and draws nothing, so --n and --seed would select nothing
+        assert cli.main(["weights", "--input", str(four_unit_file), *flag]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --n and --seed set the --dgp draw; --input takes neither\n"
+
+    def test_dgp_draw_defaults(self, tmp_path):
+        code, text = run(tmp_path, "weights", "--dgp", "logistic", "--m", "2")
+        assert code == 0
+        header, records = parse_report(text)
+        assert (header["n"], header["seed"], len(records)) == ("500", "0", 500)
+
 
 class TestSimulate:
     def test_rows_and_summary(self, tmp_path):

@@ -1,4 +1,6 @@
+import builtins
 import csv
+import re
 import tracemalloc
 import warnings
 
@@ -8,6 +10,7 @@ import pytest
 from rieszmatch import (
     LOGISTIC_TRUE_ATE,
     ObservationalDataset,
+    TwoSampleData,
     builtin_dgp,
     generate,
     load_csv,
@@ -15,7 +18,10 @@ from rieszmatch import (
     logistic_dgp,
     save_csv,
 )
+from rieszmatch import dataset
 from rieszmatch.dataset import DgpSpec
+from rieszmatch.lsif import gaussian_grid_basis
+from rieszmatch.neighbors import NeighborModel
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -183,13 +189,28 @@ class TestStreamedReader:
         np.testing.assert_array_equal(as_matrix(loader(path)), [[0.25, 1, 1.5], [-0.75, 0, 2.0]])
 
     def test_crlf_at_every_offset_of_the_binary_line_count(self, tmp_path):
-        # the loader counts lines in fixed-size binary reads; one of these 11
-        # paddings puts a CR last in any read shorter than the file
+        # the file is read in fixed-size chunks; one of these 11 paddings puts
+        # a CR last in any chunk shorter than the file
         path = tmp_path / "crlf.csv"
         for pad in range(11):
             first = b"0." + b"5" * (pad + 1) + b",0,1.5\r\n"
             path.write_bytes(b"x0,d,y\r\n" + first + b"0.5,1,1.5\r\n" * 10_000)
             assert load_csv(path).n == 10_001
+
+    @pytest.mark.parametrize("loader, header", LOADERS)
+    def test_good_file_is_opened_once(self, tmp_path, monkeypatch, loader, header):
+        # the row count comes from the stream loadtxt parses, not a second pass
+        path = tmp_path / "data.csv"
+        path.write_bytes(header + b"\r\n0.25,1,1.5\r-0.75,0,2.0")
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return builtins.open(*args, **kwargs)
+
+        monkeypatch.setattr(dataset, "open", counting_open, raising=False)
+        np.testing.assert_array_equal(as_matrix(loader(path)), [[0.25, 1, 1.5], [-0.75, 0, 2.0]])
+        assert opened == [path]
 
     @pytest.mark.parametrize("loader, header", LOADERS)
     def test_blank_only_body_raises_without_warning(self, tmp_path, loader, header):
@@ -313,6 +334,44 @@ class TestDatasetInvariants:
         )
         with pytest.raises(ValueError):
             data.covariates[0, 0] = 1.0
+
+
+# each checks its sample before anything else, so the other arguments fit a 4 x 1 sample
+SAMPLE_OWNERS = {
+    "covariates": lambda x: ObservationalDataset(x, [1, 0, 1, 0], np.zeros(4)).covariates,
+    "denominator": lambda x: TwoSampleData(denominator=x, numerator=np.zeros((2, 1))).denominator,
+    "numerator": lambda x: TwoSampleData(denominator=np.zeros((2, 1)), numerator=x).numerator,
+    "reference points": lambda x: NeighborModel(x, 1).reference_points,
+    "point cloud": lambda x: gaussian_grid_basis(x),
+}
+
+
+class TestSampleRule:
+    """Every sample a dataset, a kd-tree or a Gaussian grid takes obeys one rule."""
+
+    @pytest.mark.parametrize("name", SAMPLE_OWNERS)
+    @pytest.mark.parametrize(
+        "shape", [(6, 0), (0, 1), (4, 1, 1), ()], ids=["zero-width", "no-rows", "3-d", "scalar"]
+    )
+    def test_bad_shape_is_named(self, name, shape):
+        # zero width leaves no coordinate to match on: a named error, not an
+        # IndexError in the kd-tree
+        message = f"{name} must be an n x d matrix with n >= 1 and d >= 1, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SAMPLE_OWNERS[name](np.zeros(shape))
+
+    @pytest.mark.parametrize("name", SAMPLE_OWNERS)
+    def test_non_finite_entry_is_named(self, name):
+        with pytest.raises(ValueError, match=f"^non-finite value in {name}$"):
+            SAMPLE_OWNERS[name](np.array([[0.0], [np.inf], [1.0], [2.0]]))
+
+    @pytest.mark.parametrize("name", [n for n in SAMPLE_OWNERS if n != "point cloud"])
+    def test_stored_form_is_a_read_only_column_of_its_own(self, name):
+        given = np.array([0.5, 1.5, 2.5, 3.5])
+        stored = SAMPLE_OWNERS[name](given)
+        assert stored.shape == (4, 1) and stored.flags.owndata and not stored.flags.writeable
+        given[0] = 9.0  # the caller's array stays writable and reaches nothing stored
+        np.testing.assert_array_equal(stored[:, 0], [0.5, 1.5, 2.5, 3.5])
 
 
 def constant_half_spec(d=1):
