@@ -184,12 +184,9 @@ def cmd_weights(args) -> tuple[str, int]:
     m = args.m if args.m is not None else default_match_count(data.n)
     structures = matching_structures(data, m)
     weights = structures.weights
-    header = [("command", "weights")] + source + [
-        ("m", m),
-        ("metric", "euclidean"),
-        ("n", data.n),
-        ("max_weight", float(weights.max())),
-    ]
+    header = [("command", "weights")] + source + [("m", m), ("metric", "euclidean")]
+    header += [("n", data.n)] if oracle is None else []  # a --dgp source names its n
+    header.append(("max_weight", float(weights.max())))
     records = []
     for i in range(data.n):
         rec = [

@@ -21,17 +21,28 @@ import numpy as np
 from scipy.special import expit
 
 
-def _sample(values, name: str) -> np.ndarray:
-    """The stored form of a sample: a read-only float copy of its own, n x d with
-    n >= 1 and d >= 1 (a 1-d input is one column), every entry finite."""
+def _points(values, name: str, d: int | None = None, min_rows: int = 0) -> np.ndarray:
+    """The one reading of a matrix of points: float, n x d with n >= ``min_rows`` and
+    d >= 1 (a 1-d input is one column; a scalar is an error), every entry finite,
+    and with ``d`` given exactly d columns.  A float 2-d input comes back uncopied."""
     x = np.asarray(values, dtype=float)
-    x = np.array(x[:, None] if x.ndim == 1 else x)  # copied, so no write by the caller reaches it
-    if x.ndim != 2 or 0 in x.shape:
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.ndim != 2 or x.shape[0] < min_rows or x.shape[1] == 0:
         raise ValueError(
-            f"{name} must be an n x d matrix with n >= 1 and d >= 1, got shape {x.shape}"
+            f"{name} must be an n x d matrix with n >= {min_rows} and d >= 1, got shape {x.shape}"
         )
+    if d is not None and x.shape[1] != d:
+        raise ValueError(f"dimension mismatch: expected {name} of dimension {d}, got {x.shape[1]}")
     if not np.isfinite(x).all():
         raise ValueError(f"non-finite value in {name}")
+    return x
+
+
+def _sample(values, name: str) -> np.ndarray:
+    """The stored form of a sample: its points with n >= 1, as a read-only float
+    copy of its own, so no write by the caller reaches it."""
+    x = np.array(_points(values, name, min_rows=1))
     x.setflags(write=False)
     return x
 
@@ -310,7 +321,8 @@ def load_points_csv(path) -> np.ndarray:
 
 
 def save_points_csv(points: np.ndarray, path) -> None:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    """Write a point cloud so that load_points_csv reads it back bit for bit."""
+    pts = _points(points, "points", min_rows=1)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow([f"x{i}" for i in range(pts.shape[1])])

@@ -33,10 +33,9 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .dataset import TwoSampleData, _sample
+from .dataset import TwoSampleData, _points, _sample
 from .neighbors import (
     NeighborModel,
-    _as_points,
     _catchment_counts,
     _mth_sq_radius_batch,
     _row_blocks,
@@ -65,9 +64,7 @@ class Basis:
 class LsifFit:
     basis: Basis
     lam: float
-    H_hat: np.ndarray  # (b, b)
-    h_hat: np.ndarray  # (b,)
-    beta: np.ndarray   # (b,)
+    beta: np.ndarray  # (b,)
 
 
 def _check_lambda(lam: float) -> None:
@@ -116,7 +113,7 @@ def ridge_solve(h_mat: np.ndarray, h_vec: np.ndarray, lam: float, singular: str)
 
 def evaluate_matrix(basis: Basis, points: np.ndarray) -> np.ndarray:
     """Evaluate a basis on an (k, d) matrix in one batch call."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _points(points, "points")
     out = np.asarray(basis.evaluate(pts), dtype=float)
     expected = (len(pts), basis.dimension)
     if out.shape != expected:
@@ -144,7 +141,7 @@ def fit(data: TwoSampleData, basis: Basis, lam: float | None = None) -> LsifFit:
         "the basis has no unique minimizer on this sample"
     )
     beta = ridge_solve(h_mat, h_vec, lam, singular)
-    return LsifFit(basis=basis, lam=float(lam), H_hat=h_mat, h_hat=h_vec, beta=beta)
+    return LsifFit(basis=basis, lam=float(lam), beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +163,7 @@ def monomial_exponents(dimension_in: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def polynomial_feature_matrix(points: np.ndarray, degree: int) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _points(points, "points")
     exps = [np.array(e) for e in monomial_exponents(pts.shape[1], degree)]
     out = np.empty((len(pts), len(exps)))
     for rows in _row_blocks(len(pts), len(exps)):  # peak: the result plus one row block
@@ -180,7 +177,7 @@ def polynomial_basis(dimension_in: int, degree: int) -> Basis:
     b = len(monomial_exponents(dimension_in, degree))
 
     def evaluate(points):
-        return polynomial_feature_matrix(_as_points(points, dimension_in), degree)
+        return polynomial_feature_matrix(_points(points, "points", dimension_in), degree)
 
     return Basis(dimension=b, evaluate=evaluate)
 
@@ -206,7 +203,7 @@ def gaussian_grid_basis(points: np.ndarray, per_dim: int = 4) -> Basis:
     inv_two_sq = 1.0 / (2.0 * bandwidth * bandwidth)
 
     def evaluate(qpoints):
-        q = _as_points(qpoints, centers.shape[1])
+        q = _points(qpoints, "points", centers.shape[1])
         out = np.empty((len(q), len(centers)))
         for rows in _row_blocks(len(q), len(centers)):
             np.exp(-_sq_dists(q[rows], centers) * inv_two_sq, out=out[rows])
@@ -262,7 +259,7 @@ def indicator_dre(data: TwoSampleData, m: int, points, lam=0.0):
         raise ValueError(f"m={m} exceeds the denominator sample size {data.n_denominator}")
     _check_lambda(lam)
     model, num = NeighborModel(data.denominator, m), data.numerator
-    pts = _as_points(points, data.d)
+    pts = _points(points, "points", data.d)
     radii, num_radii = _mth_sq_radius_batch(model, pts), _mth_sq_radius_batch(model, num)
     n_den, n_num = data.n_denominator, data.n_numerator
     return _indicator_values(model, pts, radii, num, num_radii, n_den, n_num, lam)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .dataset import ObservationalDataset, _sample
+from .dataset import ObservationalDataset, _points, _sample
 
 # Entries held at once by a kNN block or a blocked count: 256 KiB of float64,
 # so a leaf-ordered block's candidate arrays stay in a core's L2 cache and
@@ -47,21 +47,6 @@ _BLOCK_ENTRIES = 1 << 15
 # Relative bound on how far the kd-tree's squared distances may stray from
 # _sq_dists through summation order; far above d * 2^-52 for any practical d.
 _TREE_ROUNDING = 1e-9
-
-
-def _as_points(points, d: int) -> np.ndarray:
-    """Coerce to an (k, d) matrix; a 1-d array is one point if its length is d > 1,
-    else a column."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 0:
-        pts = pts.reshape(1, 1)
-    elif pts.ndim == 1:
-        pts = pts[None, :] if d != 1 and pts.shape[0] == d else pts[:, None]
-    if pts.ndim != 2:
-        raise ValueError("points must be at most 2-d")
-    if pts.shape[1] != d:
-        raise ValueError(f"dimension mismatch: expected points of dimension {d}")
-    return pts
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
@@ -142,7 +127,7 @@ def _knn_blocks(model: NeighborModel, queries, order=None):
     and indices of each row's tie-broken M nearest references, (distance, index)
     order.  With ``order`` the queries are ``queries[order]``, gathered one block
     at a time.  Short rows alone are queried again, at doubled k, in sub-blocks."""
-    pts, m, n_ref = _as_points(queries, model.d), model.m, model.n_reference
+    pts, m, n_ref = _points(queries, "queries", model.d), model.m, model.n_reference
     first_k = min(n_ref, m + 1)
     n_rows = len(pts) if order is None else len(order)
     for rows in _row_blocks(n_rows, first_k):

@@ -9,12 +9,15 @@ compare the two routes bit for bit.  ``brute_force_sq_knn`` shares no code with
 the library's neighbour search, which runs its kd-tree in every dimension.
 ``query_indices`` reads the library's own kNN rows for those comparisons, and
 ``library_match_sets`` and ``brute_force_match_sets`` spell out the per-unit
-match sets that ``matching_structures`` reduces without holding.
+match sets that ``matching_structures`` reduces without holding.  Points are
+read by the library's one rule, ``dataset._points``: one point is a (1, d)
+row, and a 1-d input is one column.
 
 The rest is test-only machinery the library has no use for: matched-times
 counts at arbitrary points (``matched_times_at``), the constant basis, the
-sample LSIF objective and its gradient, the sample Riesz arm risk and its
-gradient, ``parse_report``, which reads a rendered report back, and
+LSIF moments ``fit`` solves with (``lsif_moments``, which ``fit`` does not
+keep), the sample LSIF objective and its gradient, the sample Riesz arm risk
+and its gradient, ``parse_report``, which reads a rendered report back, and
 ``rescaled``, which puts a dataset in the weighted distance it is matched in.
 """
 
@@ -22,11 +25,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from rieszmatch.dataset import ObservationalDataset, TwoSampleData, _sample
+from rieszmatch.dataset import ObservationalDataset, TwoSampleData, _points, _sample
 from rieszmatch.lsif import Basis, LsifFit, evaluate_matrix, fit
 from rieszmatch.neighbors import (
     NeighborModel,
-    _as_points,
     _catchment_counts,
     _knn_blocks,
     _mth_sq_radius_batch,
@@ -88,7 +90,7 @@ def brute_force_match_sets(dataset: ObservationalDataset, m: int):
 def brute_force_knn(reference_points, query, m: int) -> np.ndarray:
     """Oracle M-NN query of one point: full distance scan plus (distance, index) order."""
     ref = _sample(reference_points, "reference points")
-    q = _as_points(query, ref.shape[1])
+    q = _points(query, "query", ref.shape[1])
     if q.shape[0] != 1:
         raise ValueError("query must be a single point")
     if not 1 <= m <= len(ref):
@@ -98,8 +100,8 @@ def brute_force_knn(reference_points, query, m: int) -> np.ndarray:
 
 
 def fitted_value(fit_result: LsifFit, x) -> float:
-    """Fitted ratio beta' Phi(x) at one point, as one dot product."""
-    phi = evaluate_matrix(fit_result.basis, np.atleast_2d(np.asarray(x, dtype=float)))[0]
+    """Fitted ratio beta' Phi(x) at one point, a (1, d) row, as one dot product."""
+    (phi,) = evaluate_matrix(fit_result.basis, x)
     return float(np.dot(fit_result.beta, phi))
 
 
@@ -122,13 +124,13 @@ def catchment_indicator(reference_points, m: int, c) -> Basis:
     """
     ref = _sample(reference_points, "reference points")
     model = NeighborModel(ref, m)
-    anchor = _as_points(c, ref.shape[1])
+    anchor = _points(c, "anchor", ref.shape[1])
     if anchor.shape[0] != 1:
         raise ValueError("anchor must be a single point")
     anchor_sq_radius = float(_mth_sq_radius_batch(model, anchor)[0])
 
     def evaluate(points):
-        p = _as_points(points, ref.shape[1])
+        p = _points(points, "points", ref.shape[1])
         is_ref = (p[:, None, :] == ref[None, :, :]).all(axis=2).any(axis=1)
         out = np.zeros((len(p), 1))
         if is_ref.any():
@@ -153,7 +155,7 @@ def indicator_basis(data: TwoSampleData, m: int, c) -> Basis:
 
 def one_step_dre(data: TwoSampleData, m: int, c) -> float:
     """Nearest-neighbor one-step ratio estimate (N0/N1) K_M(c) / M."""
-    anchor = _as_points(c, data.d)
+    anchor = _points(c, "c", data.d)
     if anchor.shape[0] != 1:
         raise ValueError("c must be a single point")
     k = int(matched_times_at(data, m, anchor)[0])
@@ -185,7 +187,7 @@ def matched_times_at(data: TwoSampleData, m: int, points) -> np.ndarray:
     if m > data.n_denominator:
         raise ValueError(f"m={m} exceeds the denominator sample size {data.n_denominator}")
     model, num = NeighborModel(data.denominator, m), data.numerator
-    pts, radii = _as_points(points, data.d), _mth_sq_radius_batch(model, num)
+    pts, radii = _points(points, "points", data.d), _mth_sq_radius_batch(model, num)
     unused = np.zeros(len(pts))  # no point is on the anchor side
     return _catchment_counts(pts, unused, num, radii, np.zeros(len(num), bool))
 
@@ -198,7 +200,7 @@ def rescaled(dataset: ObservationalDataset, scale) -> ObservationalDataset:
 
 def constant_basis(dimension_in: int) -> Basis:
     def evaluate(points):
-        return np.ones((len(_as_points(points, dimension_in)), 1))
+        return np.ones((len(_points(points, "points", dimension_in)), 1))
 
     return Basis(dimension=1, evaluate=evaluate)
 
@@ -213,10 +215,21 @@ def objective_value(data: TwoSampleData, basis: Basis, lam: float, beta: np.ndar
     )
 
 
-def objective_gradient(fit_result: LsifFit, beta: np.ndarray) -> np.ndarray:
+def lsif_moments(data: TwoSampleData, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
+    """The moments ``fit`` solves with, in its arithmetic: H averages Phi Phi' over
+    the denominator sample and h averages Phi over the numerator sample."""
+    phi_den = evaluate_matrix(basis, data.denominator)
+    h_vec = evaluate_matrix(basis, data.numerator).mean(axis=0)
+    return phi_den.T @ phi_den / data.n_denominator, h_vec
+
+
+def objective_gradient(
+    data: TwoSampleData, basis: Basis, lam: float, beta: np.ndarray
+) -> np.ndarray:
     """Analytic gradient (H + lambda I) beta - h of the empirical objective."""
+    h_mat, h_vec = lsif_moments(data, basis)
     beta = np.asarray(beta, dtype=float)
-    return fit_result.H_hat @ beta + fit_result.lam * beta - fit_result.h_hat
+    return h_mat @ beta + lam * beta - h_vec
 
 
 def arm_objective_value(

@@ -172,10 +172,11 @@ def test_06_optimality_checks():
             (polynomial_basis(data.d, min(2, data.d)), 1e-2),
         ):
             result = fit(data, basis, lam)
-            worst_foc = max(worst_foc, np.abs(objective_gradient(result, result.beta)).max())
+            grad = objective_gradient(data, basis, lam, result.beta)
+            worst_foc = max(worst_foc, np.abs(grad).max())
             fd_check(
                 lambda b, _d=data, _b=basis, _l=lam: objective_value(_d, _b, _l, b),
-                lambda b, _r=result: objective_gradient(_r, b),
+                lambda b, _d=data, _b=basis, _l=lam: objective_gradient(_d, _b, _l, b),
                 basis.dimension,
             )
 
@@ -218,8 +219,8 @@ def test_07_neighbor_oracle():
             ref = rng.normal(size=(n, d))
         ref = ref * scale
         model = NeighborModel(ref, m)
-        queries = [rng.normal(size=d) * scale for _ in range(6)]
-        queries += [ref[int(rng.integers(n))] for _ in range(4)]
+        queries = [rng.normal(size=(1, d)) * scale for _ in range(6)]  # (1, d) rows
+        queries += [ref[int(rng.integers(n))][None] for _ in range(4)]
         for q in queries:
             expected = brute_force_knn(ref, q, m)
             np.testing.assert_array_equal(query_indices(model, q)[0], expected)

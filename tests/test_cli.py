@@ -6,6 +6,7 @@ import pytest
 
 from oracles import fitted_value, parse_report
 from rieszmatch import TwoSampleData, cli, generate, logistic_dgp, lsif, save_csv, save_points_csv
+from rieszmatch.report import RECORD_SEPARATOR
 
 FOUR_UNIT_CSV = "x0,d,y\n0.0,1,1.0\n2.0,1,3.0\n0.1,0,0.0\n1.9,0,2.0\n"
 DEN_CSV = "x0\n0.0\n1.0\n2.0\n3.0\n"
@@ -172,7 +173,7 @@ class TestDre:
         # each r_hat is the per-point dot product, to the last bit
         for record, point in zip(records, samples["pts"]):
             assert np.isfinite(float(record["r_hat"]))
-            assert record["r_hat"] == repr(fitted_value(result, point))
+            assert record["r_hat"] == repr(fitted_value(result, point[None]))
 
 
 class TestWeights:
@@ -213,6 +214,18 @@ class TestWeights:
         assert code == 0
         header, records = parse_report(text)
         assert (header["n"], header["seed"], len(records)) == ("500", "0", 500)
+
+    @pytest.mark.parametrize("source", ["--dgp", "--input"])
+    def test_each_header_key_once(self, tmp_path, four_unit_file, source):
+        # a reader that keys the header by name loses nothing
+        if source == "--dgp":
+            argv = ["--dgp", "logistic", "--n", "40"]
+        else:
+            argv = ["--input", str(four_unit_file)]
+        code, text = run(tmp_path, "weights", *argv, "--m", "1")
+        keys = [line.split("=", 1)[0] for line in text.split(RECORD_SEPARATOR)[0].splitlines()]
+        assert code == 0 and "n" in keys
+        assert len(keys) == len(set(keys)), keys
 
 
 class TestSimulate:

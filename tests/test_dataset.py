@@ -1,12 +1,15 @@
 import builtins
 import csv
 import re
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import query_indices
 from rieszmatch import (
     LOGISTIC_TRUE_ATE,
     ObservationalDataset,
@@ -17,10 +20,17 @@ from rieszmatch import (
     load_points_csv,
     logistic_dgp,
     save_csv,
+    save_points_csv,
 )
 from rieszmatch import dataset
 from rieszmatch.dataset import DgpSpec
-from rieszmatch.lsif import gaussian_grid_basis
+from rieszmatch.lsif import (
+    evaluate_matrix,
+    gaussian_grid_basis,
+    indicator_dre,
+    polynomial_basis,
+    polynomial_feature_matrix,
+)
 from rieszmatch.neighbors import NeighborModel
 
 
@@ -372,6 +382,79 @@ class TestSampleRule:
         assert stored.shape == (4, 1) and stored.flags.owndata and not stored.flags.writeable
         given[0] = 9.0  # the caller's array stays writable and reaches nothing stored
         np.testing.assert_array_equal(stored[:, 0], [0.5, 1.5, 2.5, 3.5])
+
+
+def _round_trip(points):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "points.csv"
+        save_points_csv(points, path)
+        return load_points_csv(path)
+
+
+# Every taker of a batch of points ``x``, beside a reference sample ``ref`` of
+# the dimension the taker expects.
+POINT_TAKERS = {
+    "covariates": lambda ref, x: ObservationalDataset(x, [0, 1, 0, 1, 0], np.zeros(5)).covariates,
+    "two-sample": lambda ref, x: TwoSampleData(denominator=x, numerator=ref).denominator,
+    "reference points": lambda ref, x: NeighborModel(x, 2).reference_points,
+    "point cloud": lambda ref, x: gaussian_grid_basis(x, per_dim=3).evaluate(ref),
+    "queries": lambda ref, x: query_indices(NeighborModel(ref, 2), x),  # through _knn_blocks
+    "indicator_dre": lambda ref, x: indicator_dre(TwoSampleData(ref, ref[::2]), 2, x),
+    "polynomial evaluate": lambda ref, x: polynomial_basis(ref.shape[1], 2).evaluate(x),
+    "gaussian evaluate": lambda ref, x: gaussian_grid_basis(ref, per_dim=3).evaluate(x),
+    "evaluate_matrix": lambda ref, x: evaluate_matrix(polynomial_basis(ref.shape[1], 1), x),
+    "polynomial_feature_matrix": lambda ref, x: polynomial_feature_matrix(x, 2),
+    "save_points_csv": lambda ref, x: _round_trip(x),
+}
+# The takers that read a batch against a dimension fixed before it.
+DIMENSIONED = [
+    "queries", "indicator_dre", "polynomial evaluate", "gaussian evaluate", "evaluate_matrix"
+]
+
+
+class TestOnePointsReading:
+    """Every taker of points reads a batch by one rule, the one samples obey."""
+
+    line = np.array([0.5, 1.5, 2.5, 3.5, 4.5])
+    ref_1d = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]])
+    ref_2d = np.random.default_rng(0).normal(size=(6, 2))
+
+    @pytest.mark.parametrize("name", POINT_TAKERS)
+    def test_a_1d_input_is_one_column(self, name):
+        taker = POINT_TAKERS[name]
+        np.testing.assert_array_equal(
+            taker(self.ref_1d, self.line), taker(self.ref_1d, self.line[:, None])
+        )
+
+    @pytest.mark.parametrize("name", DIMENSIONED)
+    def test_a_1d_input_in_d2_names_the_dimension(self, name):
+        message = r"^dimension mismatch: expected \w+ of dimension 2, got 1$"
+        with pytest.raises(ValueError, match=message):
+            POINT_TAKERS[name](self.ref_2d, self.line)
+
+    @pytest.mark.parametrize("name", DIMENSIONED)
+    def test_a_nan_entry_is_named(self, name):
+        # not the kd-tree's "squared distance overflows float64"
+        with pytest.raises(ValueError, match=r"^non-finite value in (queries|points)$"):
+            POINT_TAKERS[name](self.ref_2d, np.array([[0.0, 0.0], [np.nan, 0.0]]))
+
+    def test_an_empty_batch_gives_no_rows(self):
+        empty = np.empty((0, 2))
+        for basis in (polynomial_basis(2, 2), gaussian_grid_basis(self.ref_2d, per_dim=3)):
+            assert evaluate_matrix(basis, empty).shape == (0, basis.dimension)
+            assert basis.evaluate(empty).shape == (0, basis.dimension)
+        assert polynomial_feature_matrix(empty, 2).shape == (0, 6)
+        assert indicator_dre(TwoSampleData(self.ref_2d, self.ref_2d), 2, empty).shape == (0,)
+
+    def test_a_scalar_is_no_batch(self):
+        for name in DIMENSIONED:
+            with pytest.raises(ValueError, match=r"must be an n x d matrix .* got shape \(\)$"):
+                POINT_TAKERS[name](self.ref_1d, 0.5)
+
+    def test_a_float_matrix_is_read_uncopied(self):
+        x = self.ref_2d
+        assert dataset._points(x, "points", 2) is x
+        assert np.shares_memory(dataset._points(x[:, 0], "points"), x)
 
 
 def constant_half_spec(d=1):

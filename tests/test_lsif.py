@@ -11,6 +11,7 @@ from oracles import (
     constant_basis,
     fitted_value,
     indicator_basis,
+    lsif_moments,
     matched_times_at,
     objective_gradient,
     objective_value,
@@ -41,8 +42,9 @@ class TestFit:
         pts = np.array([[0.1], [0.5], [0.9]])
         data = TwoSampleData(denominator=pts, numerator=pts)
         result = fit(data, constant_basis(1), lam=0.0)
-        np.testing.assert_allclose(result.H_hat, [[1.0]])
-        np.testing.assert_allclose(result.h_hat, [1.0])
+        h_mat, h_vec = lsif_moments(data, constant_basis(1))
+        np.testing.assert_allclose(h_mat, [[1.0]])
+        np.testing.assert_allclose(h_vec, [1.0])
         np.testing.assert_allclose(result.beta, [1.0])
         assert fitted_value(result, [0.33]) == pytest.approx(1.0)
 
@@ -52,15 +54,17 @@ class TestFit:
             denominator=rng.normal(size=(40, 2)), numerator=rng.normal(size=(30, 2))
         )
         basis = polynomial_basis(2, 2)
+        _, h_vec = lsif_moments(data, basis)
         for lam in (1e3, 1e6):
             result = fit(data, basis, lam)
-            assert np.linalg.norm(result.beta) <= np.linalg.norm(result.h_hat) / lam
+            assert np.linalg.norm(result.beta) <= np.linalg.norm(h_vec) / lam
 
     def test_indicator_running_instance(self, running_two_sample):
         basis = indicator_basis(running_two_sample, 1, [0.0])
         result = fit(running_two_sample, basis, lam=0.0)
-        np.testing.assert_allclose(result.H_hat, [[0.25]])
-        np.testing.assert_allclose(result.h_hat, [0.5])
+        h_mat, h_vec = lsif_moments(running_two_sample, basis)
+        np.testing.assert_allclose(h_mat, [[0.25]])
+        np.testing.assert_allclose(h_vec, [0.5])
         np.testing.assert_allclose(result.beta, [2.0])
 
     def test_singular_at_lambda_zero_reported(self):
@@ -94,8 +98,9 @@ class TestFit:
                 fit(data, polynomial_basis(1, 1), lam)
 
     def test_fit_holds_few_moment_matrix_copies(self):
-        # 2025 centers: H_hat and one system factored in place, each 31 MiB;
-        # adding the ridge out of place and a copying factorization take 3.2
+        # 2025 centers: the moment matrix and one system factored in place, each
+        # 31 MiB; adding the ridge out of place and a copying factorization take
+        # 3.2.  Neither outlives the call.
         rng = np.random.default_rng(5)
         data = TwoSampleData(
             denominator=rng.normal(size=(200, 2)), numerator=rng.normal(0.3, size=(200, 2))
@@ -105,14 +110,14 @@ class TestFit:
         tracemalloc.start()
         try:
             result = fit(data, basis, lam)
-            peak = tracemalloc.get_traced_memory()[1]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * b * b * 8, peak / (b * b * 8)
+        assert held < 0.1 * b * b * 8, held / (b * b * 8)
         # the out-of-place formula, bit for bit
         phi_den = evaluate_matrix(basis, data.denominator)
         h_mat = phi_den.T @ phi_den / data.n_denominator
-        np.testing.assert_array_equal(result.H_hat, h_mat)
         h_vec = evaluate_matrix(basis, data.numerator).mean(axis=0)
         np.testing.assert_array_equal(result.beta, solve_spd(h_mat + lam * np.eye(b), h_vec))
 
@@ -121,9 +126,9 @@ class TestFit:
         data = TwoSampleData(
             denominator=rng.normal(size=(60, 2)), numerator=rng.normal(size=(20, 2))
         )
-        result = fit(data, polynomial_basis(2, 2), lam=1e-8)
-        np.testing.assert_allclose(result.H_hat, result.H_hat.T, atol=1e-14)
-        eigvals = np.linalg.eigvalsh(result.H_hat)
+        h_mat, _ = lsif_moments(data, polynomial_basis(2, 2))
+        np.testing.assert_allclose(h_mat, h_mat.T, atol=1e-14)
+        eigvals = np.linalg.eigvalsh(h_mat)
         assert eigvals.min() >= -1e-12
 
 
@@ -185,11 +190,11 @@ class TestIndicatorBasis:
         for _ in range(20):
             data, m = random_two_sample_instance(rng, max_n=60)
             t = int(rng.integers(data.n_numerator))
-            c = data.numerator[t]
-            result = fit(data, indicator_basis(data, m, c), lam=0.0)
-            assert result.H_hat[0, 0] == m / data.n_denominator
-            k = matched_times_at(data, m, c[None, :])[0]
-            assert result.h_hat[0] == k / data.n_numerator
+            c = data.numerator[t : t + 1]
+            h_mat, h_vec = lsif_moments(data, indicator_basis(data, m, c))
+            assert h_mat[0, 0] == m / data.n_denominator
+            k = matched_times_at(data, m, c)[0]
+            assert h_vec[0] == k / data.n_numerator
 
 
 class TestOneStep:
@@ -235,7 +240,7 @@ class TestTheorem1:
         for data, m in instances:
             batch = verify_theorem1_all(data, m)
             for t in range(0, data.n_numerator, 3):
-                single = verify_theorem1(data, m, data.numerator[t])
+                single = verify_theorem1(data, m, data.numerator[t : t + 1])
                 assert single.lsif_value == batch.lsif_values[t]
                 assert single.one_step_value == batch.one_step_values[t]
 
@@ -290,7 +295,7 @@ class TestIndicatorDre:
         for data, m in cases:
             points = np.vstack([data.numerator[:8], data.denominator[:4], [[7.0] * data.d]])
             values = indicator_dre(data, m, points, lam)
-            for t, point in enumerate(points):
+            for t, point in enumerate(points[:, None]):  # (1, d) rows
                 single = fitted_value(fit(data, indicator_basis(data, m, point), lam), point)
                 assert values[t] == single
 
@@ -370,7 +375,7 @@ class TestOptimality:
             )
             basis = polynomial_basis(2, degree)
             result = fit(data, basis, lam=1e-4)
-            grad = objective_gradient(result, result.beta)
+            grad = objective_gradient(data, basis, 1e-4, result.beta)
             assert np.abs(grad).max() <= 1e-10
 
     def test_finite_differences_match_analytic_gradient(self):
@@ -380,11 +385,10 @@ class TestOptimality:
         )
         basis = polynomial_basis(2, 2)
         lam = 0.05
-        result = fit(data, basis, lam)
         step = 1e-5
         for _ in range(20):
             beta = rng.normal(size=basis.dimension)
-            grad = objective_gradient(result, beta)
+            grad = objective_gradient(data, basis, lam, beta)
             fd = np.empty_like(grad)
             for j in range(len(beta)):
                 up = beta.copy()
@@ -418,9 +422,10 @@ class TestOptimality:
         basis = polynomial_basis(2, 1)
         lam = 0.1
         result = fit(data, basis, lam)
-        system = result.H_hat + lam * np.eye(basis.dimension)
+        h_mat, h_vec = lsif_moments(data, basis)
+        system = h_mat + lam * np.eye(basis.dimension)
         for s in (0.5, 2.0, -3.0):
-            scaled = solve_spd(system, s * result.h_hat)
+            scaled = solve_spd(system, s * h_vec)
             np.testing.assert_allclose(scaled, s * result.beta, rtol=1e-12)
 
 
@@ -504,17 +509,22 @@ class TestBuiltInBases:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_one_shape_contract(self, d):
-        # (k, d) -> (k, b) is the only contract: one 1-d point is a batch of one
+        # (k, d) -> (k, b) is the only contract: a 1-d input is one column
         pts = np.random.default_rng(7).normal(size=(5, d))
         bases = [
             constant_basis(d),
             polynomial_basis(d, 2),
             gaussian_grid_basis(pts, per_dim=3),
-            catchment_indicator(pts, 2, pts[0]),
+            catchment_indicator(pts, 2, pts[:1]),
         ]
         for basis in bases:
-            assert basis.evaluate(pts[0]).shape == (1, basis.dimension)
+            assert basis.evaluate(pts[:1]).shape == (1, basis.dimension)
             assert basis.evaluate(pts).shape == (5, basis.dimension)
+            if d == 1:
+                assert basis.evaluate(pts[:, 0]).shape == (5, basis.dimension)
+            else:
+                with pytest.raises(ValueError, match=f"of dimension {d}, got 1$"):
+                    basis.evaluate(pts[:, 0])
 
     @pytest.mark.parametrize("kind", ["poly", "gauss"])
     def test_default_ridge_bit_for_bit(self, kind):

@@ -48,20 +48,20 @@ def _assert_reduced_at_every_block_size(monkeypatch, data, m, sets):
 class TestKnn:
     def test_single_candidate(self):
         model = NeighborModel([5.0], m=1)
-        np.testing.assert_array_equal(query_indices(model, 3.0)[0], [0])
+        np.testing.assert_array_equal(query_indices(model, [[3.0]])[0], [0])
 
     def test_line_two_nearest(self):
         model = NeighborModel([0.0, 1.0, 3.0], m=2)
-        np.testing.assert_array_equal(query_indices(model, 0.9)[0], [1, 0])
+        np.testing.assert_array_equal(query_indices(model, [[0.9]])[0], [1, 0])
 
     def test_exact_tie_breaks_by_index(self):
         model = NeighborModel([0.0, 2.0], m=1)
-        np.testing.assert_array_equal(query_indices(model, 1.0)[0], [0])
+        np.testing.assert_array_equal(query_indices(model, [[1.0]])[0], [0])
 
     def test_tie_break_with_many_duplicates(self):
         # four copies of the same point: order must be 0,1,2,3
         model = NeighborModel([1.0, 1.0, 1.0, 1.0], m=3)
-        np.testing.assert_array_equal(query_indices(model, 0.0)[0], [0, 1, 2])
+        np.testing.assert_array_equal(query_indices(model, [[0.0]])[0], [0, 1, 2])
 
     def test_dimension_mismatch(self):
         model = NeighborModel(np.zeros((4, 2)), m=1)
@@ -76,15 +76,15 @@ class TestKnn:
 class TestMthRadius:
     def test_line_instance(self):
         model = NeighborModel([0.0, 1.0, 3.0], m=1)
-        assert np.sqrt(_mth_sq_radius_batch(model, 0.9)[0]) == pytest.approx(0.1, abs=1e-15)
+        assert np.sqrt(_mth_sq_radius_batch(model, [[0.9]])[0]) == pytest.approx(0.1, abs=1e-15)
 
     def test_zero_at_reference_point(self):
         model = NeighborModel([4.2], m=1)
-        assert np.sqrt(_mth_sq_radius_batch(model, 4.2)[0]) == 0.0
+        assert np.sqrt(_mth_sq_radius_batch(model, [[4.2]])[0]) == 0.0
 
     def test_third_neighbor(self):
         model = NeighborModel([0.0, 1.0, 3.0], m=3)
-        assert np.sqrt(_mth_sq_radius_batch(model, 0.0)[0]) == 3.0
+        assert np.sqrt(_mth_sq_radius_batch(model, [[0.0]])[0]) == 3.0
 
 
 def covers(reference, m, x, z):
@@ -269,12 +269,12 @@ class TestMatchingStructures:
         points[1:] = 0.0
         np.testing.assert_array_equal(model.reference_points, kept)
         np.testing.assert_array_equal(query_indices(model, queries), before)
-        # 1-d input reaches the model as a column view of the caller's array
+        # a 1-d input is stored as a column copy of the caller's array
         line = np.array([0.0, 1.0, 3.0])
         model = NeighborModel(line, 1)
         line[0] = 10.0
         np.testing.assert_array_equal(model.reference_points[:, 0], [0.0, 1.0, 3.0])
-        np.testing.assert_array_equal(query_indices(model, 9.0)[0], [2])
+        np.testing.assert_array_equal(query_indices(model, [[9.0]])[0], [2])
         two = TwoSampleData(denominator=np.arange(5.0), numerator=np.arange(3.0))
         assert two.denominator.shape == (5, 1)
         model = NeighborModel(two.denominator, 2)
@@ -342,7 +342,7 @@ class TestBlockedQueries:
         whole = matching_structures(data, m)
         whole_sets = library_match_sets(data, m)
         whole_radii = _mth_sq_radius_batch(model, x[treated])
-        whole_first = query_indices(model, x[treated[0]])[0]
+        whole_first = query_indices(model, x[treated[:1]])[0]
 
         monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", entries)
         blocked = matching_structures(data, m)
@@ -350,7 +350,7 @@ class TestBlockedQueries:
         np.testing.assert_array_equal(blocked.matched_outcome, whole.matched_outcome)
         np.testing.assert_array_equal(blocked.matched_times, whole.matched_times)
         np.testing.assert_array_equal(_mth_sq_radius_batch(model, x[treated]), whole_radii)
-        np.testing.assert_array_equal(query_indices(model, x[treated[0]])[0], whole_first)
+        np.testing.assert_array_equal(query_indices(model, x[treated[:1]])[0], whole_first)
 
         expected = brute_force_match_sets(data, m)
         sq, _ = brute_force_sq_knn(x[treated], x[control], m)
@@ -499,7 +499,7 @@ class TestSpatialIndexOracle:
             ref = rng.normal(size=(n, d)) * scale
             model = NeighborModel(ref, m)
             for _ in range(5):
-                q = rng.normal(size=d) * scale
+                q = rng.normal(size=(1, d)) * scale
                 expected = brute_force_knn(ref, q, m)
                 np.testing.assert_array_equal(query_indices(model, q)[0], expected)
 
@@ -518,14 +518,14 @@ class TestSpatialIndexOracle:
         ref = np.array(points, dtype=float) / 2.0
         m = min(m, len(ref))
         model = NeighborModel(ref, m)
-        q = np.array(query, dtype=float) / 2.0
+        q = np.array([query], dtype=float) / 2.0
         np.testing.assert_array_equal(query_indices(model, q)[0], brute_force_knn(ref, q, m))
 
     def test_high_dimension_equals_brute_force(self):
         rng = np.random.default_rng(5)
         ref = rng.normal(size=(40, 20))
         model = NeighborModel(ref, 3)
-        for q in rng.normal(size=(10, 20)):
+        for q in rng.normal(size=(10, 1, 20)):
             expected = brute_force_knn(ref, q, 3)
             np.testing.assert_array_equal(query_indices(model, q)[0], expected)
 
@@ -540,7 +540,7 @@ class TestSpatialIndexOracle:
         base = np.resize([0.1, 0.2, 0.3, 0.7, 1.1, 1e-3, 3.3], d)
         ref = np.unique([rng.permutation(base) for _ in range(300)], axis=0)
         model = NeighborModel(ref, m)
-        q = np.zeros(d)
+        q = np.zeros((1, d))
         np.testing.assert_array_equal(query_indices(model, q)[0], brute_force_knn(ref, q, m))
 
     def test_batch_matches_single_queries(self):
@@ -549,7 +549,7 @@ class TestSpatialIndexOracle:
         model = NeighborModel(ref, 4)
         queries = rng.normal(size=(10, 3))
         batch_idx = np.concatenate([idx for _, _, idx in _knn_blocks(model, queries)])
-        for row, q in zip(batch_idx, queries):
+        for row, q in zip(batch_idx, queries[:, None]):
             np.testing.assert_array_equal(row, query_indices(model, q)[0])
 
 
@@ -590,7 +590,7 @@ class TestMetric:
 
     def test_weighted_changes_neighbors(self):
         ref = np.array([[1.0, 0.0], [0.0, 1.2]])
-        q = np.zeros(2)
+        q = np.zeros((1, 2))
         assert query_indices(NeighborModel(ref, 1), q)[0][0] == 0
         heavy_x = np.sqrt([10.0, 0.1])
         assert query_indices(NeighborModel(ref * heavy_x, 1), q * heavy_x)[0][0] == 1

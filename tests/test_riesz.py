@@ -59,7 +59,7 @@ class TestFitWeightArm:
             for i in range(0, data.n, 5):
                 arm = int(data.treatment[i])
                 reference = data.covariates[data.treatment == arm]
-                basis = catchment_indicator(reference, m, data.covariates[i])
+                basis = catchment_indicator(reference, m, data.covariates[i : i + 1])
                 phi = evaluate_matrix(basis, data.covariates)
                 theta = fit_weight_arm(data, arm, phi, lam=0.0)
                 assert abs(theta[0] - weights[i]) <= 1e-12
@@ -101,7 +101,7 @@ def assert_batched_weights_exact(data, m):
         radii = _mth_sq_radius_batch(model, x)
         theta = _indicator_values(model, x[rows], radii[rows], x, radii, data.n, data.n)
         for j, i in enumerate(np.flatnonzero(rows)):
-            phi = evaluate_matrix(catchment_indicator(x[rows], m, x[i]), x)
+            phi = evaluate_matrix(catchment_indicator(x[rows], m, x[i : i + 1]), x)
             assert theta[j] == fit_weight_arm(data, arm, phi, lam=0.0)[0]
 
 
@@ -235,9 +235,9 @@ class TestRieszFit:
         for i in range(0, data.n, 7):
             arm = int(data.treatment[i])
             reference = data.covariates[data.treatment == arm]
-            basis = catchment_indicator(reference, m, data.covariates[i])
+            basis = catchment_indicator(reference, m, data.covariates[i : i + 1])
             theta = fit_weight_arm(data, arm, evaluate_matrix(basis, data.covariates), lam=0.0)
-            weight = float(np.dot(theta, evaluate_matrix(basis, data.covariates[i][None])[0]))
+            weight = float(np.dot(theta, evaluate_matrix(basis, data.covariates[i : i + 1])[0]))
             value = weight if arm == 1 else -weight
             assert abs(value - alpha[i]) <= 1e-12
 
