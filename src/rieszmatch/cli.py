@@ -9,10 +9,11 @@ failure, 2 input error (bad data, or a path that cannot be read or written).
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
+import functools
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,8 @@ from .report import render_report
 
 # --estimator name -> the report's variant name
 _VARIANTS = dict(matching="matching", weight="weight_form", bc="bias_corrected", dr="dr_riesz")
+# simulate's estimates, in record and summary order
+_SIM_VARIANTS = ("matching", "weight_form", "regression", "bias_corrected", "dr_riesz")
 
 
 def default_match_count(n: int) -> int:
@@ -87,11 +90,28 @@ def _emit(body: str, output: str | None) -> None:
         Path(output).write_text(body)
 
 
-def _pool_map(worker, args_list, jobs: int) -> list:
-    if jobs <= 1 or len(args_list) <= 1:
-        return [worker(args) for args in args_list]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(args_list))) as pool:
-        return list(pool.map(worker, args_list))
+def _pool_map(worker, jobs: int, *columns) -> list:
+    """``worker`` over the zipped ``columns`` in order; a pool starts for jobs > 1 and 2+ tasks."""
+    tasks = len(columns[0])
+    if jobs <= 1 or tasks <= 1:
+        return list(map(worker, *columns))
+    # the attribute loads the process pool, and multiprocessing, on first access
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, tasks)) as pool:
+        return list(pool.map(worker, *columns))
+
+
+def _estimate(variant: str, data, structures, outcome) -> float:
+    """tau of one report variant. Each estimator is looked up on ``matching`` at
+    the call, so a rebinding of ``matching.ate_*`` after import sees every call."""
+    if variant == "matching":
+        return matching.ate_matching(data, structures)
+    if variant == "weight_form":
+        return matching.ate_weight_form(data, structures)
+    if variant == "regression":
+        return matching.ate_regression(data, outcome)
+    if variant == "bias_corrected":
+        return matching.ate_bias_corrected(data, structures, outcome)
+    return matching.ate_dr_riesz(data, structures, outcome)
 
 
 def cmd_ate(args) -> tuple[str, int]:
@@ -100,14 +120,8 @@ def cmd_ate(args) -> tuple[str, int]:
     structures = matching_structures(data, m)
     # fitted after the match, so its stored means stay out of the match's peak
     outcome = matching.fit_outcome(data, args.degree) if args.estimator in ("bc", "dr") else None
-    if args.estimator == "matching":
-        tau = matching.ate_matching(data, structures)
-    elif args.estimator == "weight":
-        tau = matching.ate_weight_form(data, structures)
-    elif args.estimator == "bc":
-        tau = matching.ate_bias_corrected(data, structures, outcome)
-    else:
-        tau = matching.ate_dr_riesz(data, structures, outcome)
+    variant = _VARIANTS[args.estimator]
+    tau = _estimate(variant, data, structures, outcome)
     header = [
         ("command", "ate"),
         ("input", args.input),
@@ -120,7 +134,7 @@ def cmd_ate(args) -> tuple[str, int]:
         ("n_control", data.n_control),
         ("tau", tau),
     ]
-    variant, max_weight = _VARIANTS[args.estimator], float(structures.weights.max())
+    max_weight = float(structures.weights.max())
     record = [("tau", tau), ("variant", variant), ("m", m), ("max_weight", max_weight)]
     return render_report(header, [record]), 0
 
@@ -200,30 +214,12 @@ def cmd_weights(args) -> tuple[str, int]:
     return render_report(header, records), 0
 
 
-def _simulate_replication(task: tuple) -> dict:
-    rep, rep_seed, dgp_name, n, m, degree = task
-    spec = ds.builtin_dgp(dgp_name)
-    data = ds.generate(spec, n, rep_seed)
+def _simulate_replication(dgp: str, n: int, m: int, degree: int, seed: int) -> list[float]:
+    """The ``_SIM_VARIANTS`` estimates on one draw of ``dgp``."""
+    data = ds.generate(ds.builtin_dgp(dgp), n, seed)
     outcome = matching.fit_outcome(data, degree)
     structures = matching_structures(data, m)
-    return {
-        "rep": rep,
-        "seed": rep_seed,
-        "tau_matching": matching.ate_matching(data, structures),
-        "tau_weight_form": matching.ate_weight_form(data, structures),
-        "tau_regression": matching.ate_regression(data, outcome),
-        "tau_bias_corrected": matching.ate_bias_corrected(data, structures, outcome),
-        "tau_dr_riesz": matching.ate_dr_riesz(data, structures, outcome),
-    }
-
-
-_SIM_COLUMNS = (
-    "tau_matching",
-    "tau_weight_form",
-    "tau_regression",
-    "tau_bias_corrected",
-    "tau_dr_riesz",
-)
+    return [_estimate(variant, data, structures, outcome) for variant in _SIM_VARIANTS]
 
 
 def cmd_simulate(args) -> tuple[str, int]:
@@ -232,8 +228,8 @@ def cmd_simulate(args) -> tuple[str, int]:
     spec = ds.builtin_dgp(args.dgp)
     m = args.m if args.m is not None else default_match_count(args.n)
     seeds = eq.instance_seeds(args.seed, args.reps)
-    tasks = [(rep, seeds[rep], args.dgp, args.n, m, args.degree) for rep in range(args.reps)]
-    rows = _pool_map(_simulate_replication, tasks, args.jobs)
+    replicate = functools.partial(_simulate_replication, args.dgp, args.n, m, args.degree)
+    rows = _pool_map(replicate, args.jobs, seeds)
     header = [
         ("command", "simulate"),
         ("dgp", args.dgp),
@@ -245,9 +241,8 @@ def cmd_simulate(args) -> tuple[str, int]:
         ("metric", "euclidean"),
         ("true_ate", spec.true_ate),
     ]
-    for column in _SIM_COLUMNS:
-        taus = np.array([row[column] for row in rows])
-        name = column.removeprefix("tau_")
+    for j, name in enumerate(_SIM_VARIANTS):
+        taus = np.array([row[j] for row in rows])
         header.append((f"summary.{name}.mean", float(taus.mean())))
         sd = float(taus.std(ddof=1)) if len(taus) > 1 else 0.0
         header.append((f"summary.{name}.sd", sd))
@@ -255,23 +250,17 @@ def cmd_simulate(args) -> tuple[str, int]:
         rmse = float(np.sqrt(np.mean((taus - spec.true_ate) ** 2)))
         header.append((f"summary.{name}.rmse", rmse))
     records = [
-        [("rep", row["rep"]), ("seed", row["seed"])] + [(c, row[c]) for c in _SIM_COLUMNS]
-        for row in rows
+        [("rep", rep), ("seed", seeds[rep])] + [(f"tau_{v}", t) for v, t in zip(_SIM_VARIANTS, row)]
+        for rep, row in enumerate(rows)
     ]
     return render_report(header, records), 0
-
-
-def _verify_instance(task: tuple) -> eq.InstanceRecord:
-    index, seed = task
-    return eq.run_instance(index, seed)
 
 
 def cmd_verify(args) -> tuple[str, int]:
     if args.instances < 1:
         raise ValueError("--instances must be >= 1")
     seeds = eq.instance_seeds(args.seed, args.instances)
-    tasks = list(enumerate(seeds))
-    results = _pool_map(_verify_instance, tasks, args.jobs)
+    results = _pool_map(eq.run_instance, args.jobs, range(args.instances), seeds)
     max_gaps = {name: max(getattr(rec, name) for rec in results) for name in eq.GAP_NAMES}
     passed = all(max_gaps[name] <= eq.GAP_THRESHOLD for name in eq.JUDGED_GAPS)
     header = [

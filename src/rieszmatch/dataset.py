@@ -264,14 +264,14 @@ def _raise_first_bad_row(lines: Iterable[str], width: int, binary_col: int | Non
 def _read_rows(path: Path, tail: list[str], binary_col: int | None = None) -> np.ndarray:
     """Data rows under a header x0,...,x{d-1} plus ``tail``, parsed by one loadtxt.
 
-    The UTF-8 file is opened once and streamed through loadtxt, never held as
-    text. The lines loadtxt reads are counted as the stream yields them, blank
-    ones included, with LF, CRLF and CR each ending a line as for csv. Where
-    loadtxt fails, reads fewer rows than lines (it skips blank lines), or yields
-    a non-finite value or a ``binary_col`` value other than 0 or 1, a row-by-row
-    scan from the top of the same handle raises the error of the first bad row;
-    there a byte that is not UTF-8 is unparseable."""
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
+    The UTF-8 file (a leading byte-order mark skipped) is opened once and streamed
+    through loadtxt, never held as text. The lines loadtxt reads are counted as the
+    stream yields them, blank ones included, with LF, CRLF and CR each ending a line
+    as for csv. Where loadtxt fails, reads fewer rows than lines (it skips blank
+    lines), or yields a non-finite value or a ``binary_col`` value other than 0 or 1,
+    a row-by-row scan from the top of the same handle raises the error of the first
+    bad row; there a byte that is not UTF-8 is unparseable."""
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
         width = _header_width(next(csv.reader(handle), None), path, tail)
         values, counter = np.empty((0, width)), itertools.count()
         lines = (line for line, _ in zip(handle, counter))  # one count per line read

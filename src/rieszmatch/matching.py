@@ -29,9 +29,7 @@ class OutcomeModel:
 
 
 def fit_outcome(dataset: ObservationalDataset, degree: int) -> OutcomeModel:
-    """Least-squares polynomial fit of each arm's outcome mean."""
-    if not 0 <= degree <= 3:
-        raise ValueError("degree must be in 0..3")
+    """Least-squares polynomial fit of each arm's outcome mean; ``degree`` is 0..3."""
     features = polynomial_feature_matrix(dataset.covariates, degree)
     n_coef = features.shape[1]
     coefs = {}

@@ -1,5 +1,10 @@
+import concurrent.futures
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +57,18 @@ class TestAte:
         assert len(records) == 1
         assert records[0]["variant"] == variant
         assert float(records[0]["max_weight"]) == max_weight
+
+    @pytest.mark.parametrize("estimator", ["matching", "weight", "bc", "dr"])
+    def test_byte_order_mark_changes_only_the_input_line(self, tmp_path, estimator):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        save_csv(generate(logistic_dgp(), 300, seed=2), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        reports = []
+        for path in (plain, marked):
+            code, text = run(tmp_path, "ate", "--input", str(path), "--estimator", estimator)
+            assert code == 0
+            reports.append(text.replace(f"input={path}\n", ""))
+        assert reports[0] == reports[1]
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code = cli.main(["ate", "--input", str(tmp_path / "nope.csv"), "--m", "1"])
@@ -247,6 +264,16 @@ class TestSimulate:
             sd, rmse = float(header[f"summary.{name}.sd"]), float(header[f"summary.{name}.rmse"])
             assert rmse**2 == pytest.approx(bias**2 + sd**2 * (5 - 1) / 5, rel=1e-12)
 
+    def test_record_and_summary_key_order(self, tmp_path):
+        _, text = run(tmp_path, "simulate", "--n", "100", "--reps", "2", "--seed", "3")
+        header, records = parse_report(text)
+        names = ["matching", "weight_form", "regression", "bias_corrected", "dr_riesz"]
+        for record in records:
+            assert list(record) == ["rep", "seed"] + [f"tau_{name}" for name in names]
+        summary = [key for key in header if key.startswith("summary.")]
+        stats = ["mean", "sd", "bias", "rmse"]
+        assert summary == [f"summary.{name}.{stat}" for name in names for stat in stats]
+
     def test_byte_identical_across_jobs(self, tmp_path):
         argv = ["simulate", "--dgp", "logistic", "--n", "150", "--reps", "4", "--seed", "9"]
         _, first = run(tmp_path, *argv, "--jobs", "1")
@@ -269,15 +296,26 @@ class TestSimulate:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         argv = ["simulate", "--n", "100", "--reps", "3"]
         _, serial = run(tmp_path, *argv)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         _, pooled = run(tmp_path, *argv, "--jobs", "8")
         assert sizes == [3]
         assert pooled == serial
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # a serial run starts no pool, so it need not pay for loading one
+        src = str(Path(cli.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        probe = "import sys, rieszmatch.cli; print('multiprocessing' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "False\n"
 
 
 class TestVerify:

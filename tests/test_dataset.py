@@ -231,6 +231,36 @@ class TestStreamedReader:
             with pytest.raises(ValueError, match="^malformed row at row 2: expected 3 fields, got 0$"):
                 loader(path)
 
+    @pytest.mark.parametrize("loader", [load_csv, load_points_csv])
+    def test_byte_order_mark_is_skipped_bit_for_bit(self, tmp_path, loader):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        if loader is load_csv:
+            save_csv(generate(logistic_dgp(), 200, seed=8), plain)
+        else:
+            save_points_csv(np.random.default_rng(8).standard_normal((200, 3)), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected, got = as_matrix(loader(plain)), as_matrix(loader(marked))
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "loader, body, message",
+        [
+            (load_csv, b"x0,d,y\n0.0,1,1.0\n2.0,1,3.0\n0.1,2,0.0\n", "non-binary treatment at row 4"),
+            (
+                load_points_csv,
+                b"x0,x1\n0.5,1.5\n0.\xff2,2.0\n",
+                "malformed row at row 3: unparseable number",
+            ),
+        ],
+        ids=["load_csv", "load_points_csv"],
+    )
+    def test_bad_row_after_byte_order_mark_is_named_by_line(self, tmp_path, loader, body, message):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + body)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            loader(path)
+
     @pytest.mark.parametrize("loader, header", LOADERS)
     def test_undecodable_byte_is_named_by_row(self, tmp_path, loader, header):
         path = tmp_path / "data.csv"

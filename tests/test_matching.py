@@ -190,6 +190,12 @@ class TestFitOutcome:
             coef = np.linalg.lstsq(features[mask], data.outcome[mask], rcond=None)[0]
             np.testing.assert_array_equal(mu, features @ coef)
 
+    @pytest.mark.parametrize("degree", [4, -1])
+    def test_degree_out_of_range_is_refused(self, degree):
+        data = generate(logistic_dgp(), 50, seed=5)
+        with pytest.raises(ValueError, match=r"^degree must be in 0\.\.3$"):
+            fit_outcome(data, degree)
+
     def test_model_fitted_on_other_rows_is_rejected(self):
         data = generate(logistic_dgp(), 300, seed=5)
         model = fit_outcome(generate(logistic_dgp(), 299, seed=5), degree=1)
@@ -378,8 +384,8 @@ class TestMatchOnce:
 
     def test_simulate_replication_matches_once(self, monkeypatch):
         calls = count_matches(monkeypatch)
-        row = cli._simulate_replication((0, 7, "logistic", 300, 8, 1))
-        assert abs(row["tau_matching"] - row["tau_weight_form"]) <= 1e-12
+        taus = cli._simulate_replication("logistic", 300, 8, 1, 7)
+        assert abs(taus[0] - taus[1]) <= 1e-12
         assert len(calls) == 1
 
     def test_run_instance_builds_each_intermediate_once(self, monkeypatch):
