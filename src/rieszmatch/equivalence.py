@@ -8,8 +8,9 @@ per-point ``catchment_indicator`` fits of the test oracle in
 ``tests/oracles.py``), the joint Riesz block solve vs arm-wise solves, and
 the doubly robust score form vs the bias-corrected form.  ``run_instance``
 builds each intermediate once per instance for every suite that needs it:
-two arm kd-trees that serve the match and the weight identity, one outcome
-model with its fitted means, and one evaluation of the separability basis.
+two arm kd-trees (``neighbors.arm_trees``, which hold no M) that serve the
+match and the weight identity at the instance's M, one outcome model with its
+fitted means, and one evaluation of the separability basis.
 ``verify`` and the acceptance tests run on these.
 
 In 30% of instances the generators draw a weighted Euclidean distance, weights
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .dataset import ObservationalDataset, TwoSampleData
 from .lsif import (
@@ -40,13 +42,7 @@ from .matching import (
     ate_weight_form,
     fit_outcome,
 )
-from .neighbors import (
-    MatchStructures,
-    NeighborModel,
-    _mth_sq_radius_batch,
-    arm_models,
-    matching_structures,
-)
+from .neighbors import MatchStructures, _mth_sq_radius_batch, arm_trees, matching_structures
 from .riesz import dr_score, fit_weight_arm, nn_representer_values, riesz_fit
 
 GAP_THRESHOLD = 1e-12
@@ -100,20 +96,21 @@ def eq1_gap(dataset: ObservationalDataset, structures: MatchStructures) -> float
 def weight_identity_max_gap(
     dataset: ObservationalDataset,
     structures: MatchStructures,
-    models: tuple[NeighborModel, NeighborModel],
+    trees: tuple[cKDTree, cKDTree],
 ) -> float:
     """Per-unit gap between the indicator-basis LSIF weight and 1 + K_M(i)/M.
 
     One pass per arm, whose rows are both the anchors and the reference, on
-    the arm's M-NN model in ``models``, the ``arm_models`` the match was built on.
+    the arm's tree in ``trees``, the ``arm_trees`` the match was built on, at
+    the match's M.
     """
-    weights, x, n = structures.weights, dataset.covariates, dataset.n
+    weights, x, n, m = structures.weights, dataset.covariates, dataset.n, structures.m
     worst = 0.0
     for arm in (0, 1):
         rows = dataset.treatment == arm
-        model = models[1 - arm]  # treated first
-        radii = _mth_sq_radius_batch(model, x)
-        theta = _indicator_values(model, x[rows], radii[rows], x, radii, n, n)
+        tree = trees[1 - arm]  # treated first
+        radii = _mth_sq_radius_batch(tree, m, x)
+        theta = _indicator_values(tree.data, x[rows], radii[rows], x, radii, n, n)
         worst = max(worst, float(np.abs(theta - weights[rows]).max()))
     return worst
 
@@ -166,6 +163,8 @@ class InstanceRecord:
 
     @property
     def max_gap(self) -> float:
+        """The verdict's one input: ``verify`` passes when every instance's is at
+        most GAP_THRESHOLD."""
         return max(getattr(self, name) for name in JUDGED_GAPS)
 
 
@@ -183,10 +182,10 @@ def run_instance(index: int, seed: int, max_n: int = 160) -> InstanceRecord:
     th1 = theorem1_max_gap(two_sample, m2)
     # a plain Euclidean scale of 1.0 needs no rescaled copy
     matched = replace(dataset, covariates=dataset.covariates * scale) if np.ndim(scale) else dataset
-    models = arm_models(matched, m_obs)
-    structures = matching_structures(matched, m_obs, models)
+    trees = arm_trees(matched)
+    structures = matching_structures(matched, m_obs, trees)
     eq1 = eq1_gap(dataset, structures)
-    wid = weight_identity_max_gap(matched, structures, models)
+    wid = weight_identity_max_gap(matched, structures, trees)
     sep, sep_rel = separability_max_gap(dataset, lam=1e-3)
     degree = 1 if min(dataset.n_treated, dataset.n_control) > dataset.d + 1 else 0
     outcome = fit_outcome(dataset, degree)

@@ -35,11 +35,12 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .dataset import TwoSampleData, _points, _sample
 from .neighbors import (
-    NeighborModel,
     _catchment_counts,
+    _check_m,
     _mth_sq_radius_batch,
     _row_blocks,
     _sq_dists,
+    _tree,
 )
 
 _PIVOT_RTOL = 1e-12
@@ -236,14 +237,13 @@ def _rows_in(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return np.isin(*keys)
 
 
-def _indicator_values(model, anchors, anchor_radii, numerator, num_radii, n_den, n_num, lam=0.0):
+def _indicator_values(ref, anchors, anchor_radii, numerator, num_radii, n_den, n_num, lam=0.0):
     """Indicator-LSIF fits at every anchor c at once, bit for bit the fit on
     the oracle basis ``catchment_indicator(reference, m, c)`` of
     ``tests/oracles.py`` evaluated at c: the squared moment sums the reference
-    rows and divides by ``n_den``, the linear one sums ``numerator`` and divides
-    by ``n_num``.  The radii are the squared M-th nearest-reference radii of
-    the anchors and of the numerator points."""
-    ref = model.reference_points
+    rows ``ref`` and divides by ``n_den``, the linear one sums ``numerator`` and
+    divides by ``n_num``.  The radii are the squared M-th nearest-reference radii
+    of the anchors and of the numerator points."""
     is_ref = _rows_in(numerator, ref)
     h_mat = _catchment_counts(anchors, anchor_radii, ref, 0.0, np.ones(len(ref), bool))
     h_vec = _catchment_counts(anchors, anchor_radii, numerator, num_radii, is_ref)
@@ -255,25 +255,25 @@ def _indicator_values(model, anchors, anchor_radii, numerator, num_radii, n_den,
 
 def indicator_dre(data: TwoSampleData, m: int, points, lam=0.0):
     """The indicator-basis LSIF fit anchored at each point p, evaluated at p."""
-    if m > data.n_denominator:
-        raise ValueError(f"m={m} exceeds the denominator sample size {data.n_denominator}")
-    _check_lambda(lam)
-    model, num = NeighborModel(data.denominator, m), data.numerator
-    pts = _points(points, "points", data.d)
-    radii, num_radii = _mth_sq_radius_batch(model, pts), _mth_sq_radius_batch(model, num)
     n_den, n_num = data.n_denominator, data.n_numerator
-    return _indicator_values(model, pts, radii, num, num_radii, n_den, n_num, lam)
+    _check_m(m, n_den, f"the denominator sample size {n_den}")
+    _check_lambda(lam)
+    tree, num = _tree(data.denominator), data.numerator
+    pts = _points(points, "points", data.d)
+    radii, num_radii = _mth_sq_radius_batch(tree, m, pts), _mth_sq_radius_batch(tree, m, num)
+    return _indicator_values(tree.data, pts, radii, num, num_radii, n_den, n_num, lam)
 
 
 def verify_theorem1_all(data: TwoSampleData, m: int) -> Theorem1Batch:
     """Indicator-LSIF value and one-step estimate at every numerator point.
 
-    One denominator model and one radius query of the numerator feed both
+    One denominator tree and one radius query of the numerator feed both
     routes: the indicator-LSIF fit and the one-step matched-times count."""
-    model, num = NeighborModel(data.denominator, m), data.numerator
-    radii = _mth_sq_radius_batch(model, num)
     n_den, n_num = data.n_denominator, data.n_numerator
-    lsif_values = _indicator_values(model, num, radii, num, radii, n_den, n_num)
+    _check_m(m, n_den, f"the reference size {n_den}")
+    tree, num = _tree(data.denominator), data.numerator
+    radii = _mth_sq_radius_batch(tree, m, num)
+    lsif_values = _indicator_values(tree.data, num, radii, num, radii, n_den, n_num)
     k_counts = _catchment_counts(num, radii, num, radii, np.zeros(len(num), bool))
     one_step = n_den / n_num * k_counts / m
     return Theorem1Batch(lsif_values, one_step, np.abs(lsif_values - one_step))

@@ -4,8 +4,10 @@ Distances are plain Euclidean on the points given.  A distance weighted by w
 per coordinate is the plain one on the points times sqrt(w), so a caller who
 wants it rescales its points once.
 
-Queries run against a static kd-tree built once per reference set, in any
-dimension, with exact deterministic tie-breaking: candidates are ordered by
+Queries run against a static kd-tree built once per reference sample by
+``_tree``, in any dimension.  The tree holds no M: M is an argument of each
+query, so one tree answers every M.  ``_check_m`` is the one M-range rule.
+Ties are broken exactly and deterministically: candidates are ordered by
 nondecreasing distance and equal distances are resolved by ascending reference
 index.  The tree only proposes candidates.  Every ordering and boundary decision
 is made on squared distances summed coordinate by coordinate (``_sq_dists``),
@@ -26,8 +28,8 @@ order of that arm's own kd-tree, gathering each block's rows as it goes, so a
 block's rows are spatially compact and its tree walks and candidate arrays
 stay in cache; a row's result depends on that row alone, so the order changes
 no bit.  The match keeps only per-unit reductions and its two arm trees
-(``arm_models``), which it builds once and frees on return unless the caller
-built them to reuse.
+(``arm_trees``), which it builds once and frees on return unless the caller
+built them to reuse, at this M or any other.
 The per-point oracles the tests compare with live in ``tests/oracles.py``.
 """
 
@@ -81,26 +83,19 @@ def _row_sort(sq: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(sq, order, axis=1), np.take_along_axis(idx, order, axis=1)
 
 
-class NeighborModel:
-    """An immutable M-nearest-neighbor index over a fixed reference sample."""
+def _check_m(m: int, size: int, sample: str) -> None:
+    """The one M-range rule, 1 <= m <= ``size``, where ``sample`` names the size
+    searched; each caller runs it before it builds a tree."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if m > size:
+        raise ValueError(f"m={m} exceeds {sample}")
 
-    def __init__(self, reference_points, m: int):
-        # a read-only copy of its own, so no write by the caller reaches the tree
-        self.reference_points = _sample(reference_points, "reference points")
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        if m > self.n_reference:
-            raise ValueError(f"m={m} exceeds the reference size {self.n_reference}")
-        self.m = int(m)
-        self._tree = cKDTree(self.reference_points)
 
-    @property
-    def n_reference(self) -> int:
-        return len(self.reference_points)
-
-    @property
-    def d(self) -> int:
-        return self.reference_points.shape[1]
+def _tree(reference_points) -> cKDTree:
+    """The kd-tree of one reference sample, for every M.  Its ``.data`` is a
+    read-only copy of its own, so no write by the caller reaches the tree."""
+    return cKDTree(_sample(reference_points, "reference points"))
 
 
 def _row_blocks(n_rows: int, width: int):
@@ -109,36 +104,39 @@ def _row_blocks(n_rows: int, width: int):
     return (slice(start, start + step) for start in range(0, n_rows, step))
 
 
-def _tree_candidates(model: NeighborModel, q: np.ndarray, k: int):
+def _tree_candidates(tree: cKDTree, m: int, q: np.ndarray, k: int):
     """The k candidates the tree proposes per row, in (squared distance, index)
     order, and a mask of the rows whose M nearest may lie beyond them."""
-    idx = model._tree.query(q, k=k)[1].reshape(len(q), k)  # drop the tree's distances
-    if idx.max() == model.n_reference:  # k <= n_reference: the mark of an infinite distance
+    idx = tree.query(q, k=k)[1].reshape(len(q), k)  # drop the tree's distances
+    if idx.max() == tree.n:  # k <= tree.n: the mark of an infinite distance
         raise ValueError("covariates too far apart: a squared distance overflows float64")
-    sq, idx = _row_sort(_sq_dists(q, model.reference_points, idx), idx)
+    sq, idx = _row_sort(_sq_dists(q, tree.data, idx), idx)
     # Points not returned lie at least as far as the last candidate, up to the
     # tree's rounding, so a row whose M-th distance comes that close may be short.
-    short = (k < model.n_reference) & (sq[:, model.m - 1] >= (1 - _TREE_ROUNDING) * sq[:, -1])
+    short = (k < tree.n) & (sq[:, m - 1] >= (1 - _TREE_ROUNDING) * sq[:, -1])
     return sq, idx, short
 
 
-def _knn_blocks(model: NeighborModel, queries, order=None):
+def _knn_blocks(tree: cKDTree, m: int, queries, order=None):
     """Yield ``(rows, sq, idx)`` per row block of the queries: squared distances
-    and indices of each row's tie-broken M nearest references, (distance, index)
-    order.  With ``order`` the queries are ``queries[order]``, gathered one block
-    at a time.  Short rows alone are queried again, at doubled k, in sub-blocks."""
-    pts, m, n_ref = _points(queries, "queries", model.d), model.m, model.n_reference
+    and indices of each row's tie-broken M nearest references in ``tree``,
+    (distance, index) order.  With ``order`` the queries are ``queries[order]``,
+    gathered one block at a time.  Short rows alone are queried again, at
+    doubled k, in sub-blocks."""
+    n_ref = tree.n
+    _check_m(m, n_ref, f"the reference size {n_ref}")
+    pts = _points(queries, "queries", tree.data.shape[1])
     first_k = min(n_ref, m + 1)
     n_rows = len(pts) if order is None else len(order)
     for rows in _row_blocks(n_rows, first_k):
         q = pts[rows] if order is None else pts[order[rows]]
-        sq, idx, short = _tree_candidates(model, q, first_k)
+        sq, idx, short = _tree_candidates(tree, m, q, first_k)
         open_rows, k_req = np.flatnonzero(short), first_k
         while len(open_rows):
             k_req, still_open = min(n_ref, 2 * k_req), []
             for sub in _row_blocks(len(open_rows), k_req):
                 at = open_rows[sub]
-                wide_sq, wide_idx, short = _tree_candidates(model, q[at], k_req)
+                wide_sq, wide_idx, short = _tree_candidates(tree, m, q[at], k_req)
                 sq[at, :m], idx[at, :m] = wide_sq[:, :m], wide_idx[:, :m]
                 still_open.append(at[short])
                 del wide_sq, wide_idx  # free before the next sub-block's query
@@ -146,8 +144,8 @@ def _knn_blocks(model: NeighborModel, queries, order=None):
         yield rows, sq[:, :m], idx[:, :m]
 
 
-def _mth_sq_radius_batch(model: NeighborModel, queries) -> np.ndarray:
-    radii = [sq[:, model.m - 1] for _, sq, _ in _knn_blocks(model, queries)]
+def _mth_sq_radius_batch(tree: cKDTree, m: int, queries) -> np.ndarray:
+    radii = [sq[:, m - 1] for _, sq, _ in _knn_blocks(tree, m, queries)]
     return np.concatenate(radii or [np.empty(0)])
 
 
@@ -187,35 +185,31 @@ class MatchStructures:
         return np.add(weights, 1.0, out=weights)  # in place; w + 1.0 is 1.0 + w
 
 
-def arm_models(dataset: ObservationalDataset, m: int) -> tuple[NeighborModel, NeighborModel]:
-    """The M-NN models of the treated and the control rows, treated first."""
-    if m > min(dataset.n_treated, dataset.n_control):
-        raise ValueError(
-            f"m={m} exceeds an arm size (treated {dataset.n_treated}, control {dataset.n_control})"
-        )
+def arm_trees(dataset: ObservationalDataset) -> tuple[cKDTree, cKDTree]:
+    """The kd-trees of the treated and the control rows, treated first."""
     x = dataset.covariates
-    return NeighborModel(x[dataset.treatment == 1], m), NeighborModel(x[dataset.treatment == 0], m)
+    return _tree(x[dataset.treatment == 1]), _tree(x[dataset.treatment == 0])
 
 
 def matching_structures(
-    dataset: ObservationalDataset, m: int, models: tuple[NeighborModel, NeighborModel] | None = None
+    dataset: ObservationalDataset, m: int, trees: tuple[cKDTree, cKDTree] | None = None
 ) -> MatchStructures:
-    """The match's per-unit reductions on ``models = arm_models(dataset, m)``: 2 tree
-    builds, freed on return, unless the caller passes the models to reuse them."""
-    if models is None:
-        models = arm_models(dataset, m)
-    elif any(model.m != m for model in models):
-        raise ValueError(f"arm models were built for another m than {m}")
+    """The match's per-unit reductions on ``trees = arm_trees(dataset)``: 2 tree
+    builds, freed on return, unless the caller passes the trees to reuse them."""
+    n1, n0 = dataset.n_treated, dataset.n_control
+    _check_m(m, min(n1, n0), f"an arm size (treated {n1}, control {n0})")
+    if trees is None:
+        trees = arm_trees(dataset)
     x = dataset.covariates
     arms = [np.flatnonzero(dataset.treatment == t) for t in (1, 0)]
     matched_outcome = np.empty(dataset.n)
     matched_times = np.empty(dataset.n, dtype=np.int64)
     for a in (0, 1):
         # each arm queries in its own tree's leaf order, so a block is compact
-        own, other = arms[a][models[a]._tree.indices], arms[1 - a]
+        own, other = arms[a][trees[a].indices], arms[1 - a]
         y_other = dataset.outcome[other]
         counts = np.zeros(len(other), dtype=np.int64)
-        for rows, _, local in _knn_blocks(models[1 - a], x, own):
+        for rows, _, local in _knn_blocks(trees[1 - a], m, x, own):
             matched_outcome[own[rows]] = y_other[local].mean(axis=1)
             counts += np.bincount(local.ravel(), minlength=len(other))
         matched_times[other] = counts

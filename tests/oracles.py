@@ -28,19 +28,19 @@ import numpy as np
 from rieszmatch.dataset import ObservationalDataset, TwoSampleData, _points, _sample
 from rieszmatch.lsif import Basis, LsifFit, evaluate_matrix, fit
 from rieszmatch.neighbors import (
-    NeighborModel,
     _catchment_counts,
     _knn_blocks,
     _mth_sq_radius_batch,
     _sq_dists,
+    _tree,
 )
 from rieszmatch.report import RECORD_SEPARATOR
 from rieszmatch.riesz import _arm_moments
 
 
-def query_indices(model: NeighborModel, queries) -> np.ndarray:
-    """The library's M nearest reference indices, one row per query."""
-    return np.concatenate([idx for _, _, idx in _knn_blocks(model, queries)])
+def query_indices(tree, m: int, queries) -> np.ndarray:
+    """The library's M nearest reference indices in ``tree``, one row per query."""
+    return np.concatenate([idx for _, _, idx in _knn_blocks(tree, m, queries)])
 
 
 def brute_force_sq_knn(queries, ref, m: int):
@@ -70,7 +70,7 @@ def _opposite_arm_sets(dataset: ObservationalDataset, m: int, local_knn) -> np.n
 def library_match_sets(dataset: ObservationalDataset, m: int):
     """The library's match sets, one ``_knn_blocks`` query per arm."""
     return _opposite_arm_sets(
-        dataset, m, lambda own, other: query_indices(NeighborModel(other, m), own)
+        dataset, m, lambda own, other: query_indices(_tree(other), m, own)
     )
 
 
@@ -122,12 +122,12 @@ def catchment_indicator(reference_points, m: int, c) -> Basis:
 
     Both boundaries are inclusive.  The anchor itself always evaluates to 1.
     """
-    ref = _sample(reference_points, "reference points")
-    model = NeighborModel(ref, m)
+    tree = _tree(reference_points)
+    ref = tree.data
     anchor = _points(c, "anchor", ref.shape[1])
     if anchor.shape[0] != 1:
         raise ValueError("anchor must be a single point")
-    anchor_sq_radius = float(_mth_sq_radius_batch(model, anchor)[0])
+    anchor_sq_radius = float(_mth_sq_radius_batch(tree, m, anchor)[0])
 
     def evaluate(points):
         p = _points(points, "points", ref.shape[1])
@@ -138,7 +138,7 @@ def catchment_indicator(reference_points, m: int, c) -> Basis:
             out[is_ref, 0] = sq <= anchor_sq_radius
         rest = ~is_ref
         if rest.any():
-            radii_sq = _mth_sq_radius_batch(model, p[rest])
+            radii_sq = _mth_sq_radius_batch(tree, m, p[rest])
             sq = _sq_dists(anchor, p[rest])[0]
             out[rest, 0] = sq <= radii_sq
         return out
@@ -186,8 +186,8 @@ def matched_times_at(data: TwoSampleData, m: int, points) -> np.ndarray:
     """
     if m > data.n_denominator:
         raise ValueError(f"m={m} exceeds the denominator sample size {data.n_denominator}")
-    model, num = NeighborModel(data.denominator, m), data.numerator
-    pts, radii = _points(points, "points", data.d), _mth_sq_radius_batch(model, num)
+    tree, num = _tree(data.denominator), data.numerator
+    pts, radii = _points(points, "points", data.d), _mth_sq_radius_batch(tree, m, num)
     unused = np.zeros(len(pts))  # no point is on the anchor side
     return _catchment_counts(pts, unused, num, radii, np.zeros(len(num), bool))
 

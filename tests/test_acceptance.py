@@ -50,7 +50,7 @@ from rieszmatch.equivalence import (
     well_posed_degree,
 )
 from rieszmatch.lsif import evaluate_matrix
-from rieszmatch.neighbors import NeighborModel, arm_models
+from rieszmatch.neighbors import _tree, arm_trees
 from rieszmatch.riesz import fit_weight_arm
 
 
@@ -96,9 +96,9 @@ def test_03_weight_identity():
     for _ in range(100):
         data, scale, m = random_observational_instance(rng, max_n=120)
         matched = rescaled(data, scale)
-        models = arm_models(matched, m)
-        structures = matching_structures(matched, m, models)
-        worst = max(worst, weight_identity_max_gap(matched, structures, models))
+        trees = arm_trees(matched)
+        structures = matching_structures(matched, m, trees)
+        worst = max(worst, weight_identity_max_gap(matched, structures, trees))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12
     report("03", "nn-weight-identity", ok, f"max gap {worst:.2e}, {elapsed:.1f}s")
@@ -218,12 +218,12 @@ def test_07_neighbor_oracle():
         else:
             ref = rng.normal(size=(n, d))
         ref = ref * scale
-        model = NeighborModel(ref, m)
+        tree = _tree(ref)
         queries = [rng.normal(size=(1, d)) * scale for _ in range(6)]  # (1, d) rows
         queries += [ref[int(rng.integers(n))][None] for _ in range(4)]
         for q in queries:
             expected = brute_force_knn(ref, q, m)
-            np.testing.assert_array_equal(query_indices(model, q)[0], expected)
+            np.testing.assert_array_equal(query_indices(tree, m, q)[0], expected)
             checked += 1
     elapsed = time.perf_counter() - started
     report("07", "neighbor-oracle", True, f"{checked} queries agreed, {elapsed:.1f}s")

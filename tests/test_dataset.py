@@ -31,7 +31,7 @@ from rieszmatch.lsif import (
     polynomial_basis,
     polynomial_feature_matrix,
 )
-from rieszmatch.neighbors import NeighborModel
+from rieszmatch.neighbors import _tree
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -381,7 +381,7 @@ SAMPLE_OWNERS = {
     "covariates": lambda x: ObservationalDataset(x, [1, 0, 1, 0], np.zeros(4)).covariates,
     "denominator": lambda x: TwoSampleData(denominator=x, numerator=np.zeros((2, 1))).denominator,
     "numerator": lambda x: TwoSampleData(denominator=np.zeros((2, 1)), numerator=x).numerator,
-    "reference points": lambda x: NeighborModel(x, 1).reference_points,
+    "reference points": lambda x: _tree(x).data,
     "point cloud": lambda x: gaussian_grid_basis(x),
 }
 
@@ -426,9 +426,9 @@ def _round_trip(points):
 POINT_TAKERS = {
     "covariates": lambda ref, x: ObservationalDataset(x, [0, 1, 0, 1, 0], np.zeros(5)).covariates,
     "two-sample": lambda ref, x: TwoSampleData(denominator=x, numerator=ref).denominator,
-    "reference points": lambda ref, x: NeighborModel(x, 2).reference_points,
+    "reference points": lambda ref, x: _tree(x).data,
     "point cloud": lambda ref, x: gaussian_grid_basis(x, per_dim=3).evaluate(ref),
-    "queries": lambda ref, x: query_indices(NeighborModel(ref, 2), x),  # through _knn_blocks
+    "queries": lambda ref, x: query_indices(_tree(ref), 2, x),  # through _knn_blocks
     "indicator_dre": lambda ref, x: indicator_dre(TwoSampleData(ref, ref[::2]), 2, x),
     "polynomial evaluate": lambda ref, x: polynomial_basis(ref.shape[1], 2).evaluate(x),
     "gaussian evaluate": lambda ref, x: gaussian_grid_basis(ref, per_dim=3).evaluate(x),

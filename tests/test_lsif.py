@@ -254,9 +254,9 @@ class TestTheorem1:
                 builds.append(1)
                 super().__init__(*args, **kwargs)
 
-        def counting_blocks(model, queries):
+        def counting_blocks(tree, m, queries):
             query_rows.append(len(queries))
-            return real_blocks(model, queries)
+            return real_blocks(tree, m, queries)
 
         monkeypatch.setattr(neighbors, "cKDTree", CountingTree)
         monkeypatch.setattr(neighbors, "_knn_blocks", counting_blocks)

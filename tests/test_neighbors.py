@@ -18,12 +18,12 @@ from rieszmatch import TwoSampleData, matching_structures
 from rieszmatch import generate, logistic_dgp, neighbors
 from rieszmatch.dataset import ObservationalDataset
 from rieszmatch.neighbors import (
-    NeighborModel,
     _knn_blocks,
-    arm_models,
     _mth_sq_radius_batch,
     _row_sort,
     _sq_dists,
+    _tree,
+    arm_trees,
 )
 
 _DEFAULT_BLOCK_ENTRIES = neighbors._BLOCK_ENTRIES
@@ -47,44 +47,75 @@ def _assert_reduced_at_every_block_size(monkeypatch, data, m, sets):
 
 class TestKnn:
     def test_single_candidate(self):
-        model = NeighborModel([5.0], m=1)
-        np.testing.assert_array_equal(query_indices(model, [[3.0]])[0], [0])
+        np.testing.assert_array_equal(query_indices(_tree([5.0]), 1, [[3.0]])[0], [0])
 
     def test_line_two_nearest(self):
-        model = NeighborModel([0.0, 1.0, 3.0], m=2)
-        np.testing.assert_array_equal(query_indices(model, [[0.9]])[0], [1, 0])
+        tree = _tree([0.0, 1.0, 3.0])
+        np.testing.assert_array_equal(query_indices(tree, 2, [[0.9]])[0], [1, 0])
 
     def test_exact_tie_breaks_by_index(self):
-        model = NeighborModel([0.0, 2.0], m=1)
-        np.testing.assert_array_equal(query_indices(model, [[1.0]])[0], [0])
+        np.testing.assert_array_equal(query_indices(_tree([0.0, 2.0]), 1, [[1.0]])[0], [0])
 
     def test_tie_break_with_many_duplicates(self):
         # four copies of the same point: order must be 0,1,2,3
-        model = NeighborModel([1.0, 1.0, 1.0, 1.0], m=3)
-        np.testing.assert_array_equal(query_indices(model, [[0.0]])[0], [0, 1, 2])
+        tree = _tree([1.0, 1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(query_indices(tree, 3, [[0.0]])[0], [0, 1, 2])
 
     def test_dimension_mismatch(self):
-        model = NeighborModel(np.zeros((4, 2)), m=1)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            query_indices(model, [1.0, 2.0, 3.0])
+            query_indices(_tree(np.zeros((4, 2))), 1, [1.0, 2.0, 3.0])
 
     def test_m_exceeds_reference(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            NeighborModel([0.0, 1.0], m=3)
+        # the tree holds no M: an M out of range is refused at the query
+        tree = _tree([0.0, 1.0])
+        with pytest.raises(ValueError, match="^m=3 exceeds the reference size 2$"):
+            query_indices(tree, 3, [[0.0]])
+        with pytest.raises(ValueError, match="^m must be >= 1$"):
+            query_indices(tree, 0, [[0.0]])
+        np.testing.assert_array_equal(query_indices(tree, 2, [[0.9]])[0], [1, 0])
+
+
+def _knn_answer(tree, m, queries):
+    """Every row of ``_knn_blocks`` at one M: (squared distances, indices)."""
+    blocks = list(_knn_blocks(tree, m, queries))
+    return np.concatenate([b[1] for b in blocks]), np.concatenate([b[2] for b in blocks])
+
+
+class TestOneTreeEveryM:
+    """A tree holds no M, so one tree answers every M as a tree built for it."""
+
+    @pytest.mark.parametrize("case", ["continuous", "grid", "duplicates"])
+    def test_one_tree_equals_fresh_trees_and_brute_force(self, case):
+        rng = np.random.default_rng(41)
+        if case == "continuous":
+            ref, queries = rng.normal(size=(60, 3)), rng.normal(size=(40, 3))
+        elif case == "grid":  # 4 levels per coordinate: most distances tie
+            ref = rng.integers(0, 4, size=(60, 2)).astype(float)
+            queries = rng.integers(0, 4, size=(40, 2)).astype(float)
+        else:  # 60 draws of 25 distinct rows, queried on and off those rows
+            ref = rng.normal(size=(25, 2))[rng.integers(0, 25, size=60)]
+            queries = np.vstack([ref[::3], rng.normal(size=(20, 2))])
+        shared = _tree(ref)
+        for m in (1, 3, len(ref)):
+            sq, idx = _knn_answer(shared, m, queries)
+            fresh_sq, fresh_idx = _knn_answer(_tree(ref), m, queries)
+            want_sq, want_idx = brute_force_sq_knn(queries, ref, m)
+            np.testing.assert_array_equal(sq.view(np.uint64), fresh_sq.view(np.uint64))
+            np.testing.assert_array_equal(idx, fresh_idx)
+            np.testing.assert_array_equal(sq.view(np.uint64), want_sq.view(np.uint64))
+            np.testing.assert_array_equal(idx, want_idx)
 
 
 class TestMthRadius:
     def test_line_instance(self):
-        model = NeighborModel([0.0, 1.0, 3.0], m=1)
-        assert np.sqrt(_mth_sq_radius_batch(model, [[0.9]])[0]) == pytest.approx(0.1, abs=1e-15)
+        tree = _tree([0.0, 1.0, 3.0])
+        assert np.sqrt(_mth_sq_radius_batch(tree, 1, [[0.9]])[0]) == pytest.approx(0.1, abs=1e-15)
 
     def test_zero_at_reference_point(self):
-        model = NeighborModel([4.2], m=1)
-        assert np.sqrt(_mth_sq_radius_batch(model, [[4.2]])[0]) == 0.0
+        assert np.sqrt(_mth_sq_radius_batch(_tree([4.2]), 1, [[4.2]])[0]) == 0.0
 
     def test_third_neighbor(self):
-        model = NeighborModel([0.0, 1.0, 3.0], m=3)
-        assert np.sqrt(_mth_sq_radius_batch(model, [[0.0]])[0]) == 3.0
+        assert np.sqrt(_mth_sq_radius_batch(_tree([0.0, 1.0, 3.0]), 3, [[0.0]])[0]) == 3.0
 
 
 def covers(reference, m, x, z):
@@ -148,8 +179,8 @@ class TestMatchedTimes:
                 denominator=rng.normal(size=(n0, d)), numerator=rng.normal(size=(n1, d))
             )
             counts = matched_times_at(data, m, data.denominator)
-            model = NeighborModel(data.denominator, m)
-            direct = np.bincount(query_indices(model, data.numerator).ravel(), minlength=n0)
+            tree = _tree(data.denominator)
+            direct = np.bincount(query_indices(tree, m, data.numerator).ravel(), minlength=n0)
             np.testing.assert_array_equal(counts, direct)
             assert counts.sum() == n1 * m
 
@@ -218,16 +249,26 @@ class TestMatchingStructures:
             with pytest.raises(ValueError, match="^covariates too far apart: a squared"):
                 matching_structures(line(scale), 1)
 
-    def test_m_exceeds_arm(self, four_unit_dataset):
-        with pytest.raises(ValueError, match="exceeds an arm size"):
+    def test_m_exceeds_arm(self, monkeypatch, four_unit_dataset):
+        # an M out of range is refused before any tree is built
+        built = []
+
+        class CountingTree(neighbors.cKDTree):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(neighbors, "cKDTree", CountingTree)
+        with pytest.raises(ValueError, match=r"^m=3 exceeds an arm size \(treated 2, control 2\)$"):
             matching_structures(four_unit_dataset, 3)
-        with pytest.raises(ValueError, match="exceeds an arm size"):
-            arm_models(four_unit_dataset, 3)
+        with pytest.raises(ValueError, match="^m must be >= 1$"):
+            matching_structures(four_unit_dataset, 0)
+        assert built == []
 
     def test_trees_freed_on_return_unless_passed(self, monkeypatch):
         # the match builds each arm's tree once and keeps only per-unit
-        # reductions; arm models its caller built stay the caller's and give
-        # the same match
+        # reductions; arm trees its caller built stay the caller's and give
+        # the same match at every M
         live, built = weakref.WeakSet(), []
 
         class TrackedTree(neighbors.cKDTree):
@@ -241,44 +282,56 @@ class TestMatchingStructures:
         structures = matching_structures(data, 4)
         assert len(live) == 0
         assert built == [data.n_treated, data.n_control]
-        models = arm_models(data, 4)
-        assert [model.n_reference for model in models] == [data.n_treated, data.n_control]
-        reused = matching_structures(data, 4, models)
+        trees = arm_trees(data)
+        assert [len(tree.data) for tree in trees] == [data.n_treated, data.n_control]
+        for m, fresh in ((4, structures), (5, matching_structures(data, 5))):
+            reused = matching_structures(data, m, trees)
+            assert reused.m == m
+            np.testing.assert_array_equal(reused.matched_outcome, fresh.matched_outcome)
+            np.testing.assert_array_equal(reused.matched_times, fresh.matched_times)
         assert len(live) == 2
-        assert len(built) == 4
-        np.testing.assert_array_equal(reused.matched_outcome, structures.matched_outcome)
-        np.testing.assert_array_equal(reused.matched_times, structures.matched_times)
-        with pytest.raises(ValueError, match="another m than 5"):
-            matching_structures(data, 5, models)
+        assert len(built) == 6
+        # the reused trees refuse an M out of range as fresh ones do
+        small = min(data.n_treated, data.n_control)
+        arm_size = rf"^m={small + 1} exceeds an arm size \(treated {data.n_treated}, control "
+        with pytest.raises(ValueError, match=arm_size):
+            matching_structures(data, small + 1, trees)
+        with pytest.raises(ValueError, match="^m must be >= 1$"):
+            matching_structures(data, 0, trees)
+        for tree in trees:
+            with pytest.raises(ValueError, match=f"^m={tree.n + 1} exceeds the reference size"):
+                query_indices(tree, tree.n + 1, data.covariates)
+            with pytest.raises(ValueError, match="^m must be >= 1$"):
+                query_indices(tree, 0, data.covariates)
+        assert len(built) == 6
 
-    def test_arm_models_own_their_rows(self):
-        # each model keeps a read-only copy of its rows; the caller's arrays
+    def test_arm_trees_own_their_rows(self):
+        # each tree keeps a read-only copy of its rows; the caller's arrays
         # stay writable, and writing to them changes no query
         data = generate(logistic_dgp(), 2_000, seed=0)
-        for model, t in zip(arm_models(data, 5), (1, 0)):
-            assert not model.reference_points.flags.writeable
+        for tree, t in zip(arm_trees(data), (1, 0)):
+            assert not tree.data.flags.writeable
             rows = data.covariates[data.treatment == t]
-            np.testing.assert_array_equal(model.reference_points, rows)
+            np.testing.assert_array_equal(tree.data, rows)
         points = np.random.default_rng(0).normal(size=(10, 2))
         kept = points.copy()
-        model = NeighborModel(points, 2)
+        tree = _tree(points)
         queries = np.random.default_rng(1).normal(size=(6, 2))
-        before = query_indices(model, queries)
+        before = query_indices(tree, 2, queries)
         assert points.flags.writeable
         points[0, 0] = 1.0
         points[1:] = 0.0
-        np.testing.assert_array_equal(model.reference_points, kept)
-        np.testing.assert_array_equal(query_indices(model, queries), before)
+        np.testing.assert_array_equal(tree.data, kept)
+        np.testing.assert_array_equal(query_indices(tree, 2, queries), before)
         # a 1-d input is stored as a column copy of the caller's array
         line = np.array([0.0, 1.0, 3.0])
-        model = NeighborModel(line, 1)
+        tree = _tree(line)
         line[0] = 10.0
-        np.testing.assert_array_equal(model.reference_points[:, 0], [0.0, 1.0, 3.0])
-        np.testing.assert_array_equal(query_indices(model, [[9.0]])[0], [2])
+        np.testing.assert_array_equal(tree.data[:, 0], [0.0, 1.0, 3.0])
+        np.testing.assert_array_equal(query_indices(tree, 1, [[9.0]])[0], [2])
         two = TwoSampleData(denominator=np.arange(5.0), numerator=np.arange(3.0))
         assert two.denominator.shape == (5, 1)
-        model = NeighborModel(two.denominator, 2)
-        np.testing.assert_array_equal(model.reference_points[:, 0], np.arange(5.0))
+        np.testing.assert_array_equal(_tree(two.denominator).data[:, 0], np.arange(5.0))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -338,19 +391,19 @@ class TestBlockedQueries:
         outcome = np.random.default_rng(7).standard_normal(len(x))
         data = ObservationalDataset(covariates=x, treatment=treat, outcome=outcome)
         treated, control = np.flatnonzero(treat == 1), np.flatnonzero(treat == 0)
-        model = NeighborModel(x[control], m)
+        tree = _tree(x[control])
         whole = matching_structures(data, m)
         whole_sets = library_match_sets(data, m)
-        whole_radii = _mth_sq_radius_batch(model, x[treated])
-        whole_first = query_indices(model, x[treated[:1]])[0]
+        whole_radii = _mth_sq_radius_batch(tree, m, x[treated])
+        whole_first = query_indices(tree, m, x[treated[:1]])[0]
 
         monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", entries)
         blocked = matching_structures(data, m)
         np.testing.assert_array_equal(library_match_sets(data, m), whole_sets)
         np.testing.assert_array_equal(blocked.matched_outcome, whole.matched_outcome)
         np.testing.assert_array_equal(blocked.matched_times, whole.matched_times)
-        np.testing.assert_array_equal(_mth_sq_radius_batch(model, x[treated]), whole_radii)
-        np.testing.assert_array_equal(query_indices(model, x[treated[:1]])[0], whole_first)
+        np.testing.assert_array_equal(_mth_sq_radius_batch(tree, m, x[treated]), whole_radii)
+        np.testing.assert_array_equal(query_indices(tree, m, x[treated[:1]])[0], whole_first)
 
         expected = brute_force_match_sets(data, m)
         sq, _ = brute_force_sq_knn(x[treated], x[control], m)
@@ -497,11 +550,11 @@ class TestSpatialIndexOracle:
             # a weighted distance is the plain one on rescaled points
             scale = np.sqrt(rng.uniform(0.5, 3.0, size=d)) if weighted else 1.0
             ref = rng.normal(size=(n, d)) * scale
-            model = NeighborModel(ref, m)
+            tree = _tree(ref)
             for _ in range(5):
                 q = rng.normal(size=(1, d)) * scale
                 expected = brute_force_knn(ref, q, m)
-                np.testing.assert_array_equal(query_indices(model, q)[0], expected)
+                np.testing.assert_array_equal(query_indices(tree, m, q)[0], expected)
 
     @given(
         st.lists(
@@ -517,17 +570,17 @@ class TestSpatialIndexOracle:
         # small integer grid: exact ties and duplicate points are common
         ref = np.array(points, dtype=float) / 2.0
         m = min(m, len(ref))
-        model = NeighborModel(ref, m)
         q = np.array([query], dtype=float) / 2.0
-        np.testing.assert_array_equal(query_indices(model, q)[0], brute_force_knn(ref, q, m))
+        expected = brute_force_knn(ref, q, m)
+        np.testing.assert_array_equal(query_indices(_tree(ref), m, q)[0], expected)
 
     def test_high_dimension_equals_brute_force(self):
         rng = np.random.default_rng(5)
         ref = rng.normal(size=(40, 20))
-        model = NeighborModel(ref, 3)
+        tree = _tree(ref)
         for q in rng.normal(size=(10, 1, 20)):
             expected = brute_force_knn(ref, q, 3)
-            np.testing.assert_array_equal(query_indices(model, q)[0], expected)
+            np.testing.assert_array_equal(query_indices(tree, 3, q)[0], expected)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("d", [8, 12, 16, 17, 20])
@@ -539,18 +592,18 @@ class TestSpatialIndexOracle:
         rng = np.random.default_rng(d)
         base = np.resize([0.1, 0.2, 0.3, 0.7, 1.1, 1e-3, 3.3], d)
         ref = np.unique([rng.permutation(base) for _ in range(300)], axis=0)
-        model = NeighborModel(ref, m)
         q = np.zeros((1, d))
-        np.testing.assert_array_equal(query_indices(model, q)[0], brute_force_knn(ref, q, m))
+        expected = brute_force_knn(ref, q, m)
+        np.testing.assert_array_equal(query_indices(_tree(ref), m, q)[0], expected)
 
     def test_batch_matches_single_queries(self):
         rng = np.random.default_rng(9)
         ref = rng.normal(size=(30, 3))
-        model = NeighborModel(ref, 4)
+        tree = _tree(ref)
         queries = rng.normal(size=(10, 3))
-        batch_idx = np.concatenate([idx for _, _, idx in _knn_blocks(model, queries)])
+        batch_idx = np.concatenate([idx for _, _, idx in _knn_blocks(tree, 4, queries)])
         for row, q in zip(batch_idx, queries[:, None]):
-            np.testing.assert_array_equal(row, query_indices(model, q)[0])
+            np.testing.assert_array_equal(row, query_indices(tree, 4, q)[0])
 
 
 def _accumulated_sq_dists(a, b):
@@ -591,9 +644,9 @@ class TestMetric:
     def test_weighted_changes_neighbors(self):
         ref = np.array([[1.0, 0.0], [0.0, 1.2]])
         q = np.zeros((1, 2))
-        assert query_indices(NeighborModel(ref, 1), q)[0][0] == 0
+        assert query_indices(_tree(ref), 1, q)[0][0] == 0
         heavy_x = np.sqrt([10.0, 0.1])
-        assert query_indices(NeighborModel(ref * heavy_x, 1), q * heavy_x)[0][0] == 1
+        assert query_indices(_tree(ref * heavy_x), 1, q * heavy_x)[0][0] == 1
 
     def test_distance_properties(self):
         scale = np.sqrt([2.0, 0.5])

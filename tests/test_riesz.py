@@ -22,7 +22,7 @@ from rieszmatch import (
 from rieszmatch import neighbors
 from rieszmatch.equivalence import random_observational_instance
 from rieszmatch.lsif import _indicator_values, evaluate_matrix
-from rieszmatch.neighbors import NeighborModel, _mth_sq_radius_batch
+from rieszmatch.neighbors import _mth_sq_radius_batch, _tree
 
 
 def balanced_dataset(n=20, seed=0):
@@ -97,9 +97,9 @@ def assert_batched_weights_exact(data, m):
     x = data.covariates
     for arm in (0, 1):
         rows = data.treatment == arm
-        model = NeighborModel(x[rows], m)
-        radii = _mth_sq_radius_batch(model, x)
-        theta = _indicator_values(model, x[rows], radii[rows], x, radii, data.n, data.n)
+        tree = _tree(x[rows])
+        radii = _mth_sq_radius_batch(tree, m, x)
+        theta = _indicator_values(tree.data, x[rows], radii[rows], x, radii, data.n, data.n)
         for j, i in enumerate(np.flatnonzero(rows)):
             phi = evaluate_matrix(catchment_indicator(x[rows], m, x[i : i + 1]), x)
             assert theta[j] == fit_weight_arm(data, arm, phi, lam=0.0)[0]
