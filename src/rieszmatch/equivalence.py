@@ -85,7 +85,8 @@ def random_observational_instance(
 
 def theorem1_max_gap(data: TwoSampleData, m: int) -> float:
     """Largest LSIF vs one-step gap over all numerator evaluation points."""
-    return verify_theorem1_all(data, m).max_gap
+    lsif_values, one_step = verify_theorem1_all(data, m)
+    return float(np.abs(lsif_values - one_step).max())
 
 
 def eq1_gap(dataset: ObservationalDataset, structures: MatchStructures) -> float:

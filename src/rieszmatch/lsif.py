@@ -18,9 +18,9 @@ The catchment indicator basis turns this machinery into the one-step
 nearest-neighbor ratio estimate: with that single feature and lambda = 0 the
 fitted value at the anchor equals (N0/N1) K_M(c) / M exactly, where K_M(c) is
 the matched-times count.  ``indicator_dre`` and ``verify_theorem1_all`` fit
-the indicator at every anchor at once from one batched catchment count for
-both moments, bit for bit the per-point fits; the per-point indicator basis
-and Theorem-1 check they are tested against live in ``tests/oracles.py``.
+the indicator at every anchor at once from a batched ball and covering count,
+bit for bit the per-point fits; the per-point indicator basis and Theorem-1
+check they are tested against live in ``tests/oracles.py``.
 Catchments are M-NN balls in plain Euclidean distance on the samples given.
 """
 
@@ -35,8 +35,9 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .dataset import TwoSampleData, _points, _sample
 from .neighbors import (
-    _catchment_counts,
+    _ball_counts,
     _check_m,
+    _covering_counts,
     _mth_sq_radius_batch,
     _row_blocks,
     _sq_dists,
@@ -59,6 +60,10 @@ class Basis:
 
     dimension: int
     evaluate: Callable[[np.ndarray], np.ndarray]
+
+    def __post_init__(self):
+        if self.dimension < 1:
+            raise ValueError(f"basis dimension must be >= 1, got {self.dimension}")
 
 
 @dataclass(frozen=True)
@@ -217,17 +222,6 @@ def gaussian_grid_basis(points: np.ndarray, per_dim: int = 4) -> Basis:
 # Indicator-basis fits at many anchors
 
 
-@dataclass(frozen=True)
-class Theorem1Batch:
-    lsif_values: np.ndarray
-    one_step_values: np.ndarray
-    gaps: np.ndarray
-
-    @property
-    def max_gap(self) -> float:
-        return float(self.gaps.max())
-
-
 def _rows_in(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Whether each row of ``points`` equals a row of ``reference`` under float ==,
     as ``catchment_indicator``: + 0.0 turns -0.0 into 0.0, after which finite rows
@@ -238,16 +232,17 @@ def _rows_in(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
 
 def _indicator_values(ref, anchors, anchor_radii, numerator, num_radii, n_den, n_num, lam=0.0):
-    """Indicator-LSIF fits at every anchor c at once, bit for bit the fit on
-    the oracle basis ``catchment_indicator(reference, m, c)`` of
-    ``tests/oracles.py`` evaluated at c: the squared moment sums the reference
-    rows ``ref`` and divides by ``n_den``, the linear one sums ``numerator`` and
-    divides by ``n_num``.  The radii are the squared M-th nearest-reference radii
-    of the anchors and of the numerator points."""
+    """Indicator-LSIF fits at every anchor c at once, bit for bit the fit on the
+    oracle basis ``catchment_indicator(reference, m, c)`` of ``tests/oracles.py``
+    evaluated at c.  The squared moment counts the reference rows ``ref`` in c's
+    ball over ``n_den``; the linear one counts the ``numerator`` rows equal to a
+    reference row in c's ball and the others whose own ball covers c, over
+    ``n_num``.  The radii are the squared M-th nearest-reference radii of the
+    anchors and of the numerator points."""
     is_ref = _rows_in(numerator, ref)
-    h_mat = _catchment_counts(anchors, anchor_radii, ref, 0.0, np.ones(len(ref), bool))
-    h_vec = _catchment_counts(anchors, anchor_radii, numerator, num_radii, is_ref)
-    h_mat, h_vec = h_mat / n_den, h_vec / n_num
+    h_mat = _ball_counts(anchors, anchor_radii, ref) / n_den
+    inside = _ball_counts(anchors, anchor_radii, numerator[is_ref])
+    h_vec = (inside + _covering_counts(anchors, numerator[~is_ref], num_radii[~is_ref])) / n_num
     # h_mat >= M / n_den > 0; scalar Cholesky solve by the reciprocal pivot, as LAPACK's
     inv_chol = 1.0 / np.sqrt(h_mat + lam)
     return h_vec * inv_chol * inv_chol
@@ -264,8 +259,8 @@ def indicator_dre(data: TwoSampleData, m: int, points, lam=0.0):
     return _indicator_values(tree.data, pts, radii, num, num_radii, n_den, n_num, lam)
 
 
-def verify_theorem1_all(data: TwoSampleData, m: int) -> Theorem1Batch:
-    """Indicator-LSIF value and one-step estimate at every numerator point.
+def verify_theorem1_all(data: TwoSampleData, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(lsif_values, one_step_values)`` at every numerator point, as two arrays.
 
     One denominator tree and one radius query of the numerator feed both
     routes: the indicator-LSIF fit and the one-step matched-times count."""
@@ -274,6 +269,5 @@ def verify_theorem1_all(data: TwoSampleData, m: int) -> Theorem1Batch:
     tree, num = _tree(data.denominator), data.numerator
     radii = _mth_sq_radius_batch(tree, m, num)
     lsif_values = _indicator_values(tree.data, num, radii, num, radii, n_den, n_num)
-    k_counts = _catchment_counts(num, radii, num, radii, np.zeros(len(num), bool))
-    one_step = n_den / n_num * k_counts / m
-    return Theorem1Batch(lsif_values, one_step, np.abs(lsif_values - one_step))
+    one_step = n_den / n_num * _covering_counts(num, num, radii) / m
+    return lsif_values, one_step

@@ -99,8 +99,8 @@ def _tree(reference_points) -> cKDTree:
 
 
 def _row_blocks(n_rows: int, width: int):
-    """Consecutive row slices holding at most _BLOCK_ENTRIES entries of ``width`` each."""
-    step = max(1, _BLOCK_ENTRIES // width)
+    """Consecutive row slices of at most _BLOCK_ENTRIES entries of ``width`` (0 as 1) each."""
+    step = max(1, _BLOCK_ENTRIES // max(width, 1))
     return (slice(start, start + step) for start in range(0, n_rows, step))
 
 
@@ -149,17 +149,21 @@ def _mth_sq_radius_batch(tree: cKDTree, m: int, queries) -> np.ndarray:
     return np.concatenate(radii or [np.empty(0)])
 
 
-def _catchment_counts(anchors, anchor_radii, points, point_radii, anchor_side):
-    """Per anchor c, count the points x with squared distance (c, x) at most
-    ``anchor_radii[c]`` where ``anchor_side[x]`` holds and ``point_radii[x]``
-    elsewhere.  With squared M-th nearest-reference radii and ``anchor_side``
-    marking the reference rows this sums the feature of the per-point
-    ``catchment_indicator`` oracle in ``tests/oracles.py``; anchors go in
-    blocks of _BLOCK_ENTRIES distances."""
+def _ball_counts(anchors, anchor_radii, points):
+    """Per anchor c, the points x with squared distance (c, x) <= ``anchor_radii[c]``:
+    at squared M-th nearest-reference radii, the points inside c's M-NN ball."""
     counts = np.empty(len(anchors), dtype=np.int64)
-    for block in _row_blocks(len(anchors), len(points)):
-        radii = np.where(anchor_side, anchor_radii[block, None], point_radii)
-        counts[block] = (_sq_dists(anchors[block], points) <= radii).sum(axis=1)
+    for rows in _row_blocks(len(anchors), len(points)):  # _BLOCK_ENTRIES distances each
+        counts[rows] = (_sq_dists(anchors[rows], points) <= anchor_radii[rows, None]).sum(axis=1)
+    return counts
+
+
+def _covering_counts(anchors, points, point_radii):
+    """Per anchor c, the points x with squared distance (c, x) <= ``point_radii[x]``:
+    at squared M-th nearest-reference radii, K_M(c), the points whose ball covers c."""
+    counts = np.empty(len(anchors), dtype=np.int64)
+    for rows in _row_blocks(len(anchors), len(points)):  # _BLOCK_ENTRIES distances each
+        counts[rows] = (_sq_dists(anchors[rows], points) <= point_radii).sum(axis=1)
     return counts
 
 

@@ -2,8 +2,9 @@
 tested against.
 
 The library answers every query for a whole batch of points at once
-(``neighbors._knn_blocks``, ``neighbors._catchment_counts``,
-``lsif.indicator_dre``, ``lsif.verify_theorem1_all``).  The functions here
+(``neighbors._knn_blocks``, ``neighbors._ball_counts``,
+``neighbors._covering_counts``, ``lsif.indicator_dre``,
+``lsif.verify_theorem1_all``).  The functions here
 answer one point at a time, straight from the definitions, so the tests can
 compare the two routes bit for bit.  ``brute_force_sq_knn`` shares no code with
 the library's neighbour search, which runs its kd-tree in every dimension.
@@ -28,7 +29,7 @@ import numpy as np
 from rieszmatch.dataset import ObservationalDataset, TwoSampleData, _points, _sample
 from rieszmatch.lsif import Basis, LsifFit, evaluate_matrix, fit
 from rieszmatch.neighbors import (
-    _catchment_counts,
+    _covering_counts,
     _knn_blocks,
     _mth_sq_radius_batch,
     _sq_dists,
@@ -188,8 +189,7 @@ def matched_times_at(data: TwoSampleData, m: int, points) -> np.ndarray:
         raise ValueError(f"m={m} exceeds the denominator sample size {data.n_denominator}")
     tree, num = _tree(data.denominator), data.numerator
     pts, radii = _points(points, "points", data.d), _mth_sq_radius_batch(tree, m, num)
-    unused = np.zeros(len(pts))  # no point is on the anchor side
-    return _catchment_counts(pts, unused, num, radii, np.zeros(len(num), bool))
+    return _covering_counts(pts, num, radii)
 
 
 def rescaled(dataset: ObservationalDataset, scale) -> ObservationalDataset:

@@ -26,7 +26,7 @@ from rieszmatch import (
     verify_theorem1_all,
 )
 from rieszmatch import lsif, neighbors
-from rieszmatch.equivalence import random_two_sample_instance
+from rieszmatch.equivalence import random_two_sample_instance, theorem1_max_gap
 from rieszmatch.lsif import (
     Basis,
     _rows_in,
@@ -80,6 +80,11 @@ class TestFit:
         bad = Basis(dimension=1, evaluate=lambda pts: np.full((np.atleast_2d(pts).shape[0], 1), np.inf))
         with pytest.raises(ValueError, match="non-finite basis output"):
             fit(data, bad, lam=0.0)
+
+    def test_basis_refuses_dimension_below_one(self):
+        for dimension in (0, -2):
+            with pytest.raises(ValueError, match=f"dimension must be >= 1, got {dimension}"):
+                Basis(dimension, lambda p: np.empty((len(p), 0)))
 
     def test_non_finite_entry_found_in_any_block(self, monkeypatch):
         monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 7)
@@ -222,15 +227,15 @@ class TestTheorem1:
         data = TwoSampleData(
             denominator=rng.normal(size=(400, 1)), numerator=rng.normal(size=(400, 1))
         )
-        batch = verify_theorem1_all(data, 20)
-        assert abs(np.median(batch.lsif_values) - 1.0) < 0.3
+        lsif_values, _ = verify_theorem1_all(data, 20)
+        assert abs(np.median(lsif_values) - 1.0) < 0.3
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_gap_below_1e12_on_random_instances(self, seed):
         rng = np.random.default_rng(seed)
         data, m = random_two_sample_instance(rng, max_n=80)
-        assert verify_theorem1_all(data, m).max_gap <= 1e-12
+        assert theorem1_max_gap(data, m) <= 1e-12
 
     def test_batched_equals_per_point_exactly(self):
         rng = np.random.default_rng(4)
@@ -238,11 +243,11 @@ class TestTheorem1:
         # integer grids: numerator points equal denominator rows, distances tie
         instances += [(grid_two_sample(30, 25, d, seed=d), 3) for d in (1, 2)]
         for data, m in instances:
-            batch = verify_theorem1_all(data, m)
+            lsif_values, one_step_values = verify_theorem1_all(data, m)
             for t in range(0, data.n_numerator, 3):
                 single = verify_theorem1(data, m, data.numerator[t : t + 1])
-                assert single.lsif_value == batch.lsif_values[t]
-                assert single.one_step_value == batch.one_step_values[t]
+                assert single.lsif_value == lsif_values[t]
+                assert single.one_step_value == one_step_values[t]
 
     def test_one_tree_and_one_radius_query(self, monkeypatch):
         # both routes share the denominator tree and the numerator's M-th radii
@@ -292,6 +297,9 @@ class TestIndicatorDre:
         cases = [random_two_sample_instance(rng, max_n=50) for _ in range(3)]
         grid = grid_two_sample(40, 30, 2, seed=3)
         cases += [(grid, 4), (grid, 40)]
+        # every numerator row a reference row: the covering count sees no point
+        for den in (grid.denominator, rng.normal(size=(30, 2))):
+            cases.append((TwoSampleData(denominator=den, numerator=den[::-1]), 3))
         for data, m in cases:
             points = np.vstack([data.numerator[:8], data.denominator[:4], [[7.0] * data.d]])
             values = indicator_dre(data, m, points, lam)

@@ -359,6 +359,54 @@ class TestEstimatorInvariances:
             for variant in (ate_matching, ate_weight_form):
                 assert abs(variant(data, match) - variant(shifted, match_s)) <= 1e-10
 
+    @staticmethod
+    def taus(data, m=26):
+        """tau of ``ate --estimator`` matching, weight, bc and dr at degree 1."""
+        match, outcome = matching_structures(data, m), fit_outcome(data, 1)
+        return np.array([
+            ate_matching(data, match),
+            ate_weight_form(data, match),
+            ate_bias_corrected(data, match, outcome),
+            ate_dr_riesz(data, match, outcome),
+        ])
+
+    @staticmethod
+    def designs():
+        """The logistic design and 4- and 50-level integer grids, n=2000 each."""
+        rng = np.random.default_rng(0)
+        out = [generate(logistic_dgp(), 2000, seed=0)]
+        for levels in (4, 50):
+            x = rng.integers(0, levels, size=(2000, 2)).astype(float)
+            d = rng.integers(0, 2, size=2000)
+            out.append(ObservationalDataset(x, d, x[:, 0] + d + rng.standard_normal(2000)))
+        return out
+
+    def test_arm_swap_negates_tau(self):
+        for data in self.designs():
+            swapped = ObservationalDataset(data.covariates, 1 - data.treatment, data.outcome)
+            np.testing.assert_allclose(self.taus(swapped), -self.taus(data), rtol=0, atol=1e-12)
+
+    def test_power_of_two_scaling_keeps_the_match(self):
+        for data in self.designs():
+            scaled = rescaled(data, 8.0)
+            match, match_s = matching_structures(data, 26), matching_structures(scaled, 26)
+            np.testing.assert_array_equal(match_s.matched_outcome, match.matched_outcome)
+            np.testing.assert_array_equal(match_s.matched_times, match.matched_times)
+            np.testing.assert_allclose(self.taus(scaled), self.taus(data), rtol=0, atol=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: ties at the M-th distance are broken by row index, "
+        "so on tied covariates the match depends on row order",
+    )
+    def test_permutation_invariance_on_tied_grid(self):
+        data = self.designs()[1]
+        perm = np.random.default_rng(1).permutation(data.n)
+        shuffled = ObservationalDataset(
+            data.covariates[perm], data.treatment[perm], data.outcome[perm]
+        )
+        np.testing.assert_allclose(self.taus(shuffled), self.taus(data), rtol=0, atol=1e-12)
+
 
 def count_matches(monkeypatch) -> list:
     """Count ``matching_structures`` calls through every module that binds it."""
