@@ -34,12 +34,7 @@ from .matching import (
     impute,
 )
 from .neighbors import matching_structures
-from .riesz import (
-    dr_score,
-    fit_weight_arm,
-    nn_representer_values,
-    riesz_fit,
-)
+from .riesz import fit_weight_arm, nn_representer_values, riesz_fit
 
 __all__ = [
     "Basis",
@@ -55,7 +50,6 @@ __all__ = [
     "ate_regression",
     "ate_weight_form",
     "builtin_dgp",
-    "dr_score",
     "fit",
     "fit_outcome",
     "fit_weight_arm",

@@ -6,12 +6,15 @@ imputation vs its weight form, indicator-basis LSIF arm fits vs matched-times
 weights (these two share one batched catchment count, bit for bit the
 per-point ``catchment_indicator`` fits of the test oracle in
 ``tests/oracles.py``), the joint Riesz block solve vs arm-wise solves, and
-the doubly robust score form vs the bias-corrected form.  ``run_instance``
-builds each intermediate once per instance for every suite that needs it:
-two arm kd-trees (``neighbors.arm_trees``, which hold no M) that serve the
-match and the weight identity at the instance's M, one outcome model with its
-fitted means, and one evaluation of the separability basis.
-``verify`` and the acceptance tests run on these.
+the doubly robust score form vs the bias-corrected form, with the mean of the
+score at that estimate.  ``run_instance`` returns the seven gaps of one random
+instance pair as a plain ``{name: gap}`` mapping in report order, and
+``max_judged_gap`` reduces it to the verdict.  It builds each intermediate
+once per instance for every suite that needs it: two arm kd-trees
+(``neighbors.arm_trees``, which hold no M) that serve the match and the weight
+identity at the instance's M, one outcome model with its fitted means, and one
+evaluation of the separability basis.  ``verify`` and the acceptance tests run
+on these.
 
 In 30% of instances the generators draw a weighted Euclidean distance, weights
 w in [0.5, 2], as the per-coordinate scale sqrt(w) (else 1.0).  A two-sample
@@ -21,7 +24,7 @@ a rescaled copy and fits the outcome, separability and DR suites on the raw one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -43,7 +46,7 @@ from .matching import (
     fit_outcome,
 )
 from .neighbors import MatchStructures, _mth_sq_radius_batch, arm_trees, matching_structures
-from .riesz import dr_score, fit_weight_arm, nn_representer_values, riesz_fit
+from .riesz import fit_weight_arm, nn_representer_values, riesz_fit
 
 GAP_THRESHOLD = 1e-12
 # Random instances draw their dimension from 1..3 and M from 1..5.
@@ -147,60 +150,35 @@ def dr_identity_gaps(
     mu1, mu0 = outcome.mu_treated, outcome.mu_control  # rows checked by bc and dr
     gamma = np.where(dataset.treatment == 1, mu1, mu0)
     alpha = nn_representer_values(dataset, structures)
-    psi = dr_score(mu1 - mu0, gamma, alpha, dataset.outcome, dr)
+    psi = (mu1 - mu0) - dr + alpha * (dataset.outcome - gamma)
     return abs(dr - bc), abs(float(np.mean(psi)))
 
 
-@dataclass(frozen=True)
-class InstanceRecord:
-    index: int
-    theorem1_gap: float
-    eq1_gap: float
-    weight_identity_gap: float
-    separability_gap: float
-    separability_rel_gap: float
-    dr_gap: float
-    score_mean: float
-
-    @property
-    def max_gap(self) -> float:
-        """The verdict's one input: ``verify`` passes when every instance's is at
-        most GAP_THRESHOLD."""
-        return max(getattr(self, name) for name in JUDGED_GAPS)
+def max_judged_gap(gaps: dict[str, float]) -> float:
+    """The verdict's one input: ``verify`` passes when every instance's is at most
+    GAP_THRESHOLD.  It skips the absolute separability gap, whose roundoff grows
+    with the coefficients, and a NaN gap makes it NaN, which fails."""
+    return float(np.max([gap for name, gap in gaps.items() if name != "separability_gap"]))
 
 
-# Every InstanceRecord field after ``index`` is a gap, in report order.  The verdict
-# skips the absolute separability gap, whose roundoff grows with the coefficients.
-GAP_NAMES = tuple(field.name for field in fields(InstanceRecord))[1:]
-JUDGED_GAPS = tuple(name for name in GAP_NAMES if name != "separability_gap")
-
-
-def run_instance(index: int, seed: int, max_n: int = 160) -> InstanceRecord:
-    """All equivalence gaps on one random instance pair; worker for ``verify``."""
+def run_instance(seed: int, max_n: int = 160) -> dict[str, float]:
+    """All equivalence gaps on one random instance pair, by name in report order;
+    worker for ``verify``."""
     rng = np.random.default_rng(seed)
     two_sample, m2 = random_two_sample_instance(rng, max_n=max_n)
     dataset, scale, m_obs = random_observational_instance(rng, max_n=max_n)
-    th1 = theorem1_max_gap(two_sample, m2)
+    gaps = {"theorem1_gap": theorem1_max_gap(two_sample, m2)}
     # a plain Euclidean scale of 1.0 needs no rescaled copy
     matched = replace(dataset, covariates=dataset.covariates * scale) if np.ndim(scale) else dataset
     trees = arm_trees(matched)
     structures = matching_structures(matched, m_obs, trees)
-    eq1 = eq1_gap(dataset, structures)
-    wid = weight_identity_max_gap(matched, structures, trees)
-    sep, sep_rel = separability_max_gap(dataset, lam=1e-3)
+    gaps["eq1_gap"] = eq1_gap(dataset, structures)
+    gaps["weight_identity_gap"] = weight_identity_max_gap(matched, structures, trees)
+    gaps["separability_gap"], gaps["separability_rel_gap"] = separability_max_gap(dataset, lam=1e-3)
     degree = 1 if min(dataset.n_treated, dataset.n_control) > dataset.d + 1 else 0
     outcome = fit_outcome(dataset, degree)
-    dr_gap, score_mean = dr_identity_gaps(dataset, structures, outcome)
-    return InstanceRecord(
-        index=index,
-        theorem1_gap=th1,
-        eq1_gap=eq1,
-        weight_identity_gap=wid,
-        separability_gap=sep,
-        separability_rel_gap=sep_rel,
-        dr_gap=dr_gap,
-        score_mean=score_mean,
-    )
+    gaps["dr_gap"], gaps["score_mean"] = dr_identity_gaps(dataset, structures, outcome)
+    return gaps
 
 
 def instance_seeds(seed: int, count: int) -> list[int]:

@@ -64,27 +64,3 @@ def nn_representer_values(dataset: ObservationalDataset, structures: MatchStruct
     alpha = 2.0 * dataset.treatment - 1.0
     alpha *= structures.weights
     return alpha
-
-
-def dr_score(m_value, gamma_value, alpha_value, y, tau):
-    """Orthogonal doubly robust score m - tau + alpha (y - gamma).
-
-    Accepts scalars or arrays; broadcasting follows numpy rules.  The result
-    is linear in tau with slope -1.
-    """
-    m_value = np.asarray(m_value, dtype=float)
-    gamma_value = np.asarray(gamma_value, dtype=float)
-    alpha_value = np.asarray(alpha_value, dtype=float)
-    y = np.asarray(y, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    for name, arr in (
-        ("m_value", m_value),
-        ("gamma_value", gamma_value),
-        ("alpha_value", alpha_value),
-        ("y", y),
-        ("tau", tau),
-    ):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"non-finite {name}")
-    out = m_value - tau + alpha_value * (y - gamma_value)
-    return float(out) if out.ndim == 0 else out

@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import os
 import subprocess
 import sys
@@ -275,10 +274,13 @@ class TestSimulate:
         assert summary == [f"summary.{name}.{stat}" for name in names for stat in stats]
 
     def test_byte_identical_across_jobs(self, tmp_path):
-        argv = ["simulate", "--dgp", "logistic", "--n", "150", "--reps", "4", "--seed", "9"]
-        _, first = run(tmp_path, *argv, "--jobs", "1")
-        _, second = run(tmp_path, *argv, "--jobs", "2")
-        assert first == second
+        for argv in (
+            ["simulate", "--dgp", "logistic", "--n", "150", "--reps", "4", "--seed", "9"],
+            ["verify", "--instances", "6", "--seed", "5845163996291497452"],
+        ):
+            _, first = run(tmp_path, *argv, "--jobs", "1")
+            _, second = run(tmp_path, *argv, "--jobs", "2")
+            assert first == second
 
     def test_unknown_dgp_exits_two(self, tmp_path):
         assert cli.main(["simulate", "--dgp", "nope", "--n", "100", "--reps", "2"]) == 2
@@ -302,9 +304,14 @@ class TestSimulate:
         argv = ["simulate", "--n", "100", "--reps", "3"]
         _, serial = run(tmp_path, *argv)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        _, pooled = run(tmp_path, *argv, "--jobs", "8")
-        assert sizes == [3]
-        assert pooled == serial
+        # the pool is the least of --jobs, the task count and the CPU count; one
+        # CPU, or an unknown count, runs serially
+        for cpus, pool in ((64, [3]), (2, [2]), (1, []), (None, [])):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            sizes.clear()
+            _, pooled = run(tmp_path, *argv, "--jobs", "8")
+            assert sizes == pool
+            assert pooled == serial
 
     def test_import_leaves_multiprocessing_unloaded(self):
         # a serial run starts no pool, so it need not pay for loading one
@@ -360,20 +367,25 @@ class TestVerify:
             cli.main(["verify", "--instances", "1"])
 
     def test_broken_component_fails(self, tmp_path, monkeypatch):
-        # negative control: a corrupted equivalence must flip the exit status
+        # negative control: one corrupted gap in the last instance must flip the exit
+        # status and show in the header's maximum, also when it is NaN and follows a
+        # finite gap in the instance and in the header
         from rieszmatch import equivalence
 
-        real = equivalence.run_instance
+        real, last = equivalence.run_instance, equivalence.instance_seeds(1, 2)[1]
+        corruptions = {"theorem1_gap": lambda gap: gap + 1e-6, "eq1_gap": lambda gap: np.nan}
+        for name, corrupt in corruptions.items():
 
-        def broken(index, seed, max_n=160):
-            record = real(index, seed, max_n)
-            return dataclasses.replace(record, theorem1_gap=record.theorem1_gap + 1e-6)
+            def broken(seed, max_n=160):
+                gaps = real(seed, max_n)
+                return {**gaps, name: corrupt(gaps[name])} if seed == last else gaps
 
-        monkeypatch.setattr(cli.eq, "run_instance", broken)
-        code, text = run(tmp_path, "verify", "--instances", "2", "--seed", "1")
-        assert code == 1
-        header, _ = parse_report(text)
-        assert header["status"] == "fail"
+            monkeypatch.setattr(cli.eq, "run_instance", broken)
+            code, text = run(tmp_path, "verify", "--instances", "2", "--seed", "1")
+            assert code == 1
+            header, _ = parse_report(text)
+            assert header["status"] == "fail"
+            assert not float(header[f"max.{name}"]) <= float(header["threshold"])
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

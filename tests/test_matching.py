@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -407,6 +408,42 @@ class TestEstimatorInvariances:
         )
         np.testing.assert_allclose(self.taus(shuffled), self.taus(data), rtol=0, atol=1e-12)
 
+    @staticmethod
+    def grid_3d(levels, step):
+        """A ``levels``-level grid of spacing ``step`` in d=3, n=2000."""
+        rng = np.random.default_rng(0)
+        x = rng.integers(0, levels, size=(2000, 3)) * step
+        d = rng.integers(0, 2, size=2000)
+        return ObservationalDataset(x, d, x[:, 0] + d + rng.standard_normal(2000))
+
+    def assert_same_match(self, data, moved):
+        match, match_m = matching_structures(data, 26), matching_structures(moved, 26)
+        np.testing.assert_array_equal(match_m.matched_outcome, match.matched_outcome)
+        np.testing.assert_array_equal(match_m.matched_times, match.matched_times)
+        np.testing.assert_allclose(self.taus(moved), self.taus(data), rtol=0, atol=1e-12)
+
+    def assert_column_orders_keep_the_match(self, data):
+        for order in itertools.permutations(range(data.d)):
+            permuted = data.covariates[:, list(order)]
+            moved = ObservationalDataset(permuted, data.treatment, data.outcome)
+            self.assert_same_match(data, moved)
+
+    def test_integer_shift_keeps_the_match_on_integer_grid(self):
+        data = self.grid_3d(4, 1.0)
+        shifted = data.covariates + np.array([3.0, -7.0, 11.0])
+        self.assert_same_match(data, ObservationalDataset(shifted, data.treatment, data.outcome))
+
+    def test_column_permutation_keeps_the_match_on_integer_grid(self):
+        self.assert_column_orders_keep_the_match(self.grid_3d(4, 1.0))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 19: squared distances are float sums in column order, so on "
+        "a grid of inexact steps a column order can break or make a tie",
+    )
+    def test_column_permutation_keeps_the_match_on_decimal_grid(self):
+        self.assert_column_orders_keep_the_match(self.grid_3d(10, 0.1))
+
 
 def count_matches(monkeypatch) -> list:
     """Count ``matching_structures`` calls through every module that binds it."""
@@ -426,8 +463,8 @@ def count_matches(monkeypatch) -> list:
 class TestMatchOnce:
     def test_run_instance_matches_once(self, monkeypatch):
         calls = count_matches(monkeypatch)
-        record = equivalence.run_instance(0, seed=12345)
-        assert record.max_gap <= equivalence.GAP_THRESHOLD
+        gaps = equivalence.run_instance(seed=12345)
+        assert equivalence.max_judged_gap(gaps) <= equivalence.GAP_THRESHOLD
         assert len(calls) == 1
 
     def test_simulate_replication_matches_once(self, monkeypatch):
@@ -457,8 +494,8 @@ class TestMatchOnce:
         monkeypatch.setattr(lsif, "polynomial_feature_matrix", counted_features)
         monkeypatch.setattr(matching, "polynomial_feature_matrix", counted_features)
         monkeypatch.setattr(neighbors, "cKDTree", CountedTree)
-        record = equivalence.run_instance(0, seed=12345)
-        assert record.max_gap <= equivalence.GAP_THRESHOLD
+        gaps = equivalence.run_instance(seed=12345)
+        assert equivalence.max_judged_gap(gaps) <= equivalence.GAP_THRESHOLD
         assert [degree for _, degree in features] == [2, 1]
         assert len(set(features)) == len(features)
         # the Theorem-1 denominator, then the match's two arms, which the
@@ -490,7 +527,8 @@ class TestMatchOnce:
         on_raw = ("separability_max_gap", "fit_outcome", "dr_identity_gaps")
         for name in on_matched + on_raw:
             recorded(name)
-        assert equivalence.run_instance(0, seed=9).max_gap <= equivalence.GAP_THRESHOLD
+        gaps = equivalence.run_instance(seed=9)
+        assert equivalence.max_judged_gap(gaps) <= equivalence.GAP_THRESHOLD
         for name in on_matched:
             np.testing.assert_array_equal(seen[name], matched.covariates)
         for name in on_raw:

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracles import (
     arm_objective_gradient,
@@ -12,7 +10,6 @@ from oracles import (
 )
 from rieszmatch import (
     ObservationalDataset,
-    dr_score,
     fit_weight_arm,
     matching_structures,
     nn_representer_values,
@@ -249,34 +246,3 @@ class TestRieszFit:
         signs = np.sign(alpha)
         np.testing.assert_array_equal(signs, 2.0 * data.treatment - 1.0)
 
-
-class TestDrScore:
-    def test_perfect_regression(self):
-        assert dr_score(m_value=1.5, gamma_value=2.0, alpha_value=3.0, y=2.0, tau=0.4) == pytest.approx(1.1)
-
-    def test_zero_when_tau_matches(self):
-        assert dr_score(2.0, 1.0, -2.0, 1.0, 2.0) == 0.0
-
-    def test_arithmetic_example(self):
-        assert dr_score(2.0, 1.0, -2.0, 0.0, 1.0) == 3.0
-
-    def test_vectorized(self):
-        out = dr_score(np.array([1.0, 2.0]), 0.0, 1.0, np.array([0.5, 0.5]), 1.0)
-        np.testing.assert_allclose(out, [0.5, 1.5])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            dr_score(np.inf, 0.0, 0.0, 0.0, 0.0)
-
-    @given(
-        st.floats(-5, 5),
-        st.floats(-5, 5),
-        st.floats(-5, 5),
-        st.floats(-5, 5),
-        st.floats(-5, 5),
-        st.floats(-5, 5),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_linear_in_tau_with_slope_minus_one(self, m, g, a, y, tau1, tau2):
-        lhs = dr_score(m, g, a, y, tau1) - dr_score(m, g, a, y, tau2)
-        assert lhs == pytest.approx(tau2 - tau1, abs=1e-9)
