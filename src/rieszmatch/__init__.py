@@ -24,14 +24,12 @@ from .lsif import (
     verify_theorem1_all,
 )
 from .matching import (
-    OutcomeModel,
     ate_bias_corrected,
     ate_dr_riesz,
     ate_matching,
     ate_regression,
     ate_weight_form,
     fit_outcome,
-    impute,
 )
 from .neighbors import matching_structures
 from .riesz import fit_weight_arm, nn_representer_values, riesz_fit
@@ -42,7 +40,6 @@ __all__ = [
     "LOGISTIC_TRUE_ATE",
     "LsifFit",
     "ObservationalDataset",
-    "OutcomeModel",
     "TwoSampleData",
     "ate_bias_corrected",
     "ate_dr_riesz",
@@ -55,7 +52,6 @@ __all__ = [
     "fit_weight_arm",
     "gaussian_grid_basis",
     "generate",
-    "impute",
     "load_csv",
     "load_points_csv",
     "logistic_dgp",

@@ -12,7 +12,7 @@ instance pair as a plain ``{name: gap}`` mapping in report order, and
 ``max_judged_gap`` reduces it to the verdict.  It builds each intermediate
 once per instance for every suite that needs it: two arm kd-trees
 (``neighbors.arm_trees``, which hold no M) that serve the match and the weight
-identity at the instance's M, one outcome model with its fitted means, and one
+identity at the instance's M, one pair of fitted outcome means, and one
 evaluation of the separability basis.  ``verify`` and the acceptance tests run
 on these.
 
@@ -38,7 +38,7 @@ from .lsif import (
     verify_theorem1_all,
 )
 from .matching import (
-    OutcomeModel,
+    Outcome,
     ate_bias_corrected,
     ate_dr_riesz,
     ate_matching,
@@ -84,12 +84,6 @@ def random_observational_instance(
     y = np.sin(x[:, 0]) + treat * (1.0 + 0.5 * x[:, 0]) + rng.normal(size=n)
     scale = 1.0 if rng.random() < 0.7 else np.sqrt(rng.uniform(0.5, 2.0, size=d))
     return ObservationalDataset(covariates=x, treatment=treat, outcome=y), scale, m
-
-
-def theorem1_max_gap(data: TwoSampleData, m: int) -> float:
-    """Largest LSIF vs one-step gap over all numerator evaluation points."""
-    lsif_values, one_step = verify_theorem1_all(data, m)
-    return float(np.abs(lsif_values - one_step).max())
 
 
 def eq1_gap(dataset: ObservationalDataset, structures: MatchStructures) -> float:
@@ -142,12 +136,12 @@ def separability_max_gap(dataset: ObservationalDataset, lam: float) -> tuple[flo
 
 
 def dr_identity_gaps(
-    dataset: ObservationalDataset, structures: MatchStructures, outcome: OutcomeModel
+    dataset: ObservationalDataset, structures: MatchStructures, outcome: Outcome
 ) -> tuple[float, float]:
     """Gap between the DR-score and bias-corrected estimates, and the mean score."""
     bc = ate_bias_corrected(dataset, structures, outcome)
     dr = ate_dr_riesz(dataset, structures, outcome)
-    mu1, mu0 = outcome.mu_treated, outcome.mu_control  # rows checked by bc and dr
+    mu1, mu0 = outcome  # rows checked by bc and dr
     gamma = np.where(dataset.treatment == 1, mu1, mu0)
     alpha = nn_representer_values(dataset, structures)
     psi = (mu1 - mu0) - dr + alpha * (dataset.outcome - gamma)
@@ -167,7 +161,8 @@ def run_instance(seed: int, max_n: int = 160) -> dict[str, float]:
     rng = np.random.default_rng(seed)
     two_sample, m2 = random_two_sample_instance(rng, max_n=max_n)
     dataset, scale, m_obs = random_observational_instance(rng, max_n=max_n)
-    gaps = {"theorem1_gap": theorem1_max_gap(two_sample, m2)}
+    lsif_values, one_step = verify_theorem1_all(two_sample, m2)
+    gaps = {"theorem1_gap": float(np.abs(lsif_values - one_step).max())}
     # a plain Euclidean scale of 1.0 needs no rescaled copy
     matched = replace(dataset, covariates=dataset.covariates * scale) if np.ndim(scale) else dataset
     trees = arm_trees(matched)

@@ -9,10 +9,10 @@ where H averages Phi Phi' over the denominator sample and h averages Phi over
 the numerator sample.  The unique minimizer is (H + lambda I)^{-1} h, solved
 by ``ridge_solve`` (shared with Riesz regression) through a symmetric
 positive-definite factorization with explicit singularity detection (nothing
-is silently regularized).  ``fit`` without a lambda takes the numerical-safety
-ridge 1e-6 trace(H)/b from the denominator features it has evaluated anyway.
-The sample objective and its gradient, which the tests check the fit against,
-live in ``tests/oracles.py``.
+is silently regularized).  ``fit`` keeps the ridge and beta, not the basis;
+without a lambda it takes the numerical-safety ridge 1e-6 trace(H)/b from the
+denominator features it has evaluated anyway.  The sample objective and its
+gradient, which the tests check the fit against, live in ``tests/oracles.py``.
 
 The catchment indicator basis turns this machinery into the one-step
 nearest-neighbor ratio estimate: with that single feature and lambda = 0 the
@@ -68,7 +68,6 @@ class Basis:
 
 @dataclass(frozen=True)
 class LsifFit:
-    basis: Basis
     lam: float
     beta: np.ndarray  # (b,)
 
@@ -147,7 +146,7 @@ def fit(data: TwoSampleData, basis: Basis, lam: float | None = None) -> LsifFit:
         "the basis has no unique minimizer on this sample"
     )
     beta = ridge_solve(h_mat, h_vec, lam, singular)
-    return LsifFit(basis=basis, lam=float(lam), beta=beta)
+    return LsifFit(lam=float(lam), beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +189,7 @@ def polynomial_basis(dimension_in: int, degree: int) -> Basis:
 
 def gaussian_grid_basis(points: np.ndarray, per_dim: int = 4) -> Basis:
     """Gaussian bumps centered on a regular grid over the point cloud's box,
-    with bandwidth the mean box side over ``per_dim``."""
+    with bandwidth the mean box side over ``per_dim``; a cloud of zero extent has none."""
     if per_dim < 1:
         raise ValueError(f"Gaussian grid size must be >= 1, got {per_dim}")
     pts = _sample(points, "point cloud")
@@ -205,8 +204,11 @@ def gaussian_grid_basis(points: np.ndarray, per_dim: int = 4) -> Basis:
     axes = [np.linspace(lo[k], hi[k], per_dim) for k in range(pts.shape[1])]
     mesh = np.meshgrid(*axes, indexing="ij")
     centers = np.column_stack([m.ravel() for m in mesh])
-    bandwidth = max(float(np.mean(hi - lo)) / per_dim, 1e-8)
-    inv_two_sq = 1.0 / (2.0 * bandwidth * bandwidth)
+    bandwidth = float(np.mean(hi - lo)) / per_dim
+    two_sq = 2.0 * bandwidth * bandwidth
+    if not two_sq >= np.finfo(float).tiny:  # also an extent too small to square
+        raise ValueError(f"point cloud has zero extent: Gaussian bandwidth {bandwidth:g}")
+    inv_two_sq = 1.0 / two_sq
 
     def evaluate(qpoints):
         q = _points(qpoints, "points", centers.shape[1])

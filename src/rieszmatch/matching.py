@@ -5,12 +5,11 @@ rewriting through matched-times counts, the bias-corrected estimator that
 matches on outcome-regression residuals, and the doubly robust score form
 driven by the signed matching weights.  The first two are algebraically
 identical, as are the last two; ``verify`` checks both identities at 1e-12.
-Each estimator returns the estimate tau as a float.
+Each estimator returns the estimate tau as a float; those with an outcome
+model read the pair ``(mu_treated, mu_control)`` that ``fit_outcome`` returns.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,16 +18,10 @@ from .lsif import polynomial_feature_matrix
 from .neighbors import MatchStructures
 from .riesz import nn_representer_values
 
-
-@dataclass(frozen=True)
-class OutcomeModel:
-    """Both arms' polynomial least-squares outcome fits, evaluated at every training row."""
-
-    mu_treated: np.ndarray
-    mu_control: np.ndarray
+Outcome = tuple[np.ndarray, np.ndarray]  # (mu_treated, mu_control) at every row
 
 
-def fit_outcome(dataset: ObservationalDataset, degree: int) -> OutcomeModel:
+def fit_outcome(dataset: ObservationalDataset, degree: int) -> Outcome:
     """Least-squares polynomial fit of each arm's outcome mean; ``degree`` is 0..3."""
     features = polynomial_feature_matrix(dataset.covariates, degree)
     n_coef = features.shape[1]
@@ -43,36 +36,20 @@ def fit_outcome(dataset: ObservationalDataset, degree: int) -> OutcomeModel:
         if rank < n_coef:
             raise np.linalg.LinAlgError(f"rank-deficient design in the {name} arm")
         coefs[arm] = coef
-    return OutcomeModel(features @ coefs[1], features @ coefs[0])
+    return features @ coefs[1], features @ coefs[0]
 
 
-def _fitted_means(dataset: ObservationalDataset, outcome: OutcomeModel):
-    """The stored fitted means, once the outcome is known to be fitted on ``dataset``'s rows."""
-    if len(outcome.mu_treated) != dataset.n:
-        raise ValueError(f"outcome model fitted on {len(outcome.mu_treated)} rows, not {dataset.n}")
-    return outcome.mu_treated, outcome.mu_control
-
-
-def impute(dataset: ObservationalDataset, structures: MatchStructures) -> np.ndarray:
-    """Per-unit imputed potential outcomes, column 0 control and column 1 treated.
-
-    The observed arm keeps the observed outcome exactly; the opposite arm is
-    the mean outcome of the unit's M nearest opposite-arm matches.
-    """
-    matched_mean = structures.matched_outcome
-    out = np.empty((dataset.n, 2))
-    treated = dataset.treatment == 1
-    out[treated, 1] = dataset.outcome[treated]
-    out[treated, 0] = matched_mean[treated]
-    out[~treated, 0] = dataset.outcome[~treated]
-    out[~treated, 1] = matched_mean[~treated]
-    return out
+def _fitted_means(dataset: ObservationalDataset, outcome: Outcome) -> Outcome:
+    """The fitted means, once they are known to be fitted on ``dataset``'s rows."""
+    if len(outcome[0]) != dataset.n:
+        raise ValueError(f"outcome model fitted on {len(outcome[0])} rows, not {dataset.n}")
+    return outcome
 
 
 def ate_matching(dataset: ObservationalDataset, structures: MatchStructures) -> float:
-    """Mean imputed treated-minus-control contrast."""
-    pairs = impute(dataset, structures)
-    return float(np.mean(pairs[:, 1] - pairs[:, 0]))
+    """Mean imputed contrast: each observed outcome against its M matches' mean."""
+    y, matched = dataset.outcome, structures.matched_outcome
+    return float(np.mean(np.where(dataset.treatment == 1, y - matched, matched - y)))
 
 
 def ate_weight_form(dataset: ObservationalDataset, structures: MatchStructures) -> float:
@@ -80,14 +57,14 @@ def ate_weight_form(dataset: ObservationalDataset, structures: MatchStructures) 
     return float(np.mean(nn_representer_values(dataset, structures) * dataset.outcome))
 
 
-def ate_regression(dataset: ObservationalDataset, outcome: OutcomeModel) -> float:
+def ate_regression(dataset: ObservationalDataset, outcome: Outcome) -> float:
     """Plug-in mean of the fitted arm contrast."""
     mu1, mu0 = _fitted_means(dataset, outcome)
     return float(np.mean(mu1 - mu0))
 
 
 def ate_bias_corrected(
-    dataset: ObservationalDataset, structures: MatchStructures, outcome: OutcomeModel
+    dataset: ObservationalDataset, structures: MatchStructures, outcome: Outcome
 ) -> float:
     """Regression plug-in plus the weighted residual correction."""
     mu1, mu0 = _fitted_means(dataset, outcome)
@@ -101,7 +78,7 @@ def ate_bias_corrected(
 
 
 def ate_dr_riesz(
-    dataset: ObservationalDataset, structures: MatchStructures, outcome: OutcomeModel
+    dataset: ObservationalDataset, structures: MatchStructures, outcome: Outcome
 ) -> float:
     """Doubly robust score mean with the matching-weight representer.
 

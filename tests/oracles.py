@@ -15,7 +15,9 @@ read by the library's one rule, ``dataset._points``: one point is a (1, d)
 row, and a 1-d input is one column.
 
 The rest is test-only machinery the library has no use for: matched-times
-counts at arbitrary points (``matched_times_at``), the constant basis, the
+counts at arbitrary points (``matched_times_at``), the (n, 2) matrix of
+imputed potential outcomes (``imputed_pairs``), whose mean contrast
+``ate_matching`` forms without it, the constant basis, the
 LSIF moments ``fit`` solves with (``lsif_moments``, which ``fit`` does not
 keep), the sample LSIF objective and its gradient, the sample Riesz arm risk
 and its gradient, ``parse_report``, which reads a rendered report back, and
@@ -27,8 +29,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from rieszmatch.dataset import ObservationalDataset, TwoSampleData, _points, _sample
-from rieszmatch.lsif import Basis, LsifFit, evaluate_matrix, fit
+from rieszmatch.lsif import Basis, evaluate_matrix, fit
 from rieszmatch.neighbors import (
+    MatchStructures,
     _covering_counts,
     _knn_blocks,
     _mth_sq_radius_batch,
@@ -100,10 +103,10 @@ def brute_force_knn(reference_points, query, m: int) -> np.ndarray:
     return idx[0]
 
 
-def fitted_value(fit_result: LsifFit, x) -> float:
+def fitted_value(basis: Basis, beta: np.ndarray, x) -> float:
     """Fitted ratio beta' Phi(x) at one point, a (1, d) row, as one dot product."""
-    (phi,) = evaluate_matrix(fit_result.basis, x)
-    return float(np.dot(fit_result.beta, phi))
+    (phi,) = evaluate_matrix(basis, x)
+    return float(np.dot(beta, phi))
 
 
 def catchment_indicator(reference_points, m: int, c) -> Basis:
@@ -172,7 +175,8 @@ class Theorem1Check:
 
 def verify_theorem1(data: TwoSampleData, m: int, c) -> Theorem1Check:
     """Fit the indicator-basis LSIF at lambda=0 and compare with the one-step value."""
-    lsif_value = fitted_value(fit(data, indicator_basis(data, m, c), lam=0.0), c)
+    basis = indicator_basis(data, m, c)
+    lsif_value = fitted_value(basis, fit(data, basis, lam=0.0).beta, c)
     one_step = one_step_dre(data, m, c)
     return Theorem1Check(
         lsif_value=lsif_value, one_step_value=one_step, gap=abs(lsif_value - one_step)
@@ -190,6 +194,23 @@ def matched_times_at(data: TwoSampleData, m: int, points) -> np.ndarray:
     tree, num = _tree(data.denominator), data.numerator
     pts, radii = _points(points, "points", data.d), _mth_sq_radius_batch(tree, m, num)
     return _covering_counts(pts, num, radii)
+
+
+def imputed_pairs(dataset: ObservationalDataset, structures: MatchStructures) -> np.ndarray:
+    """Per-unit imputed potential outcomes, column 0 control and column 1 treated.
+
+    The observed arm keeps the observed outcome exactly; the opposite arm is
+    the mean outcome of the unit's M nearest opposite-arm matches.  The mean
+    of column 1 minus column 0 is imputation-form matching's tau.
+    """
+    matched_mean = structures.matched_outcome
+    out = np.empty((dataset.n, 2))
+    treated = dataset.treatment == 1
+    out[treated, 1] = dataset.outcome[treated]
+    out[treated, 0] = matched_mean[treated]
+    out[~treated, 0] = dataset.outcome[~treated]
+    out[~treated, 1] = matched_mean[~treated]
+    return out
 
 
 def rescaled(dataset: ObservationalDataset, scale) -> ObservationalDataset:

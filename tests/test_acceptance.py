@@ -20,6 +20,7 @@ from oracles import (
     arm_objective_value,
     brute_force_knn,
     constant_basis,
+    imputed_pairs,
     objective_gradient,
     objective_value,
     query_indices,
@@ -33,10 +34,10 @@ from rieszmatch import (
     fit,
     fit_outcome,
     generate,
-    impute,
     logistic_dgp,
     matching_structures,
     polynomial_basis,
+    verify_theorem1_all,
 )
 from rieszmatch import cli
 from rieszmatch.equivalence import (
@@ -45,7 +46,6 @@ from rieszmatch.equivalence import (
     random_observational_instance,
     random_two_sample_instance,
     separability_max_gap,
-    theorem1_max_gap,
     weight_identity_max_gap,
     well_posed_degree,
 )
@@ -65,7 +65,8 @@ def test_01_theorem1_exactness():
     worst = 0.0
     for _ in range(200):
         data, m = random_two_sample_instance(rng, max_n=300)
-        worst = max(worst, theorem1_max_gap(data, m))
+        lsif_values, one_step = verify_theorem1_all(data, m)
+        worst = max(worst, float(np.abs(lsif_values - one_step).max()))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12 and elapsed < 30.0
     report("01", "theorem1-exactness", ok, f"max gap {worst:.2e}, {elapsed:.1f}s")
@@ -291,7 +292,7 @@ def _noise_free_matching_bias(n: int, reps: int = 100) -> np.ndarray:
         x, treatment = data.covariates, data.treatment
         mu1, mu0 = spec.outcome_mean_treated(x), spec.outcome_mean_control(x)
         noise_free = ObservationalDataset(x, treatment, np.where(treatment == 1, mu1, mu0))
-        pairs = impute(noise_free, matching_structures(noise_free, m))
+        pairs = imputed_pairs(noise_free, matching_structures(noise_free, m))
         biases[rep] = np.mean(pairs[:, 1] - pairs[:, 0]) - np.mean(mu1 - mu0)
     return biases
 

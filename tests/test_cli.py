@@ -161,6 +161,40 @@ class TestDre:
         err = capsys.readouterr().err
         assert "Gaussian grid of 4 per dimension in d=17 has 17179869184 centers" in err
 
+    def test_zero_extent_gaussian_denominator_exits_two(self, tmp_path, capsys):
+        # 50 identical rows span no box, so the grid has no bandwidth
+        save_points_csv(np.full((50, 2), 0.7), tmp_path / "den.csv")
+        save_points_csv(np.random.default_rng(0).normal(size=(20, 2)), tmp_path / "num.csv")
+        code = cli.main([
+            "dre", "--denominator", str(tmp_path / "den.csv"),
+            "--numerator", str(tmp_path / "num.csv"),
+            "--eval-points", str(tmp_path / "num.csv"),
+            "--basis", "gauss",
+        ])
+        assert code == 2
+        assert "point cloud has zero extent" in capsys.readouterr().err
+
+    def test_gaussian_r_hat_is_scale_free(self, tmp_path):
+        # every input times 2^-40: the bandwidth scales with the box, so each
+        # r_hat keeps its last bit
+        rng = np.random.default_rng(0)
+        samples = {"den": rng.normal(size=(60, 2)), "num": 0.3 + rng.normal(size=(40, 2))}
+        samples["pts"] = rng.normal(size=(10, 2))
+        r_hats = []
+        for scale in (1.0, 2.0**-40):
+            for name, points in samples.items():
+                save_points_csv(points * scale, tmp_path / f"{name}.csv")
+            code, text = run(
+                tmp_path,
+                "dre", "--denominator", str(tmp_path / "den.csv"),
+                "--numerator", str(tmp_path / "num.csv"),
+                "--eval-points", str(tmp_path / "pts.csv"), "--basis", "gauss",
+            )
+            assert code == 0
+            r_hats.append([record["r_hat"] for record in parse_report(text)[1]])
+        assert r_hats[0] == r_hats[1]
+        assert len(set(r_hats[0])) == 10  # not one constant
+
     @pytest.mark.parametrize("basis", ["poly", "gauss"])
     def test_smooth_bases_run(self, tmp_path, basis):
         rng = np.random.default_rng(0)
@@ -189,7 +223,7 @@ class TestDre:
         # each r_hat is the per-point dot product, to the last bit
         for record, point in zip(records, samples["pts"]):
             assert np.isfinite(float(record["r_hat"]))
-            assert record["r_hat"] == repr(fitted_value(result, point[None]))
+            assert record["r_hat"] == repr(fitted_value(smooth, result.beta, point[None]))
 
 
 class TestWeights:

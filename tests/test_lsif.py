@@ -26,7 +26,7 @@ from rieszmatch import (
     verify_theorem1_all,
 )
 from rieszmatch import lsif, neighbors
-from rieszmatch.equivalence import random_two_sample_instance, theorem1_max_gap
+from rieszmatch.equivalence import random_two_sample_instance
 from rieszmatch.lsif import (
     Basis,
     _rows_in,
@@ -46,7 +46,7 @@ class TestFit:
         np.testing.assert_allclose(h_mat, [[1.0]])
         np.testing.assert_allclose(h_vec, [1.0])
         np.testing.assert_allclose(result.beta, [1.0])
-        assert fitted_value(result, [0.33]) == pytest.approx(1.0)
+        assert fitted_value(constant_basis(1), result.beta, [0.33]) == pytest.approx(1.0)
 
     def test_large_ridge_shrinks_beta(self):
         rng = np.random.default_rng(3)
@@ -162,13 +162,13 @@ class TestPredict:
         data = TwoSampleData(denominator=[[0.0], [1.0]], numerator=[[0.5]])
         result = fit(data, constant_basis(1), lam=0.0)
         for x in (-3.0, 0.0, 11.0):
-            assert fitted_value(result, [x]) == pytest.approx(1.0)
+            assert fitted_value(constant_basis(1), result.beta, [x]) == pytest.approx(1.0)
 
     def test_indicator_support(self, running_two_sample):
         basis = indicator_basis(running_two_sample, 1, [0.0])
         result = fit(running_two_sample, basis, lam=0.0)
-        assert fitted_value(result, [0.0]) == 2.0   # at the anchor
-        assert fitted_value(result, [5.0]) == 0.0   # outside every catchment
+        assert fitted_value(basis, result.beta, [0.0]) == 2.0   # at the anchor
+        assert fitted_value(basis, result.beta, [5.0]) == 0.0   # outside every catchment
 
 
 class TestIndicatorBasis:
@@ -235,7 +235,8 @@ class TestTheorem1:
     def test_gap_below_1e12_on_random_instances(self, seed):
         rng = np.random.default_rng(seed)
         data, m = random_two_sample_instance(rng, max_n=80)
-        assert theorem1_max_gap(data, m) <= 1e-12
+        lsif_values, one_step = verify_theorem1_all(data, m)
+        assert np.abs(lsif_values - one_step).max() <= 1e-12
 
     def test_batched_equals_per_point_exactly(self):
         rng = np.random.default_rng(4)
@@ -304,7 +305,8 @@ class TestIndicatorDre:
             points = np.vstack([data.numerator[:8], data.denominator[:4], [[7.0] * data.d]])
             values = indicator_dre(data, m, points, lam)
             for t, point in enumerate(points[:, None]):  # (1, d) rows
-                single = fitted_value(fit(data, indicator_basis(data, m, point), lam), point)
+                basis = indicator_basis(data, m, point)
+                single = fitted_value(basis, fit(data, basis, lam).beta, point)
                 assert values[t] == single
 
     def test_rejects_bad_m_and_lambda(self, running_two_sample):
@@ -514,6 +516,13 @@ class TestBuiltInBases:
         values = evaluate_matrix(basis, pts)
         assert values.shape == (40, 9)
         assert np.all(values > 0) and np.all(values <= 1.0)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-160])
+    def test_gaussian_grid_without_bandwidth_is_refused(self, scale):
+        # identical rows, or an extent whose squared bandwidth underflows: no bump has a width
+        pts = np.random.default_rng(2).normal(size=(40, 2)) * scale
+        with pytest.raises(ValueError, match="point cloud has zero extent"):
+            gaussian_grid_basis(pts)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_one_shape_contract(self, d):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rescaled
+from oracles import imputed_pairs, rescaled
 from rieszmatch import (
     ObservationalDataset,
     ate_bias_corrected,
@@ -16,7 +16,6 @@ from rieszmatch import (
     ate_weight_form,
     fit_outcome,
     generate,
-    impute,
     logistic_dgp,
     matching_structures,
 )
@@ -29,7 +28,7 @@ from rieszmatch.lsif import polynomial_feature_matrix
 class TestImpute:
     def test_four_unit_instance(self, four_unit_dataset):
         structures = matching_structures(four_unit_dataset, 1)
-        pairs = impute(four_unit_dataset, structures)
+        pairs = imputed_pairs(four_unit_dataset, structures)
         np.testing.assert_array_equal(pairs, [[0.0, 1.0], [2.0, 3.0], [0.0, 1.0], [2.0, 3.0]])
 
     def test_constant_outcome(self):
@@ -38,7 +37,7 @@ class TestImpute:
             treatment=np.array([1, 0, 1, 0, 1, 0]),
             outcome=np.full(6, 4.2),
         )
-        pairs = impute(data, matching_structures(data, 2))
+        pairs = imputed_pairs(data, matching_structures(data, 2))
         np.testing.assert_array_equal(pairs, np.full((6, 2), 4.2))
 
     def test_full_averaging_when_m_is_arm_size(self):
@@ -47,14 +46,14 @@ class TestImpute:
             treatment=np.array([1, 1, 1, 0, 0, 0]),
             outcome=np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
         )
-        pairs = impute(data, matching_structures(data, 3))
+        pairs = imputed_pairs(data, matching_structures(data, 3))
         np.testing.assert_allclose(pairs[data.treatment == 1, 0], 5.0)  # control mean
         np.testing.assert_allclose(pairs[data.treatment == 0, 1], 2.0)  # treated mean
 
     def test_observed_arm_kept_exactly(self):
         rng = np.random.default_rng(3)
         data, scale, m = random_instance(rng)
-        pairs = impute(data, matching_structures(rescaled(data, scale), m))
+        pairs = imputed_pairs(data, matching_structures(rescaled(data, scale), m))
         treated = data.treatment == 1
         np.testing.assert_array_equal(pairs[treated, 1], data.outcome[treated])
         np.testing.assert_array_equal(pairs[~treated, 0], data.outcome[~treated])
@@ -67,6 +66,23 @@ def random_instance(rng, max_n=200):
 class TestAteMatching:
     def test_four_unit_instance(self, four_unit_dataset):
         assert ate_matching(four_unit_dataset, matching_structures(four_unit_dataset, 1)) == 1.0
+
+    @pytest.mark.parametrize("design", ["continuous", "grid", "duplicates"])
+    def test_bit_for_bit_the_imputed_pairs_contrast(self, design):
+        rng = np.random.default_rng(27)
+        if design == "continuous":
+            x = rng.normal(size=(500, 3))
+        elif design == "grid":
+            x = rng.integers(0, 4, size=(500, 2)).astype(float)
+        else:  # every row three times over
+            x = np.repeat(rng.normal(size=(167, 2)), 3, axis=0)[:500]
+        treat = (rng.random(len(x)) < 0.4).astype(int)
+        y = x.sum(axis=1) + treat + rng.normal(size=len(x))
+        data = ObservationalDataset(covariates=x, treatment=treat, outcome=y)
+        for m in (1, 7):
+            structures = matching_structures(data, m)
+            pairs = imputed_pairs(data, structures)
+            assert ate_matching(data, structures) == float(np.mean(pairs[:, 1] - pairs[:, 0]))
 
     def test_constant_outcome_gives_zero(self):
         data = ObservationalDataset(
@@ -139,8 +155,8 @@ class TestFitOutcome:
         treat = np.array([1, 0] * 20)
         y = np.where(treat == 1, 1.0 + 2.0 * x[:, 0], -0.5 + x[:, 0])
         data = ObservationalDataset(covariates=x, treatment=treat, outcome=y)
-        model = fit_outcome(data, degree=1)
-        resid = data.outcome - np.where(treat == 1, model.mu_treated, model.mu_control)
+        mu1, mu0 = fit_outcome(data, degree=1)
+        resid = data.outcome - np.where(treat == 1, mu1, mu0)
         assert np.abs(resid).max() <= 1e-10
 
     def test_degree_zero_is_arm_mean(self):
@@ -149,9 +165,9 @@ class TestFitOutcome:
         treat = np.array([1, 0] * 15)
         y = rng.normal(size=30)
         data = ObservationalDataset(covariates=x, treatment=treat, outcome=y)
-        model = fit_outcome(data, degree=0)
-        assert model.mu_treated[0] == pytest.approx(y[treat == 1].mean())
-        assert model.mu_control[0] == pytest.approx(y[treat == 0].mean())
+        mu1, mu0 = fit_outcome(data, degree=0)
+        assert mu1[0] == pytest.approx(y[treat == 1].mean())
+        assert mu0[0] == pytest.approx(y[treat == 0].mean())
 
     def test_normal_equations(self):
         rng = np.random.default_rng(6)
@@ -160,17 +176,17 @@ class TestFitOutcome:
         treat[:2] = [0, 1]
         y = rng.normal(size=60)
         data = ObservationalDataset(covariates=x, treatment=treat, outcome=y)
-        model = fit_outcome(data, degree=2)
+        mu1, mu0 = fit_outcome(data, degree=2)
         features = polynomial_feature_matrix(x, 2)
-        for arm, mu in ((1, model.mu_treated), (0, model.mu_control)):
+        for arm, mu in ((1, mu1), (0, mu0)):
             mask = treat == arm
             grad = features[mask].T @ (mu[mask] - y[mask])
             assert np.abs(grad).max() <= 1e-8
 
     def test_variance_reduction_on_logistic_dgp(self):
         data = generate(logistic_dgp(), 1000, seed=21)
-        model = fit_outcome(data, degree=1)
-        resid = data.outcome - np.where(data.treatment == 1, model.mu_treated, model.mu_control)
+        mu1, mu0 = fit_outcome(data, degree=1)
+        resid = data.outcome - np.where(data.treatment == 1, mu1, mu0)
         for arm in (0, 1):
             mask = data.treatment == arm
             assert resid[mask].var() < data.outcome[mask].var()
@@ -184,9 +200,9 @@ class TestFitOutcome:
 
     def test_stored_means_are_the_fitted_values(self):
         data = generate(logistic_dgp(), 300, seed=5)
-        model = fit_outcome(data, degree=2)
+        mu1, mu0 = fit_outcome(data, degree=2)
         features = polynomial_feature_matrix(data.covariates, 2)
-        for arm, mu in ((1, model.mu_treated), (0, model.mu_control)):
+        for arm, mu in ((1, mu1), (0, mu0)):
             mask = data.treatment == arm
             coef = np.linalg.lstsq(features[mask], data.outcome[mask], rcond=None)[0]
             np.testing.assert_array_equal(mu, features @ coef)
@@ -235,9 +251,9 @@ class TestBiasCorrected:
         assert bc == pytest.approx(true_ate, abs=1e-10)
 
     def test_four_unit_degree_zero(self, four_unit_dataset):
-        model = fit_outcome(four_unit_dataset, degree=0)
-        assert model.mu_treated[0] == pytest.approx(2.0)
-        assert model.mu_control[0] == pytest.approx(1.0)
+        mu1, mu0 = model = fit_outcome(four_unit_dataset, degree=0)
+        assert mu1[0] == pytest.approx(2.0)
+        assert mu0[0] == pytest.approx(1.0)
         assert ate_regression(four_unit_dataset, model) == pytest.approx(1.0)
         structures = matching_structures(four_unit_dataset, 1)
         est = ate_bias_corrected(four_unit_dataset, structures, model)
@@ -291,7 +307,7 @@ class TestInPlaceArithmetic:
         data, m = estimator_case(name)
         structures = matching_structures(data, m)
         outcome = fit_outcome(data, 1)
-        mu1, mu0 = outcome.mu_treated, outcome.mu_control
+        mu1, mu0 = outcome
         treated = data.treatment == 1
         weights = 1.0 + structures.matched_times / structures.m
         alpha = (2.0 * data.treatment - 1.0) * weights
