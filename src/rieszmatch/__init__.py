@@ -15,14 +15,7 @@ from .dataset import (
     save_csv,
     save_points_csv,
 )
-from .lsif import (
-    Basis,
-    LsifFit,
-    fit,
-    gaussian_grid_basis,
-    polynomial_basis,
-    verify_theorem1_all,
-)
+from .lsif import fit, gaussian_grid_basis, polynomial_feature_matrix, verify_theorem1_all
 from .matching import (
     ate_bias_corrected,
     ate_dr_riesz,
@@ -35,10 +28,8 @@ from .neighbors import matching_structures
 from .riesz import fit_weight_arm, nn_representer_values, riesz_fit
 
 __all__ = [
-    "Basis",
     "DgpSpec",
     "LOGISTIC_TRUE_ATE",
-    "LsifFit",
     "ObservationalDataset",
     "TwoSampleData",
     "ate_bias_corrected",
@@ -57,7 +48,7 @@ __all__ = [
     "logistic_dgp",
     "matching_structures",
     "nn_representer_values",
-    "polynomial_basis",
+    "polynomial_feature_matrix",
     "riesz_fit",
     "save_csv",
     "save_points_csv",

@@ -154,14 +154,14 @@ def cmd_dre(args) -> tuple[str, int]:
         values = lsif.indicator_dre(data, args.m, points, lam)
     else:
         if args.basis == "poly":
-            basis = lsif.polynomial_basis(data.d, args.degree)
+            basis = functools.partial(lsif.polynomial_feature_matrix, degree=args.degree)
         else:
             basis = lsif.gaussian_grid_basis(data.denominator, per_dim=args.grid)
-        result = lsif.fit(data, basis, args.lam)
-        lam, beta = result.lam, result.beta
+        lam, beta = lsif.fit(basis(data.denominator), basis(data.numerator), args.lam)
+        phi = lsif.check_features(basis(points), len(points), len(beta))
         # one dot per row, not phi @ beta: a matrix-vector product may sum in
         # another order and change the last bit of r_hat
-        values = [float(np.dot(beta, row)) for row in lsif.evaluate_matrix(basis, points)]
+        values = [float(np.dot(beta, row)) for row in phi]
     header = [
         ("command", "dre"),
         ("denominator", args.denominator),

@@ -32,9 +32,8 @@ from scipy.spatial import cKDTree
 from .dataset import ObservationalDataset, TwoSampleData
 from .lsif import (
     _indicator_values,
-    evaluate_matrix,
     monomial_exponents,
-    polynomial_basis,
+    polynomial_feature_matrix,
     verify_theorem1_all,
 )
 from .matching import (
@@ -126,8 +125,7 @@ def separability_max_gap(dataset: ObservationalDataset, lam: float) -> tuple[flo
     """Largest per-coefficient gap between the joint Riesz solve and the arm-wise
     solves, absolute and relative to max(1, |arm-wise coefficient|).  All three
     solves share one evaluation of the polynomial basis of ``well_posed_degree``."""
-    basis = polynomial_basis(dataset.d, well_posed_degree(dataset))
-    phi = evaluate_matrix(basis, dataset.covariates)
+    phi = polynomial_feature_matrix(dataset.covariates, well_posed_degree(dataset))
     joint = riesz_fit(dataset, phi, lam)
     arms = fit_weight_arm(dataset, 1, phi, lam), fit_weight_arm(dataset, 0, phi, lam)
     gaps = [np.abs(theta - arm) for theta, arm in zip(joint, arms)]

@@ -9,10 +9,12 @@ where H averages Phi Phi' over the denominator sample and h averages Phi over
 the numerator sample.  The unique minimizer is (H + lambda I)^{-1} h, solved
 by ``ridge_solve`` (shared with Riesz regression) through a symmetric
 positive-definite factorization with explicit singularity detection (nothing
-is silently regularized).  ``fit`` keeps the ridge and beta, not the basis;
-without a lambda it takes the numerical-safety ridge 1e-6 trace(H)/b from the
-denominator features it has evaluated anyway.  The sample objective and its
-gradient, which the tests check the fit against, live in ``tests/oracles.py``.
+is silently regularized).  A basis is a plain function from (k, d) points to
+their (k, b) feature matrix.  ``fit`` takes it evaluated at both samples, runs
+``check_features``, the one check of every LSIF and Riesz fit, on each, and
+returns the ridge (by default 1e-6 trace(H)/b, for numerical safety) and beta.
+The sample objective and its gradient, which the tests check the fit against,
+live in ``tests/oracles.py``.
 
 The catchment indicator basis turns this machinery into the one-step
 nearest-neighbor ratio estimate: with that single feature and lambda = 0 the
@@ -27,8 +29,6 @@ Catchments are M-NN balls in plain Euclidean distance on the samples given.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -49,29 +49,6 @@ _PIVOT_RTOL = 1e-12
 _MAX_GRID_CENTERS = 4096
 
 
-@dataclass(frozen=True)
-class Basis:
-    """A finite feature map.
-
-    ``evaluate`` takes an (k, d) matrix of points and returns the (k, b)
-    matrix of their features; the fitting code calls it once per sample.  An
-    error it raises propagates, and any other shape is a ValueError.
-    """
-
-    dimension: int
-    evaluate: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError(f"basis dimension must be >= 1, got {self.dimension}")
-
-
-@dataclass(frozen=True)
-class LsifFit:
-    lam: float
-    beta: np.ndarray  # (b,)
-
-
 def _check_lambda(lam: float) -> None:
     """The ridge check every fit runs before it assembles its moments."""
     if not 0 <= lam < np.inf:
@@ -85,14 +62,14 @@ def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     The factor overwrites an F-contiguous float64 ``matrix``; LAPACK copies
     a matrix in any other layout first and leaves it as it was.  Raises
     numpy.linalg.LinAlgError when the matrix is not positive definite or when
-    the relative pivot ratio falls below 1e-12.
+    the relative pivot ratio falls below 1e-12 or is NaN, as on a NaN matrix.
     """
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
     factor, info = dpotrf(a, lower=True, overwrite_a=True, clean=False)
     if info != 0:
         raise np.linalg.LinAlgError("matrix is singular or not positive definite")
     pivots = np.diag(factor) ** 2
-    if pivots.min() <= _PIVOT_RTOL * pivots.max():
+    if not pivots.min() > _PIVOT_RTOL * pivots.max():
         raise np.linalg.LinAlgError(
             f"matrix is numerically singular (relative pivot below {_PIVOT_RTOL:g})"
         )
@@ -101,13 +78,16 @@ def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def ridge_solve(h_mat: np.ndarray, h_vec: np.ndarray, lam: float, singular: str) -> np.ndarray:
     """Solve (H + lambda I) beta = h, the minimizer of a ridge-penalized quadratic
-    risk.  A singular system raises LinAlgError with ``singular`` formatted at
-    ``lam``; each caller checks its lambda before it assembles the moments.
+    risk.  Moments that overflowed float64 raise LinAlgError that says so, and a
+    singular system raises LinAlgError with ``singular`` formatted at ``lam``;
+    each caller checks its lambda before it assembles the moments.
 
     The system is one copy of ``h_mat``, factored in place through its
     F-contiguous transpose.  Every caller builds ``h_mat`` from ``A.T @ A``
     blocks, which numpy makes exactly symmetric, so the transpose is the same
     matrix."""
+    if not (np.isfinite(h_mat).all() and np.isfinite(h_vec).all()):
+        raise np.linalg.LinAlgError("non-finite moments: the feature products overflow float64")
     system = h_mat.copy()
     system.reshape(-1)[:: len(system) + 1] += lam
     try:
@@ -116,37 +96,41 @@ def ridge_solve(h_mat: np.ndarray, h_vec: np.ndarray, lam: float, singular: str)
         raise np.linalg.LinAlgError(singular.format(lam=lam)) from None
 
 
-def evaluate_matrix(basis: Basis, points: np.ndarray) -> np.ndarray:
-    """Evaluate a basis on an (k, d) matrix in one batch call."""
-    pts = _points(points, "points")
-    out = np.asarray(basis.evaluate(pts), dtype=float)
-    expected = (len(pts), basis.dimension)
-    if out.shape != expected:
-        raise ValueError(f"basis evaluate returned shape {out.shape}, expected {expected}")
-    for rows in _row_blocks(len(out), out.shape[1]):  # no (k, b) mask at once
-        if not np.all(np.isfinite(out[rows])):
-            raise ValueError("non-finite basis output")
+def check_features(phi, rows: int | None = None, columns: int | None = None) -> np.ndarray:
+    """The one check of a feature matrix, the input of every quadratic-risk fit:
+    float and (k, b) with k, b >= 1, k equal to ``rows`` and b to ``columns``
+    where given, and every entry finite, checked one row block at a time (no
+    (k, b) mask at once).  A float matrix comes back uncopied."""
+    out = np.asarray(phi, dtype=float)
+    shape_ok = out.ndim == 2 and min(out.shape) >= 1
+    if not shape_ok or rows not in (None, out.shape[0]) or columns not in (None, out.shape[1]):
+        want = f"({rows or 'k'}, {columns or 'b'}) with at least one row and one column"
+        raise ValueError(f"feature matrix has shape {out.shape}, expected {want}")
+    for block in _row_blocks(len(out), out.shape[1]):
+        if not np.isfinite(out[block]).all():
+            raise ValueError("non-finite value in feature matrix")
     return out
 
 
-def fit(data: TwoSampleData, basis: Basis, lam: float | None = None) -> LsifFit:
-    """Closed-form ridge fit of the density-ratio coefficients; ``lam=None``
-    takes the default ridge 1e-6 trace(H)/b."""
+def fit(phi_den, phi_num, lam: float | None = None) -> tuple[float, np.ndarray]:
+    """Closed-form ridge fit ``(lam, beta)`` of the density-ratio coefficients on
+    one basis evaluated at the denominator and at the numerator sample;
+    ``lam=None`` takes the default ridge 1e-6 trace(H)/b."""
     if lam is not None:
         _check_lambda(lam)
-    phi_den = evaluate_matrix(basis, data.denominator)
+    phi_den = check_features(phi_den)
+    n_den, b = phi_den.shape
     if lam is None:
-        lam = 1e-6 * (float(np.sum(phi_den * phi_den)) / data.n_denominator) / basis.dimension
-    phi_num = evaluate_matrix(basis, data.numerator)
+        lam = 1e-6 * (float(np.sum(phi_den * phi_den)) / n_den) / b
+    phi_num = check_features(phi_num, columns=b)
     h_mat = phi_den.T @ phi_den
-    h_mat /= data.n_denominator
+    h_mat /= n_den
     h_vec = phi_num.mean(axis=0)
     singular = (
         "singular moment matrix at lambda={lam:g}; "
         "the basis has no unique minimizer on this sample"
     )
-    beta = ridge_solve(h_mat, h_vec, lam, singular)
-    return LsifFit(lam=float(lam), beta=beta)
+    return float(lam), ridge_solve(h_mat, h_vec, lam, singular)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +152,8 @@ def monomial_exponents(dimension_in: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def polynomial_feature_matrix(points: np.ndarray, degree: int) -> np.ndarray:
+    """The polynomial basis: every monomial of total degree <= degree (at most 3)
+    at each point, constant first."""
     pts = _points(points, "points")
     exps = [np.array(e) for e in monomial_exponents(pts.shape[1], degree)]
     out = np.empty((len(pts), len(exps)))
@@ -177,19 +163,10 @@ def polynomial_feature_matrix(points: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-def polynomial_basis(dimension_in: int, degree: int) -> Basis:
-    """All monomials of total degree <= degree (degree at most 3)."""
-    b = len(monomial_exponents(dimension_in, degree))
-
-    def evaluate(points):
-        return polynomial_feature_matrix(_points(points, "points", dimension_in), degree)
-
-    return Basis(dimension=b, evaluate=evaluate)
-
-
-def gaussian_grid_basis(points: np.ndarray, per_dim: int = 4) -> Basis:
-    """Gaussian bumps centered on a regular grid over the point cloud's box,
-    with bandwidth the mean box side over ``per_dim``; a cloud of zero extent has none."""
+def gaussian_grid_basis(points: np.ndarray, per_dim: int = 4):
+    """The basis of Gaussian bumps centered on a regular grid over the point
+    cloud's box, with bandwidth the mean box side over ``per_dim``, as its
+    function from points to features; a cloud of zero extent has none."""
     if per_dim < 1:
         raise ValueError(f"Gaussian grid size must be >= 1, got {per_dim}")
     pts = _sample(points, "point cloud")
@@ -217,7 +194,7 @@ def gaussian_grid_basis(points: np.ndarray, per_dim: int = 4) -> Basis:
             np.exp(-_sq_dists(q[rows], centers) * inv_two_sq, out=out[rows])
         return out
 
-    return Basis(dimension=len(centers), evaluate=evaluate)
+    return evaluate
 
 
 # ---------------------------------------------------------------------------

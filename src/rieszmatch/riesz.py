@@ -6,7 +6,8 @@ weight function can be fitted by the same quadratic risk as LSIF: the squared
 term averages over the arm, the linear term over the whole sample.  Fitting
 both arms at once minimizes the joint Riesz regression risk; the joint system
 is block diagonal, so the coefficients coincide with the two arm-wise fits.
-Both fits take the basis matrix evaluated at every unit by their caller, so
+Both fits take the basis evaluated at every unit by their caller and check it
+with ``lsif.check_features``, as ``lsif.fit`` does its two feature matrices, so
 ``equivalence.separability_max_gap`` runs all three solves on one evaluation.
 
 With the per-point catchment indicator basis and no ridge penalty the fitted
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import ObservationalDataset
-from .lsif import _check_lambda, ridge_solve
+from .lsif import _check_lambda, check_features, ridge_solve
 from .neighbors import MatchStructures
 
 
@@ -39,7 +40,7 @@ def _arm_moments(dataset: ObservationalDataset, arm: int, phi: np.ndarray):
 def fit_weight_arm(dataset: ObservationalDataset, arm: int, phi: np.ndarray, lam: float):
     """Closed-form coefficients of one arm's inverse-propensity weight model."""
     _check_lambda(lam)
-    h_mat, h_vec = _arm_moments(dataset, arm, phi)
+    h_mat, h_vec = _arm_moments(dataset, arm, check_features(phi, dataset.n))
     singular = f"singular moment matrix for arm {arm} at lambda={{lam:g}}"
     return ridge_solve(h_mat, h_vec, lam, singular)
 
@@ -50,6 +51,7 @@ def riesz_fit(dataset: ObservationalDataset, phi: np.ndarray, lam: float):
     and -phi @ theta_control on controls.  The system is block diagonal over
     arms, so each half matches ``fit_weight_arm``."""
     _check_lambda(lam)
+    phi = check_features(phi, dataset.n)
     (h1, h_vec), (h0, _) = _arm_moments(dataset, 1, phi), _arm_moments(dataset, 0, phi)
     b = phi.shape[1]
     joint = np.zeros((2 * b, 2 * b))

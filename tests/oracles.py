@@ -17,11 +17,15 @@ row, and a 1-d input is one column.
 The rest is test-only machinery the library has no use for: matched-times
 counts at arbitrary points (``matched_times_at``), the (n, 2) matrix of
 imputed potential outcomes (``imputed_pairs``), whose mean contrast
-``ate_matching`` forms without it, the constant basis, the
-LSIF moments ``fit`` solves with (``lsif_moments``, which ``fit`` does not
-keep), the sample LSIF objective and its gradient, the sample Riesz arm risk
-and its gradient, ``parse_report``, which reads a rendered report back, and
-``rescaled``, which puts a dataset in the weighted distance it is matched in.
+``ate_matching`` forms without it, the constant basis, ``fit_on``, which fits
+LSIF on a basis evaluated at both samples, the LSIF moments ``fit`` solves
+with (``lsif_moments``, which ``fit`` does not keep), the sample LSIF
+objective and its gradient, the sample Riesz arm risk and its gradient,
+``parse_report``, which reads a rendered report back, and ``rescaled``, which
+puts a dataset in the weighted distance it is matched in.  A basis is a plain
+function from a (k, d) matrix of points to its (k, b) feature matrix, as in
+the library; the LSIF oracles take the basis, the Riesz arm oracles the
+feature matrix at every unit, as ``fit_weight_arm`` does.
 """
 
 from dataclasses import dataclass, replace
@@ -29,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from rieszmatch.dataset import ObservationalDataset, TwoSampleData, _points, _sample
-from rieszmatch.lsif import Basis, evaluate_matrix, fit
+from rieszmatch.lsif import fit
 from rieszmatch.neighbors import (
     MatchStructures,
     _covering_counts,
@@ -103,13 +107,18 @@ def brute_force_knn(reference_points, query, m: int) -> np.ndarray:
     return idx[0]
 
 
-def fitted_value(basis: Basis, beta: np.ndarray, x) -> float:
+def fit_on(data: TwoSampleData, basis, lam: float | None = None) -> tuple[float, np.ndarray]:
+    """``lsif.fit`` on ``basis`` evaluated at the denominator and the numerator."""
+    return fit(basis(data.denominator), basis(data.numerator), lam)
+
+
+def fitted_value(basis, beta: np.ndarray, x) -> float:
     """Fitted ratio beta' Phi(x) at one point, a (1, d) row, as one dot product."""
-    (phi,) = evaluate_matrix(basis, x)
+    (phi,) = basis(x)
     return float(np.dot(beta, phi))
 
 
-def catchment_indicator(reference_points, m: int, c) -> Basis:
+def catchment_indicator(reference_points, m: int, c):
     """One-dimensional matched-membership indicator anchored at ``c``.
 
     The feature tests whether a point and the anchor fall inside one M-NN
@@ -147,10 +156,10 @@ def catchment_indicator(reference_points, m: int, c) -> Basis:
             out[rest, 0] = sq <= radii_sq
         return out
 
-    return Basis(dimension=1, evaluate=evaluate)
+    return evaluate
 
 
-def indicator_basis(data: TwoSampleData, m: int, c) -> Basis:
+def indicator_basis(data: TwoSampleData, m: int, c):
     """Catchment indicator anchored at ``c`` over the denominator sample."""
     if m > data.n_denominator:
         raise ValueError(f"m={m} exceeds the denominator sample size {data.n_denominator}")
@@ -176,7 +185,7 @@ class Theorem1Check:
 def verify_theorem1(data: TwoSampleData, m: int, c) -> Theorem1Check:
     """Fit the indicator-basis LSIF at lambda=0 and compare with the one-step value."""
     basis = indicator_basis(data, m, c)
-    lsif_value = fitted_value(basis, fit(data, basis, lam=0.0).beta, c)
+    lsif_value = fitted_value(basis, fit_on(data, basis, lam=0.0)[1], c)
     one_step = one_step_dre(data, m, c)
     return Theorem1Check(
         lsif_value=lsif_value, one_step_value=one_step, gap=abs(lsif_value - one_step)
@@ -219,34 +228,32 @@ def rescaled(dataset: ObservationalDataset, scale) -> ObservationalDataset:
     return replace(dataset, covariates=dataset.covariates * scale)
 
 
-def constant_basis(dimension_in: int) -> Basis:
+def constant_basis(dimension_in: int):
     def evaluate(points):
         return np.ones((len(_points(points, "points", dimension_in)), 1))
 
-    return Basis(dimension=1, evaluate=evaluate)
+    return evaluate
 
 
-def objective_value(data: TwoSampleData, basis: Basis, lam: float, beta: np.ndarray) -> float:
+def objective_value(data: TwoSampleData, basis, lam: float, beta: np.ndarray) -> float:
     """Sample-form LSIF objective J(beta)."""
     beta = np.asarray(beta, dtype=float)
-    r_den = evaluate_matrix(basis, data.denominator) @ beta
-    r_num = evaluate_matrix(basis, data.numerator) @ beta
+    r_den = basis(data.denominator) @ beta
+    r_num = basis(data.numerator) @ beta
     return float(
         0.5 * np.mean(r_den * r_den) - np.mean(r_num) + 0.5 * lam * np.dot(beta, beta)
     )
 
 
-def lsif_moments(data: TwoSampleData, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
+def lsif_moments(data: TwoSampleData, basis) -> tuple[np.ndarray, np.ndarray]:
     """The moments ``fit`` solves with, in its arithmetic: H averages Phi Phi' over
     the denominator sample and h averages Phi over the numerator sample."""
-    phi_den = evaluate_matrix(basis, data.denominator)
-    h_vec = evaluate_matrix(basis, data.numerator).mean(axis=0)
+    phi_den = basis(data.denominator)
+    h_vec = basis(data.numerator).mean(axis=0)
     return phi_den.T @ phi_den / data.n_denominator, h_vec
 
 
-def objective_gradient(
-    data: TwoSampleData, basis: Basis, lam: float, beta: np.ndarray
-) -> np.ndarray:
+def objective_gradient(data: TwoSampleData, basis, lam: float, beta: np.ndarray) -> np.ndarray:
     """Analytic gradient (H + lambda I) beta - h of the empirical objective."""
     h_mat, h_vec = lsif_moments(data, basis)
     beta = np.asarray(beta, dtype=float)
@@ -254,20 +261,20 @@ def objective_gradient(
 
 
 def arm_objective_value(
-    dataset: ObservationalDataset, arm: int, basis: Basis, lam: float, theta: np.ndarray
+    dataset: ObservationalDataset, arm: int, phi: np.ndarray, lam: float, theta: np.ndarray
 ) -> float:
     """Sample-form arm risk (1/2) mean_arm w^2 - mean w + (lambda/2)|theta|^2."""
     theta = np.asarray(theta, dtype=float)
-    w = evaluate_matrix(basis, dataset.covariates) @ theta
+    w = phi @ theta
     mask = dataset.treatment == arm
     sq_term = np.sum(w[mask] * w[mask]) / dataset.n
     return float(0.5 * sq_term - np.mean(w) + 0.5 * lam * np.dot(theta, theta))
 
 
 def arm_objective_gradient(
-    dataset: ObservationalDataset, arm: int, basis: Basis, lam: float, theta: np.ndarray
+    dataset: ObservationalDataset, arm: int, phi: np.ndarray, lam: float, theta: np.ndarray
 ) -> np.ndarray:
-    h_mat, h_vec = _arm_moments(dataset, arm, evaluate_matrix(basis, dataset.covariates))
+    h_mat, h_vec = _arm_moments(dataset, arm, phi)
     theta = np.asarray(theta, dtype=float)
     return h_mat @ theta + lam * theta - h_vec
 

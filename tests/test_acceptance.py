@@ -10,6 +10,7 @@ a 3-sigma bound of 0.0160) and that it shrinks with n (ratio 0.415 from n=500
 to n=2000, bound 0.5, theory 4^{-2/3} = 0.40).
 """
 
+import functools
 import math
 import time
 
@@ -20,6 +21,7 @@ from oracles import (
     arm_objective_value,
     brute_force_knn,
     constant_basis,
+    fit_on,
     imputed_pairs,
     objective_gradient,
     objective_value,
@@ -31,12 +33,11 @@ from rieszmatch import (
     ate_bias_corrected,
     ate_matching,
     ate_weight_form,
-    fit,
     fit_outcome,
     generate,
     logistic_dgp,
     matching_structures,
-    polynomial_basis,
+    polynomial_feature_matrix,
     verify_theorem1_all,
 )
 from rieszmatch import cli
@@ -49,7 +50,6 @@ from rieszmatch.equivalence import (
     weight_identity_max_gap,
     well_posed_degree,
 )
-from rieszmatch.lsif import evaluate_matrix
 from rieszmatch.neighbors import _tree, arm_trees
 from rieszmatch.riesz import fit_weight_arm
 
@@ -169,31 +169,31 @@ def test_06_optimality_checks():
         data, _ = random_two_sample_instance(rng, max_n=120)
         for basis, lam in (
             (constant_basis(data.d), 0.0),
-            (polynomial_basis(data.d, 1), 1e-3),
-            (polynomial_basis(data.d, min(2, data.d)), 1e-2),
+            (functools.partial(polynomial_feature_matrix, degree=1), 1e-3),
+            (functools.partial(polynomial_feature_matrix, degree=min(2, data.d)), 1e-2),
         ):
-            result = fit(data, basis, lam)
-            grad = objective_gradient(data, basis, lam, result.beta)
+            _, beta = fit_on(data, basis, lam)
+            grad = objective_gradient(data, basis, lam, beta)
             worst_foc = max(worst_foc, np.abs(grad).max())
             fd_check(
                 lambda b, _d=data, _b=basis, _l=lam: objective_value(_d, _b, _l, b),
                 lambda b, _d=data, _b=basis, _l=lam: objective_gradient(_d, _b, _l, b),
-                basis.dimension,
+                len(beta),
             )
 
     for _ in range(5):
         data, _, _ = random_observational_instance(rng, max_n=120)
-        basis = polynomial_basis(data.d, well_posed_degree(data))
+        phi = polynomial_feature_matrix(data.covariates, well_posed_degree(data))
         lam = 1e-3
         for arm in (0, 1):
-            theta = fit_weight_arm(data, arm, evaluate_matrix(basis, data.covariates), lam)
+            theta = fit_weight_arm(data, arm, phi, lam)
             worst_foc = max(
-                worst_foc, np.abs(arm_objective_gradient(data, arm, basis, lam, theta)).max()
+                worst_foc, np.abs(arm_objective_gradient(data, arm, phi, lam, theta)).max()
             )
             fd_check(
-                lambda t, _d=data, _a=arm, _b=basis, _l=lam: arm_objective_value(_d, _a, _b, _l, t),
-                lambda t, _d=data, _a=arm, _b=basis, _l=lam: arm_objective_gradient(_d, _a, _b, _l, t),
-                basis.dimension,
+                lambda t, _d=data, _a=arm, _p=phi, _l=lam: arm_objective_value(_d, _a, _p, _l, t),
+                lambda t, _d=data, _a=arm, _p=phi, _l=lam: arm_objective_gradient(_d, _a, _p, _l, t),
+                len(theta),
             )
 
     ok = worst_foc <= 1e-10 and worst_fd <= 1e-6

@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import fitted_value, parse_report
+from oracles import fit_on, fitted_value, parse_report
 from rieszmatch import TwoSampleData, cli, generate, logistic_dgp, lsif, save_csv, save_points_csv
 from rieszmatch.report import RECORD_SEPARATOR
 
@@ -174,6 +175,22 @@ class TestDre:
         assert code == 2
         assert "point cloud has zero extent" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam", ["0", "0.01"])
+    def test_overflowing_moments_exit_two(self, tmp_path, capsys, lam):
+        # rows of about 1e120: the degree-2 features are finite and their products
+        # are not; the fit printed r_hat=nan at every point and exited 0
+        (tmp_path / "den.csv").write_text("x0\n1e120\n2e120\n3e120\n4e120\n")
+        (tmp_path / "num.csv").write_text("x0\n1.5e120\n2.5e120\n3.5e120\n0.5e120\n")
+        with np.errstate(over="ignore"):
+            code = cli.main([
+                "dre", "--denominator", str(tmp_path / "den.csv"),
+                "--numerator", str(tmp_path / "num.csv"),
+                "--eval-points", str(tmp_path / "num.csv"),
+                "--basis", "poly", "--degree", "2", "--lambda", lam,
+            ])
+        assert code == 2
+        assert "error: non-finite moments" in capsys.readouterr().err
+
     def test_gaussian_r_hat_is_scale_free(self, tmp_path):
         # every input times 2^-40: the bandwidth scales with the box, so each
         # r_hat keeps its last bit
@@ -215,15 +232,15 @@ class TestDre:
         assert len(records) == 50
         data = TwoSampleData(denominator=samples["den"], numerator=samples["num"])
         if basis == "poly":
-            smooth = lsif.polynomial_basis(2, 2)
+            smooth = functools.partial(lsif.polynomial_feature_matrix, degree=2)
         else:
             smooth = lsif.gaussian_grid_basis(data.denominator, per_dim=4)
-        result = lsif.fit(data, smooth)
-        assert header["lambda"] == repr(result.lam)
+        lam, beta = fit_on(data, smooth)
+        assert header["lambda"] == repr(lam)
         # each r_hat is the per-point dot product, to the last bit
         for record, point in zip(records, samples["pts"]):
             assert np.isfinite(float(record["r_hat"]))
-            assert record["r_hat"] == repr(fitted_value(smooth, result.beta, point[None]))
+            assert record["r_hat"] == repr(fitted_value(smooth, beta, point[None]))
 
 
 class TestWeights:

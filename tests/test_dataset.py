@@ -24,13 +24,7 @@ from rieszmatch import (
 )
 from rieszmatch import dataset
 from rieszmatch.dataset import DgpSpec
-from rieszmatch.lsif import (
-    evaluate_matrix,
-    gaussian_grid_basis,
-    indicator_dre,
-    polynomial_basis,
-    polynomial_feature_matrix,
-)
+from rieszmatch.lsif import gaussian_grid_basis, indicator_dre, polynomial_feature_matrix
 from rieszmatch.neighbors import _tree
 
 
@@ -427,19 +421,15 @@ POINT_TAKERS = {
     "covariates": lambda ref, x: ObservationalDataset(x, [0, 1, 0, 1, 0], np.zeros(5)).covariates,
     "two-sample": lambda ref, x: TwoSampleData(denominator=x, numerator=ref).denominator,
     "reference points": lambda ref, x: _tree(x).data,
-    "point cloud": lambda ref, x: gaussian_grid_basis(x, per_dim=3).evaluate(ref),
+    "point cloud": lambda ref, x: gaussian_grid_basis(x, per_dim=3)(ref),
     "queries": lambda ref, x: query_indices(_tree(ref), 2, x),  # through _knn_blocks
     "indicator_dre": lambda ref, x: indicator_dre(TwoSampleData(ref, ref[::2]), 2, x),
-    "polynomial evaluate": lambda ref, x: polynomial_basis(ref.shape[1], 2).evaluate(x),
-    "gaussian evaluate": lambda ref, x: gaussian_grid_basis(ref, per_dim=3).evaluate(x),
-    "evaluate_matrix": lambda ref, x: evaluate_matrix(polynomial_basis(ref.shape[1], 1), x),
+    "gaussian evaluate": lambda ref, x: gaussian_grid_basis(ref, per_dim=3)(x),
     "polynomial_feature_matrix": lambda ref, x: polynomial_feature_matrix(x, 2),
     "save_points_csv": lambda ref, x: _round_trip(x),
 }
 # The takers that read a batch against a dimension fixed before it.
-DIMENSIONED = [
-    "queries", "indicator_dre", "polynomial evaluate", "gaussian evaluate", "evaluate_matrix"
-]
+DIMENSIONED = ["queries", "indicator_dre", "gaussian evaluate"]
 
 
 class TestOnePointsReading:
@@ -462,7 +452,7 @@ class TestOnePointsReading:
         with pytest.raises(ValueError, match=message):
             POINT_TAKERS[name](self.ref_2d, self.line)
 
-    @pytest.mark.parametrize("name", DIMENSIONED)
+    @pytest.mark.parametrize("name", DIMENSIONED + ["polynomial_feature_matrix"])
     def test_a_nan_entry_is_named(self, name):
         # not the kd-tree's "squared distance overflows float64"
         with pytest.raises(ValueError, match=r"^non-finite value in (queries|points)$"):
@@ -470,9 +460,7 @@ class TestOnePointsReading:
 
     def test_an_empty_batch_gives_no_rows(self):
         empty = np.empty((0, 2))
-        for basis in (polynomial_basis(2, 2), gaussian_grid_basis(self.ref_2d, per_dim=3)):
-            assert evaluate_matrix(basis, empty).shape == (0, basis.dimension)
-            assert basis.evaluate(empty).shape == (0, basis.dimension)
+        assert gaussian_grid_basis(self.ref_2d, per_dim=3)(empty).shape == (0, 9)
         assert polynomial_feature_matrix(empty, 2).shape == (0, 6)
         assert indicator_dre(TwoSampleData(self.ref_2d, self.ref_2d), 2, empty).shape == (0,)
 

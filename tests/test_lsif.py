@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     catchment_indicator,
     constant_basis,
+    fit_on,
     fitted_value,
     indicator_basis,
     lsif_moments,
@@ -22,85 +23,95 @@ from rieszmatch import (
     TwoSampleData,
     fit,
     gaussian_grid_basis,
-    polynomial_basis,
+    polynomial_feature_matrix,
     verify_theorem1_all,
 )
 from rieszmatch import lsif, neighbors
 from rieszmatch.equivalence import random_two_sample_instance
-from rieszmatch.lsif import (
-    Basis,
-    _rows_in,
-    evaluate_matrix,
-    indicator_dre,
-    polynomial_feature_matrix,
-    solve_spd,
-)
+from rieszmatch.lsif import _rows_in, check_features, indicator_dre, solve_spd
+
+
+def poly(degree):
+    """The polynomial basis of ``degree`` as a function of the points alone."""
+    return lambda points: polynomial_feature_matrix(points, degree)
 
 
 class TestFit:
     def test_equal_samples_constant_basis(self):
         pts = np.array([[0.1], [0.5], [0.9]])
         data = TwoSampleData(denominator=pts, numerator=pts)
-        result = fit(data, constant_basis(1), lam=0.0)
+        _, beta = fit_on(data, constant_basis(1), lam=0.0)
         h_mat, h_vec = lsif_moments(data, constant_basis(1))
         np.testing.assert_allclose(h_mat, [[1.0]])
         np.testing.assert_allclose(h_vec, [1.0])
-        np.testing.assert_allclose(result.beta, [1.0])
-        assert fitted_value(constant_basis(1), result.beta, [0.33]) == pytest.approx(1.0)
+        np.testing.assert_allclose(beta, [1.0])
+        assert fitted_value(constant_basis(1), beta, [0.33]) == pytest.approx(1.0)
 
     def test_large_ridge_shrinks_beta(self):
         rng = np.random.default_rng(3)
         data = TwoSampleData(
             denominator=rng.normal(size=(40, 2)), numerator=rng.normal(size=(30, 2))
         )
-        basis = polynomial_basis(2, 2)
+        basis = poly(2)
         _, h_vec = lsif_moments(data, basis)
         for lam in (1e3, 1e6):
-            result = fit(data, basis, lam)
-            assert np.linalg.norm(result.beta) <= np.linalg.norm(h_vec) / lam
+            _, beta = fit_on(data, basis, lam)
+            assert np.linalg.norm(beta) <= np.linalg.norm(h_vec) / lam
 
     def test_indicator_running_instance(self, running_two_sample):
         basis = indicator_basis(running_two_sample, 1, [0.0])
-        result = fit(running_two_sample, basis, lam=0.0)
+        _, beta = fit_on(running_two_sample, basis, lam=0.0)
         h_mat, h_vec = lsif_moments(running_two_sample, basis)
         np.testing.assert_allclose(h_mat, [[0.25]])
         np.testing.assert_allclose(h_vec, [0.5])
-        np.testing.assert_allclose(result.beta, [2.0])
+        np.testing.assert_allclose(beta, [2.0])
 
     def test_singular_at_lambda_zero_reported(self):
         # more basis functions than distinct support: H is singular
         data = TwoSampleData(denominator=[[0.0], [0.0]], numerator=[[1.0]])
-        basis = polynomial_basis(1, 2)
+        basis = poly(2)
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            fit(data, basis, lam=0.0)
-        fit(data, basis, lam=1e-6)  # explicit ridge resolves it; nothing silent
+            fit_on(data, basis, lam=0.0)
+        fit_on(data, basis, lam=1e-6)  # explicit ridge resolves it; nothing silent
 
     def test_non_finite_basis_output(self):
-        data = TwoSampleData(denominator=[[0.0]], numerator=[[1.0]])
-        bad = Basis(dimension=1, evaluate=lambda pts: np.full((np.atleast_2d(pts).shape[0], 1), np.inf))
-        with pytest.raises(ValueError, match="non-finite basis output"):
-            fit(data, bad, lam=0.0)
+        for bad in (np.inf, np.nan):
+            for phi_den, phi_num in (([[bad]], [[1.0]]), ([[1.0]], [[bad]])):
+                with pytest.raises(ValueError, match="^non-finite value in feature matrix$"):
+                    fit(phi_den, phi_num, lam=0.0)
 
     def test_basis_refuses_dimension_below_one(self):
-        for dimension in (0, -2):
-            with pytest.raises(ValueError, match=f"dimension must be >= 1, got {dimension}"):
-                Basis(dimension, lambda p: np.empty((len(p), 0)))
+        # a feature matrix of no column, in either sample
+        message = r"expected \(k, {}\) with at least one row and one column$"
+        with pytest.raises(ValueError, match=r"shape \(2, 0\), " + message.format("b")):
+            fit(np.empty((2, 0)), np.empty((1, 0)))
+        with pytest.raises(ValueError, match=r"shape \(1, 0\), " + message.format(1)):
+            fit(np.ones((2, 1)), np.empty((1, 0)))
 
     def test_non_finite_entry_found_in_any_block(self, monkeypatch):
         monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 7)
         values = np.ones((50, 3))
         values[-1, -1] = np.nan  # in the last of 25 two-row blocks
-        bad = Basis(dimension=3, evaluate=lambda pts: values)
-        with pytest.raises(ValueError, match="non-finite basis output"):
-            evaluate_matrix(bad, np.zeros((50, 1)))
+        with pytest.raises(ValueError, match="non-finite value in feature matrix"):
+            check_features(values, 50)
         values[-1, -1] = 1.0
-        assert evaluate_matrix(bad, np.zeros((50, 1))) is values
+        assert check_features(values, 50) is values
+
+    def test_overflowing_moments_are_refused(self):
+        # finite features whose squares overflow: LAPACK factors the inf
+        # moments without an error, and beta came back all NaN
+        phi = np.array([[1.0, 1e200], [1.0, 2e200]])
+        for lam in (0.0, 1e-3, None):
+            with np.errstate(over="ignore"), pytest.raises(
+                np.linalg.LinAlgError, match="^non-finite moments"
+            ):
+                fit(phi, phi, lam)
 
     def test_rejects_lambda_not_finite_or_negative(self):
         data = TwoSampleData(denominator=[[0.0], [1.0]], numerator=[[0.5]])
         for lam in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match=f"lambda must be finite and nonnegative, got {lam}"):
-                fit(data, polynomial_basis(1, 1), lam)
+                fit_on(data, poly(1), lam)
 
     def test_fit_holds_few_moment_matrix_copies(self):
         # 2025 centers: the moment matrix and one system factored in place, each
@@ -111,80 +122,76 @@ class TestFit:
             denominator=rng.normal(size=(200, 2)), numerator=rng.normal(0.3, size=(200, 2))
         )
         basis = gaussian_grid_basis(data.denominator, per_dim=45)
-        b, lam = basis.dimension, 1e-3
+        phi_den, phi_num = basis(data.denominator), basis(data.numerator)
+        b, lam = phi_den.shape[1], 1e-3
         tracemalloc.start()
         try:
-            result = fit(data, basis, lam)
+            _, beta = fit(phi_den, phi_num, lam)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * b * b * 8, peak / (b * b * 8)
         assert held < 0.1 * b * b * 8, held / (b * b * 8)
         # the out-of-place formula, bit for bit
-        phi_den = evaluate_matrix(basis, data.denominator)
         h_mat = phi_den.T @ phi_den / data.n_denominator
-        h_vec = evaluate_matrix(basis, data.numerator).mean(axis=0)
-        np.testing.assert_array_equal(result.beta, solve_spd(h_mat + lam * np.eye(b), h_vec))
+        h_vec = phi_num.mean(axis=0)
+        np.testing.assert_array_equal(beta, solve_spd(h_mat + lam * np.eye(b), h_vec))
 
     def test_h_symmetric_psd(self):
         rng = np.random.default_rng(8)
         data = TwoSampleData(
             denominator=rng.normal(size=(60, 2)), numerator=rng.normal(size=(20, 2))
         )
-        h_mat, _ = lsif_moments(data, polynomial_basis(2, 2))
+        h_mat, _ = lsif_moments(data, poly(2))
         np.testing.assert_allclose(h_mat, h_mat.T, atol=1e-14)
         eigvals = np.linalg.eigvalsh(h_mat)
         assert eigvals.min() >= -1e-12
 
 
 class TestBatchContract:
-    data = TwoSampleData(denominator=[[0.0], [1.0]], numerator=[[0.5]])
-
-    def test_basis_error_propagates(self):
-        # a per-point-only map is not retried point by point
-        def one_point(p):
-            p = np.asarray(p)
-            if p.ndim != 1:
-                raise TypeError("one point at a time")
-            return np.array([1.0 + p.sum()])
-
-        with pytest.raises(TypeError, match="one point at a time"):
-            fit(self.data, Basis(dimension=1, evaluate=one_point), lam=0.0)
-
     def test_wrong_shape_raises(self):
-        flat = Basis(dimension=1, evaluate=lambda pts: np.ones(len(np.atleast_2d(pts))))
-        with pytest.raises(ValueError, match=r"shape \(2,\), expected \(2, 1\)"):
-            fit(self.data, flat, lam=0.0)
+        # one feature per point as a flat vector is no (k, b) matrix
+        with pytest.raises(ValueError, match=r"shape \(2,\), expected \(k, b\)"):
+            fit(np.ones(2), np.ones((1, 1)), lam=0.0)
+        with pytest.raises(ValueError, match=r"shape \(\), expected \(3, b\)"):
+            check_features(1.0, 3)
+        with pytest.raises(ValueError, match=r"shape \(0, 2\), expected \(k, b\)"):
+            check_features(np.empty((0, 2)))
+        with pytest.raises(ValueError, match=r"shape \(2, 1\), expected \(3, 1\)"):
+            check_features(np.ones((2, 1)), 3, 1)
+        # the numerator's features have the denominator's columns
+        with pytest.raises(ValueError, match=r"shape \(1, 2\), expected \(k, 3\)"):
+            fit(np.ones((4, 3)), np.ones((1, 2)))
 
 
 class TestPredict:
     def test_constant(self):
         data = TwoSampleData(denominator=[[0.0], [1.0]], numerator=[[0.5]])
-        result = fit(data, constant_basis(1), lam=0.0)
+        _, beta = fit_on(data, constant_basis(1), lam=0.0)
         for x in (-3.0, 0.0, 11.0):
-            assert fitted_value(constant_basis(1), result.beta, [x]) == pytest.approx(1.0)
+            assert fitted_value(constant_basis(1), beta, [x]) == pytest.approx(1.0)
 
     def test_indicator_support(self, running_two_sample):
         basis = indicator_basis(running_two_sample, 1, [0.0])
-        result = fit(running_two_sample, basis, lam=0.0)
-        assert fitted_value(basis, result.beta, [0.0]) == 2.0   # at the anchor
-        assert fitted_value(basis, result.beta, [5.0]) == 0.0   # outside every catchment
+        _, beta = fit_on(running_two_sample, basis, lam=0.0)
+        assert fitted_value(basis, beta, [0.0]) == 2.0   # at the anchor
+        assert fitted_value(basis, beta, [5.0]) == 0.0   # outside every catchment
 
 
 class TestIndicatorBasis:
     def test_anchor_always_one(self, running_two_sample):
         for c in ([0.0], [0.4], [1.7]):
             basis = indicator_basis(running_two_sample, 1, c)
-            assert basis.evaluate(np.array(c)) == pytest.approx(1.0)
+            assert basis(np.array(c)) == pytest.approx(1.0)
 
     def test_denominator_evaluations(self, running_two_sample):
         basis = indicator_basis(running_two_sample, 1, [0.4])
-        values = evaluate_matrix(basis, running_two_sample.denominator)
+        values = basis(running_two_sample.denominator)
         np.testing.assert_array_equal(values.ravel(), [1.0, 0.0, 0.0, 0.0])
 
     def test_numerator_at_anchor(self, running_two_sample):
         basis = indicator_basis(running_two_sample, 1, [0.4])
-        assert basis.evaluate(np.array([0.4])) == pytest.approx(1.0)
+        assert basis(np.array([0.4])) == pytest.approx(1.0)
 
     def test_m_exceeds_denominator(self, running_two_sample):
         with pytest.raises(ValueError, match="exceeds"):
@@ -306,7 +313,7 @@ class TestIndicatorDre:
             values = indicator_dre(data, m, points, lam)
             for t, point in enumerate(points[:, None]):  # (1, d) rows
                 basis = indicator_basis(data, m, point)
-                single = fitted_value(basis, fit(data, basis, lam).beta, point)
+                single = fitted_value(basis, fit_on(data, basis, lam)[1], point)
                 assert values[t] == single
 
     def test_rejects_bad_m_and_lambda(self, running_two_sample):
@@ -375,6 +382,11 @@ class TestSolveSpd:
         ):
             solve_spd(np.diag([1.0, 1e-13]), np.ones(2))
 
+    def test_nan_matrix_is_refused(self):
+        # LAPACK factors it with info 0 and a NaN pivot, and the solve was all NaN
+        with pytest.raises(np.linalg.LinAlgError, match="^matrix is numerically singular"):
+            solve_spd(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
+
 
 class TestOptimality:
     def test_first_order_condition(self):
@@ -383,9 +395,9 @@ class TestOptimality:
             data = TwoSampleData(
                 denominator=rng.normal(size=(80, 2)), numerator=rng.normal(size=(50, 2))
             )
-            basis = polynomial_basis(2, degree)
-            result = fit(data, basis, lam=1e-4)
-            grad = objective_gradient(data, basis, 1e-4, result.beta)
+            basis = poly(degree)
+            _, beta = fit_on(data, basis, lam=1e-4)
+            grad = objective_gradient(data, basis, 1e-4, beta)
             assert np.abs(grad).max() <= 1e-10
 
     def test_finite_differences_match_analytic_gradient(self):
@@ -393,11 +405,11 @@ class TestOptimality:
         data = TwoSampleData(
             denominator=rng.normal(size=(60, 2)), numerator=rng.normal(size=(40, 2))
         )
-        basis = polynomial_basis(2, 2)
+        basis = poly(2)
         lam = 0.05
         step = 1e-5
         for _ in range(20):
-            beta = rng.normal(size=basis.dimension)
+            beta = rng.normal(size=6)
             grad = objective_gradient(data, basis, lam, beta)
             fd = np.empty_like(grad)
             for j in range(len(beta)):
@@ -416,33 +428,33 @@ class TestOptimality:
         data = TwoSampleData(
             denominator=rng.normal(size=(50, 1)), numerator=rng.normal(size=(30, 1))
         )
-        basis = polynomial_basis(1, 2)
+        basis = poly(2)
         lam = 0.01
-        result = fit(data, basis, lam)
-        at_min = objective_value(data, basis, lam, result.beta)
+        _, beta = fit_on(data, basis, lam)
+        at_min = objective_value(data, basis, lam, beta)
         for _ in range(100):
-            delta = rng.normal(size=basis.dimension) * rng.uniform(1e-4, 1.0)
-            assert at_min <= objective_value(data, basis, lam, result.beta + delta) + 1e-15
+            delta = rng.normal(size=len(beta)) * rng.uniform(1e-4, 1.0)
+            assert at_min <= objective_value(data, basis, lam, beta + delta) + 1e-15
 
     def test_beta_linear_in_h(self):
         rng = np.random.default_rng(41)
         data = TwoSampleData(
             denominator=rng.normal(size=(50, 2)), numerator=rng.normal(size=(30, 2))
         )
-        basis = polynomial_basis(2, 1)
+        basis = poly(1)
         lam = 0.1
-        result = fit(data, basis, lam)
+        _, beta = fit_on(data, basis, lam)
         h_mat, h_vec = lsif_moments(data, basis)
-        system = h_mat + lam * np.eye(basis.dimension)
+        system = h_mat + lam * np.eye(len(beta))
         for s in (0.5, 2.0, -3.0):
             scaled = solve_spd(system, s * h_vec)
-            np.testing.assert_allclose(scaled, s * result.beta, rtol=1e-12)
+            np.testing.assert_allclose(scaled, s * beta, rtol=1e-12)
 
 
 class TestBuiltInBases:
     def test_polynomial_dimension(self):
-        assert polynomial_basis(3, 3).dimension == 20
-        assert polynomial_basis(2, 0).dimension == 1
+        assert polynomial_feature_matrix(np.zeros((4, 3)), 3).shape == (4, 20)
+        assert polynomial_feature_matrix(np.zeros((4, 2)), 0).shape == (4, 1)
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
     def test_polynomial_features_bit_for_bit(self, degree):
@@ -470,7 +482,7 @@ class TestBuiltInBases:
 
     def test_gaussian_grid_center_limit(self):
         pts = np.random.default_rng(0).normal(size=(10, 2))
-        assert gaussian_grid_basis(pts, per_dim=64).dimension == 4096
+        assert gaussian_grid_basis(pts, per_dim=64)(pts[:1]).shape == (1, 4096)
         with pytest.raises(ValueError, match="65 per dimension in d=2 has 4225 centers"):
             gaussian_grid_basis(pts, per_dim=65)
 
@@ -481,7 +493,7 @@ class TestBuiltInBases:
         basis = gaussian_grid_basis(pts, per_dim=per_dim)
         tracemalloc.start()
         try:
-            values = basis.evaluate(pts)
+            values = basis(pts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -496,24 +508,22 @@ class TestBuiltInBases:
         expected = np.exp(-(dx * dx + dy * dy) * (1.0 / (2.0 * bandwidth * bandwidth)))
         np.testing.assert_array_equal(values, expected)
 
-    def test_evaluate_matrix_checks_finiteness_in_row_blocks(self):
-        # a whole (k, b) finiteness mask would add an eighth of the result
+    def test_check_features_checks_finiteness_in_row_blocks(self):
+        # a whole (k, b) finiteness mask would add an eighth of the matrix
         pts = np.random.default_rng(4).normal(size=(1000, 2))
-        basis = gaussian_grid_basis(pts, per_dim=64)
+        values = gaussian_grid_basis(pts, per_dim=64)(pts)
         tracemalloc.start()
         try:
-            values = evaluate_matrix(basis, pts)
+            assert check_features(values, 1000, 4096) is values
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.05 * values.nbytes, peak / values.nbytes
+        assert peak < 0.05 * values.nbytes, peak / values.nbytes
 
     def test_gaussian_grid_shape(self):
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(40, 2))
-        basis = gaussian_grid_basis(pts, per_dim=3)
-        assert basis.dimension == 9
-        values = evaluate_matrix(basis, pts)
+        values = gaussian_grid_basis(pts, per_dim=3)(pts)
         assert values.shape == (40, 9)
         assert np.all(values > 0) and np.all(values <= 1.0)
 
@@ -528,20 +538,20 @@ class TestBuiltInBases:
     def test_one_shape_contract(self, d):
         # (k, d) -> (k, b) is the only contract: a 1-d input is one column
         pts = np.random.default_rng(7).normal(size=(5, d))
-        bases = [
-            constant_basis(d),
-            polynomial_basis(d, 2),
-            gaussian_grid_basis(pts, per_dim=3),
-            catchment_indicator(pts, 2, pts[:1]),
+        bases = [  # (basis, b, whether it has a dimension of its own)
+            (constant_basis(d), 1, True),
+            (poly(2), 1 + d + d * (d + 1) // 2, False),
+            (gaussian_grid_basis(pts, per_dim=3), 3**d, True),
+            (catchment_indicator(pts, 2, pts[:1]), 1, True),
         ]
-        for basis in bases:
-            assert basis.evaluate(pts[:1]).shape == (1, basis.dimension)
-            assert basis.evaluate(pts).shape == (5, basis.dimension)
+        for basis, b, has_dimension in bases:
+            assert basis(pts[:1]).shape == (1, b)
+            assert basis(pts).shape == (5, b)
             if d == 1:
-                assert basis.evaluate(pts[:, 0]).shape == (5, basis.dimension)
-            else:
+                assert basis(pts[:, 0]).shape == (5, b)
+            elif has_dimension:
                 with pytest.raises(ValueError, match=f"of dimension {d}, got 1$"):
-                    basis.evaluate(pts[:, 0])
+                    basis(pts[:, 0])
 
     @pytest.mark.parametrize("kind", ["poly", "gauss"])
     def test_default_ridge_bit_for_bit(self, kind):
@@ -550,11 +560,11 @@ class TestBuiltInBases:
             denominator=rng.normal(size=(50, 2)), numerator=rng.normal(0.3, size=(20, 2))
         )
         if kind == "poly":
-            basis = polynomial_basis(2, 2)
+            basis = poly(2)
         else:
             basis = gaussian_grid_basis(data.denominator, per_dim=3)
-        phi = evaluate_matrix(basis, data.denominator)
-        lam = 1e-6 * (float(np.sum(phi * phi)) / data.n_denominator) / basis.dimension
-        result = fit(data, basis)
-        assert result.lam == lam
-        np.testing.assert_array_equal(result.beta, fit(data, basis, lam).beta)
+        phi = basis(data.denominator)
+        lam = 1e-6 * (float(np.sum(phi * phi)) / data.n_denominator) / phi.shape[1]
+        default_lam, beta = fit_on(data, basis)
+        assert default_lam == lam
+        np.testing.assert_array_equal(beta, fit_on(data, basis, lam)[1])

@@ -507,8 +507,8 @@ class TestMatchOnce:
         two_sample, _ = equivalence.random_two_sample_instance(rng, max_n=160)
         dataset, _, _ = random_observational_instance(rng, max_n=160)
 
-        monkeypatch.setattr(lsif, "polynomial_feature_matrix", counted_features)
-        monkeypatch.setattr(matching, "polynomial_feature_matrix", counted_features)
+        for module in (lsif, equivalence, matching):
+            monkeypatch.setattr(module, "polynomial_feature_matrix", counted_features)
         monkeypatch.setattr(neighbors, "cKDTree", CountedTree)
         gaps = equivalence.run_instance(seed=12345)
         assert equivalence.max_judged_gap(gaps) <= equivalence.GAP_THRESHOLD

@@ -13,12 +13,12 @@ from rieszmatch import (
     fit_weight_arm,
     matching_structures,
     nn_representer_values,
-    polynomial_basis,
+    polynomial_feature_matrix,
     riesz_fit,
 )
 from rieszmatch import neighbors
 from rieszmatch.equivalence import random_observational_instance
-from rieszmatch.lsif import _indicator_values, evaluate_matrix
+from rieszmatch.lsif import _indicator_values
 from rieszmatch.neighbors import _mth_sq_radius_batch, _tree
 
 
@@ -36,7 +36,7 @@ class TestFitWeightArm:
         data = ObservationalDataset(
             covariates=rng.normal(size=(20, 1)), treatment=treat, outcome=np.zeros(20)
         )
-        phi = evaluate_matrix(constant_basis(1), data.covariates)
+        phi = constant_basis(1)(data.covariates)
         theta = fit_weight_arm(data, 1, phi, lam=0.0)
         np.testing.assert_allclose(theta, [20 / 7], rtol=1e-14)
         theta0 = fit_weight_arm(data, 0, phi, lam=0.0)
@@ -44,7 +44,7 @@ class TestFitWeightArm:
 
     def test_balanced_constant_gives_two(self):
         data = balanced_dataset()
-        phi = evaluate_matrix(constant_basis(2), data.covariates)
+        phi = constant_basis(2)(data.covariates)
         np.testing.assert_allclose(fit_weight_arm(data, 1, phi, 0.0), [2.0])
 
     def test_indicator_at_unit_equals_matching_weight(self):
@@ -57,26 +57,25 @@ class TestFitWeightArm:
                 arm = int(data.treatment[i])
                 reference = data.covariates[data.treatment == arm]
                 basis = catchment_indicator(reference, m, data.covariates[i : i + 1])
-                phi = evaluate_matrix(basis, data.covariates)
-                theta = fit_weight_arm(data, arm, phi, lam=0.0)
+                theta = fit_weight_arm(data, arm, basis(data.covariates), lam=0.0)
                 assert abs(theta[0] - weights[i]) <= 1e-12
 
     def test_first_order_condition(self):
         data = balanced_dataset(seed=3)
-        basis = polynomial_basis(2, 2)
+        phi = polynomial_feature_matrix(data.covariates, 2)
         for arm in (0, 1):
-            theta = fit_weight_arm(data, arm, evaluate_matrix(basis, data.covariates), lam=1e-3)
-            grad = arm_objective_gradient(data, arm, basis, 1e-3, theta)
+            theta = fit_weight_arm(data, arm, phi, lam=1e-3)
+            grad = arm_objective_gradient(data, arm, phi, 1e-3, theta)
             assert np.abs(grad).max() <= 1e-10
 
     def test_invalid_arm(self):
         data = balanced_dataset()
         with pytest.raises(ValueError, match="arm"):
-            fit_weight_arm(data, 2, evaluate_matrix(constant_basis(2), data.covariates), 0.0)
+            fit_weight_arm(data, 2, constant_basis(2)(data.covariates), 0.0)
 
     def test_lambda_checked_first_and_singular_named(self):
         data = balanced_dataset()
-        phi = evaluate_matrix(constant_basis(2), data.covariates)
+        phi = constant_basis(2)(data.covariates)
         for lam in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 fit_weight_arm(data, 2, phi, lam)
@@ -88,6 +87,33 @@ class TestFitWeightArm:
         with pytest.raises(np.linalg.LinAlgError, match="^singular joint moment matrix at lambda=0$"):
             riesz_fit(data, repeated, 0.0)
 
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda data, phi: fit_weight_arm(data, 1, phi, 1e-3),
+            lambda data, phi: riesz_fit(data, phi, 1e-3),
+        ],
+        ids=["fit_weight_arm", "riesz_fit"],
+    )
+    def test_bad_feature_matrix_is_refused(self, solve):
+        # each of these came back as all-NaN coefficients or an IndexError
+        data = balanced_dataset(n=200, seed=2)
+        phi = polynomial_feature_matrix(data.covariates, 1)
+        with_nan = phi.copy()
+        with_nan[7, 1] = np.nan
+        with pytest.raises(ValueError, match="^non-finite value in feature matrix$"):
+            solve(data, with_nan)
+        overflowing = phi.copy()
+        overflowing[6, 1] = 1e200  # a treated row: finite, but its square is not
+        with np.errstate(over="ignore"), pytest.raises(
+            np.linalg.LinAlgError, match="^non-finite moments"
+        ):
+            solve(data, overflowing)
+        with pytest.raises(ValueError, match=r"shape \(150, 3\), expected \(200, b\)"):
+            solve(data, phi[:150])
+        with pytest.raises(ValueError, match=r"shape \(200,\), expected \(200, b\)"):
+            solve(data, phi[:, 1])
+
 
 def assert_batched_weights_exact(data, m):
     """Each arm's batched indicator fit equals the per-unit fit with ==."""
@@ -98,7 +124,7 @@ def assert_batched_weights_exact(data, m):
         radii = _mth_sq_radius_batch(tree, m, x)
         theta = _indicator_values(tree.data, x[rows], radii[rows], x, radii, data.n, data.n)
         for j, i in enumerate(np.flatnonzero(rows)):
-            phi = evaluate_matrix(catchment_indicator(x[rows], m, x[i : i + 1]), x)
+            phi = catchment_indicator(x[rows], m, x[i : i + 1])(x)
             assert theta[j] == fit_weight_arm(data, arm, phi, lam=0.0)[0]
 
 
@@ -179,7 +205,7 @@ class TestNnWeight:
 class TestRieszFit:
     def test_constant_balanced(self):
         data = balanced_dataset(seed=7)
-        phi = evaluate_matrix(constant_basis(2), data.covariates)
+        phi = constant_basis(2)(data.covariates)
         theta_treated, theta_control = riesz_fit(data, phi, lam=0.0)
         w1, w0 = phi @ theta_treated, phi @ theta_control
         assert w1[0] == pytest.approx(2.0)
@@ -195,8 +221,7 @@ class TestRieszFit:
         rng = np.random.default_rng(19)
         for _ in range(20):
             data, _, _ = random_observational_instance(rng, max_n=120)
-            basis = polynomial_basis(data.d, well_posed_degree(data))
-            phi = evaluate_matrix(basis, data.covariates)
+            phi = polynomial_feature_matrix(data.covariates, well_posed_degree(data))
             lam = float(rng.uniform(1e-4, 1e-1))
             theta_treated, theta_control = riesz_fit(data, phi, lam)
             np.testing.assert_allclose(
@@ -215,13 +240,13 @@ class TestRieszFit:
     def test_objective_no_worse_than_zero_coefficients(self):
         rng = np.random.default_rng(23)
         data, _, _ = random_observational_instance(rng, max_n=100)
-        basis = polynomial_basis(data.d, 1)
+        phi = polynomial_feature_matrix(data.covariates, 1)
         lam = 1e-4
-        thetas = riesz_fit(data, evaluate_matrix(basis, data.covariates), lam)
-        zeros = np.zeros(basis.dimension)
+        thetas = riesz_fit(data, phi, lam)
+        zeros = np.zeros(phi.shape[1])
         for arm, theta in zip((1, 0), thetas):
-            assert arm_objective_value(data, arm, basis, lam, theta) <= arm_objective_value(
-                data, arm, basis, lam, zeros
+            assert arm_objective_value(data, arm, phi, lam, theta) <= arm_objective_value(
+                data, arm, phi, lam, zeros
             )
 
     def test_nn_representer_matches_per_point_fits(self):
@@ -233,8 +258,8 @@ class TestRieszFit:
             arm = int(data.treatment[i])
             reference = data.covariates[data.treatment == arm]
             basis = catchment_indicator(reference, m, data.covariates[i : i + 1])
-            theta = fit_weight_arm(data, arm, evaluate_matrix(basis, data.covariates), lam=0.0)
-            weight = float(np.dot(theta, evaluate_matrix(basis, data.covariates[i : i + 1])[0]))
+            theta = fit_weight_arm(data, arm, basis(data.covariates), lam=0.0)
+            weight = float(np.dot(theta, basis(data.covariates[i : i + 1])[0]))
             value = weight if arm == 1 else -weight
             assert abs(value - alpha[i]) <= 1e-12
 
