@@ -14,7 +14,7 @@ import argparse
 
 import numpy as np
 
-from rieszmatch import generate, logistic_dgp, matching_structures
+from rieszmatch import generate, logistic_propensity, matching_structures
 
 
 def main() -> None:
@@ -23,16 +23,15 @@ def main() -> None:
     parser.add_argument("--seed0", type=int, default=0)
     args = parser.parse_args()
 
-    spec = logistic_dgp()
     configs = [(250, 12), (500, 16), (1000, 20), (2000, 25), (4000, 32), (8000, 40)]
 
     print(f"{'n':>6} {'M':>4} {'median |w - 1/e|':>18} {'sd over seeds':>14}")
     for n, m in configs:
         errors = []
         for s in range(args.seeds):
-            data = generate(spec, n, seed=args.seed0 + s)
+            data = generate(n, seed=args.seed0 + s)
             weights = matching_structures(data, m).weights
-            e = spec.propensity(data.covariates)
+            e = logistic_propensity(data.covariates)
             treated = data.treatment == 1
             errors.append(np.median(np.abs(weights[treated] - 1.0 / e[treated])))
         errors = np.array(errors)

@@ -4,14 +4,13 @@ checks between the three routes."""
 
 from .dataset import (
     LOGISTIC_TRUE_ATE,
-    DgpSpec,
     ObservationalDataset,
     TwoSampleData,
-    builtin_dgp,
     generate,
     load_csv,
     load_points_csv,
-    logistic_dgp,
+    logistic_means,
+    logistic_propensity,
     save_csv,
     save_points_csv,
 )
@@ -28,7 +27,6 @@ from .neighbors import matching_structures
 from .riesz import fit_weight_arm, nn_representer_values, riesz_fit
 
 __all__ = [
-    "DgpSpec",
     "LOGISTIC_TRUE_ATE",
     "ObservationalDataset",
     "TwoSampleData",
@@ -37,7 +35,6 @@ __all__ = [
     "ate_matching",
     "ate_regression",
     "ate_weight_form",
-    "builtin_dgp",
     "fit",
     "fit_outcome",
     "fit_weight_arm",
@@ -45,7 +42,8 @@ __all__ = [
     "generate",
     "load_csv",
     "load_points_csv",
-    "logistic_dgp",
+    "logistic_means",
+    "logistic_propensity",
     "matching_structures",
     "nn_representer_values",
     "polynomial_feature_matrix",

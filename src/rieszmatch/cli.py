@@ -58,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_w = sub.add_parser("weights", help="per-unit matching weights")
     p_w.add_argument("--input", default=None, help="dataset CSV (oracle column is na)")
-    p_w.add_argument("--dgp", default=None, help="built-in DGP name (enables the oracle column)")
+    dgp_help = "the built-in logistic design (enables the oracle column)"
+    p_w.add_argument("--dgp", choices=["logistic"], default=None, help=dgp_help)
     # absent unless given, so that --input can refuse them
     p_w.add_argument("--n", type=int, default=argparse.SUPPRESS, help="--dgp size (default 500)")
     p_w.add_argument("--m", type=int, default=None)
@@ -66,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_w.add_argument("--seed", type=int, default=argparse.SUPPRESS, help=seed_help)
 
     p_sim = sub.add_parser("simulate", help="known-truth replication study")
-    p_sim.add_argument("--dgp", default="logistic")
+    p_sim.add_argument("--dgp", choices=["logistic"], default="logistic")
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--reps", type=int, required=True)
     p_sim.add_argument("--m", type=int, default=None)
@@ -125,6 +126,8 @@ def cmd_ate(args) -> tuple[str, int]:
     outcome = matching.fit_outcome(data, args.degree) if args.estimator in ("bc", "dr") else None
     variant = _VARIANTS[args.estimator]
     tau = _estimate(variant, data, structures, outcome)
+    if not math.isfinite(tau):
+        raise ValueError(f"the {args.estimator} estimate overflowed: tau={tau}")
     header = [
         ("command", "ate"),
         ("input", args.input),
@@ -193,9 +196,9 @@ def cmd_weights(args) -> tuple[str, int]:
         data = ds.load_csv(args.input)
         source = [("input", args.input)]
     else:
-        spec, n, seed = ds.builtin_dgp(args.dgp), getattr(args, "n", 500), getattr(args, "seed", 0)
-        data = ds.generate(spec, n, seed)
-        e = spec.propensity(data.covariates)
+        n, seed = getattr(args, "n", 500), getattr(args, "seed", 0)
+        data = ds.generate(n, seed)
+        e = ds.logistic_propensity(data.covariates)
         oracle = np.where(data.treatment == 1, 1.0 / e, 1.0 / (1.0 - e))
         source = [("dgp", args.dgp), ("n", n), ("seed", seed)]
     m = args.m if args.m is not None else default_match_count(data.n)
@@ -217,9 +220,9 @@ def cmd_weights(args) -> tuple[str, int]:
     return render_report(header, records), 0
 
 
-def _simulate_replication(dgp: str, n: int, m: int, degree: int, seed: int) -> list[float]:
-    """The ``_SIM_VARIANTS`` estimates on one draw of ``dgp``."""
-    data = ds.generate(ds.builtin_dgp(dgp), n, seed)
+def _simulate_replication(n: int, m: int, degree: int, seed: int) -> list[float]:
+    """The ``_SIM_VARIANTS`` estimates on one draw of the logistic design."""
+    data = ds.generate(n, seed)
     outcome = matching.fit_outcome(data, degree)
     structures = matching_structures(data, m)
     return [_estimate(variant, data, structures, outcome) for variant in _SIM_VARIANTS]
@@ -228,10 +231,9 @@ def _simulate_replication(dgp: str, n: int, m: int, degree: int, seed: int) -> l
 def cmd_simulate(args) -> tuple[str, int]:
     if args.reps < 1:
         raise ValueError("--reps must be >= 1")
-    spec = ds.builtin_dgp(args.dgp)
     m = args.m if args.m is not None else default_match_count(args.n)
     seeds = eq.instance_seeds(args.seed, args.reps)
-    replicate = functools.partial(_simulate_replication, args.dgp, args.n, m, args.degree)
+    replicate = functools.partial(_simulate_replication, args.n, m, args.degree)
     rows = _pool_map(replicate, args.jobs, seeds)
     header = [
         ("command", "simulate"),
@@ -242,15 +244,15 @@ def cmd_simulate(args) -> tuple[str, int]:
         ("m", m),
         ("degree", args.degree),
         ("metric", "euclidean"),
-        ("true_ate", spec.true_ate),
+        ("true_ate", ds.LOGISTIC_TRUE_ATE),
     ]
     for j, name in enumerate(_SIM_VARIANTS):
         taus = np.array([row[j] for row in rows])
         header.append((f"summary.{name}.mean", float(taus.mean())))
         sd = float(taus.std(ddof=1)) if len(taus) > 1 else 0.0
         header.append((f"summary.{name}.sd", sd))
-        header.append((f"summary.{name}.bias", float(taus.mean() - spec.true_ate)))
-        rmse = float(np.sqrt(np.mean((taus - spec.true_ate) ** 2)))
+        header.append((f"summary.{name}.bias", float(taus.mean() - ds.LOGISTIC_TRUE_ATE)))
+        rmse = float(np.sqrt(np.mean((taus - ds.LOGISTIC_TRUE_ATE) ** 2)))
         header.append((f"summary.{name}.rmse", rmse))
     records = [
         [("rep", rep), ("seed", seeds[rep])] + [(f"tau_{v}", t) for v, t in zip(_SIM_VARIANTS, row)]

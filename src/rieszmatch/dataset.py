@@ -1,10 +1,11 @@
-"""Data models, CSV ingestion, and synthetic data-generating processes.
+"""Data models, CSV ingestion, and the built-in logistic design.
 
 Observational data is a sample of (covariates, binary treatment, outcome)
 triples.  Two-sample data holds a denominator sample and a numerator sample
-for density-ratio estimation, read from point-cloud CSVs.  The built-in
-observational design carries its true ATE and propensity, so estimators and
-matching weights can be checked against known answers.
+for density-ratio estimation, read from point-cloud CSVs.  The logistic
+design is three plain functions, its propensity, its two outcome means and
+``generate``, plus its true ATE, so estimators and matching weights can be
+checked against known answers.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 from scipy.special import expit
@@ -120,110 +121,43 @@ class TwoSampleData:
         return self.denominator.shape[1]
 
 
-@dataclass(frozen=True)
-class DgpSpec:
-    """A synthetic observational design with known ground truth.
-
-    ``propensity`` and the two outcome-mean functions take an (n, d) matrix
-    and return a length-n vector.  ``covariate_sampler`` draws the covariate
-    law: ``sampler(rng, n) -> (n, d)``.
-    """
-
-    dimension: int
-    propensity: Callable[[np.ndarray], np.ndarray]
-    outcome_mean_treated: Callable[[np.ndarray], np.ndarray]
-    outcome_mean_control: Callable[[np.ndarray], np.ndarray]
-    noise_sd: float
-    overlap_epsilon: float
-    true_ate: float
-    covariate_sampler: Callable[[np.random.Generator, int], np.ndarray]
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be nonnegative")
-        if not 0 < self.overlap_epsilon < 0.5:
-            raise ValueError("overlap_epsilon must lie in (0, 1/2)")
-
-
-# ATE of the built-in "logistic" DGP: mu1(x) - mu0(x) = 1 + x2 (or 1 when d = 1)
-# and X ~ Uniform[-1, 1]^d, so E[mu1 - mu0] = 1 exactly for every dimension.
-# Cross-checked by a 1e6-draw Monte Carlo run before this value was frozen
-# (estimate 1.000006 +- 0.000577).
+# The built-in "logistic" design: X ~ Uniform[-1, 1]^d, e(x) = eps + (1 - 2 eps)
+# sigmoid(2 x1) with eps = 0.1, mu1(x) = 1 + x1 + x2 (the x2 term is dropped when
+# d = 1), mu0(x) = x1, and standard normal outcome noise.  Its ATE: mu1 - mu0 =
+# 1 + x2 (or 1 when d = 1) has mean 1 exactly for every dimension.  Cross-checked
+# by a 1e6-draw Monte Carlo run before this value was frozen (estimate 1.000006
+# +- 0.000577).
 LOGISTIC_TRUE_ATE = 1.0
 
 
-def logistic_dgp(dimension: int = 2) -> DgpSpec:
-    """Built-in smooth overlap-satisfying design with true ATE = 1.
-
-    X ~ Uniform[-1, 1]^d, e(x) = eps + (1 - 2 eps) sigmoid(2 x1) with eps = 0.1,
-    mu1(x) = 1 + x1 + x2 (the x2 term is dropped when d = 1), mu0(x) = x1, and
-    standard normal outcome noise.
-    """
-    epsilon = 0.1
-
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(-1.0, 1.0, size=(n, dimension))
-
-    def propensity(x: np.ndarray) -> np.ndarray:
-        return epsilon + (1.0 - 2.0 * epsilon) * expit(2.0 * x[:, 0])
-
-    def mu1(x: np.ndarray) -> np.ndarray:
-        if dimension >= 2:
-            return 1.0 + x[:, 0] + x[:, 1]
-        return 1.0 + x[:, 0]
-
-    def mu0(x: np.ndarray) -> np.ndarray:
-        return x[:, 0].copy()
-
-    return DgpSpec(
-        dimension=dimension,
-        propensity=propensity,
-        outcome_mean_treated=mu1,
-        outcome_mean_control=mu0,
-        noise_sd=1.0,
-        overlap_epsilon=epsilon,
-        true_ate=LOGISTIC_TRUE_ATE,
-        covariate_sampler=sampler,
-    )
+def logistic_propensity(x: np.ndarray) -> np.ndarray:
+    """e(x) of the logistic design, in [0.1, 0.9], for an (n, d) matrix."""
+    return 0.1 + (1.0 - 2.0 * 0.1) * expit(2.0 * x[:, 0])
 
 
-BUILTIN_DGPS = {"logistic": logistic_dgp}
+def logistic_means(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mu1(x), mu0(x)) of the logistic design for an (n, d) matrix."""
+    mu1 = 1.0 + x[:, 0] + x[:, 1] if x.shape[1] >= 2 else 1.0 + x[:, 0]
+    return mu1, x[:, 0].copy()
 
 
-def builtin_dgp(name: str) -> DgpSpec:
-    try:
-        factory = BUILTIN_DGPS[name]
-    except KeyError:
-        raise ValueError(f"unknown DGP {name!r}; available: {sorted(BUILTIN_DGPS)}") from None
-    return factory()
-
-
-def generate(spec: DgpSpec, n: int, seed: int) -> ObservationalDataset:
-    """Draw a reproducible observational dataset from ``spec``.
+def generate(n: int, seed: int, dimension: int = 2) -> ObservationalDataset:
+    """Draw a reproducible dataset of ``n`` units from the logistic design.
 
     Draw order is fixed (covariates, treatment uniforms, outcome noise) so a
     given seed always yields a bit-identical dataset.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    if dimension < 1:
+        raise ValueError("dimension must be >= 1")
     rng = np.random.default_rng(seed)
-    x = np.asarray(spec.covariate_sampler(rng, n), dtype=float)
-    if x.shape != (n, spec.dimension):
-        raise ValueError("covariate_sampler returned the wrong shape")
-    e = np.asarray(spec.propensity(x), dtype=float)
-    if e.shape != (n,) or np.any(e <= 0.0) or np.any(e >= 1.0):
-        raise ValueError("propensity must map into (0, 1)")
-    treat = (rng.random(n) < e).astype(np.int64)
+    x = rng.uniform(-1.0, 1.0, size=(n, dimension))
+    treat = (rng.random(n) < logistic_propensity(x)).astype(np.int64)
     if treat.sum() in (0, n):
         raise ValueError("empty treatment arm after generation; increase n")
-    mu = np.where(
-        treat == 1,
-        np.asarray(spec.outcome_mean_treated(x), dtype=float),
-        np.asarray(spec.outcome_mean_control(x), dtype=float),
-    )
-    y = mu + spec.noise_sd * rng.standard_normal(n)
+    mu1, mu0 = logistic_means(x)
+    y = np.where(treat == 1, mu1, mu0) + rng.standard_normal(n)
     return ObservationalDataset(covariates=x, treatment=treat, outcome=y)
 
 

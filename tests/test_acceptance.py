@@ -29,13 +29,15 @@ from oracles import (
     rescaled,
 )
 from rieszmatch import (
+    LOGISTIC_TRUE_ATE,
     ObservationalDataset,
     ate_bias_corrected,
     ate_matching,
     ate_weight_form,
     fit_outcome,
     generate,
-    logistic_dgp,
+    logistic_means,
+    logistic_propensity,
     matching_structures,
     polynomial_feature_matrix,
     verify_theorem1_all,
@@ -233,14 +235,13 @@ def test_07_neighbor_oracle():
 def test_08_weight_consistency():
     """Matched-times weights approach the true inverse propensities as n, M grow."""
     started = time.perf_counter()
-    spec = logistic_dgp()
     wins = 0
     for seed in range(20):
         errors = {}
         for n, m in ((500, 16), (4000, 32)):
-            data = generate(spec, n, seed=800 + seed)
+            data = generate(n, seed=800 + seed)
             weights = matching_structures(data, m).weights
-            e = spec.propensity(data.covariates)
+            e = logistic_propensity(data.covariates)
             treated = data.treatment == 1
             errors[n] = np.median(np.abs(weights[treated] - 1.0 / e[treated]))
         wins += errors[4000] < errors[500]
@@ -252,15 +253,14 @@ def test_08_weight_consistency():
 
 
 def _bias_corrected_replications(degree: int, reps: int = 100):
-    spec = logistic_dgp()
     n = 2000
     m = math.ceil(2 * n ** (1.0 / 3.0))
     taus = np.empty(reps)
     for rep in range(reps):
-        data = generate(spec, n, seed=900_000 + rep)
+        data = generate(n, seed=900_000 + rep)
         outcome = fit_outcome(data, degree)
         taus[rep] = ate_bias_corrected(data, matching_structures(data, m), outcome)
-    return taus, spec.true_ate
+    return taus, LOGISTIC_TRUE_ATE
 
 
 def test_09a_double_robustness_correct_model():
@@ -284,13 +284,12 @@ def _noise_free_matching_bias(n: int, reps: int = 100) -> np.ndarray:
     copy's sample ATE.  Same seeds and M = ceil(2 n^(1/3)) as
     ``_bias_corrected_replications``.
     """
-    spec = logistic_dgp()
     m = math.ceil(2 * n ** (1.0 / 3.0))
     biases = np.empty(reps)
     for rep in range(reps):
-        data = generate(spec, n, seed=900_000 + rep)
+        data = generate(n, seed=900_000 + rep)
         x, treatment = data.covariates, data.treatment
-        mu1, mu0 = spec.outcome_mean_treated(x), spec.outcome_mean_control(x)
+        mu1, mu0 = logistic_means(x)
         noise_free = ObservationalDataset(x, treatment, np.where(treatment == 1, mu1, mu0))
         pairs = imputed_pairs(noise_free, matching_structures(noise_free, m))
         biases[rep] = np.mean(pairs[:, 1] - pairs[:, 0]) - np.mean(mu1 - mu0)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import fit_on, fitted_value, parse_report
-from rieszmatch import TwoSampleData, cli, generate, logistic_dgp, lsif, save_csv, save_points_csv
+from rieszmatch import TwoSampleData, cli, generate, lsif, save_csv, save_points_csv
 from rieszmatch.report import RECORD_SEPARATOR
 
 FOUR_UNIT_CSV = "x0,d,y\n0.0,1,1.0\n2.0,1,3.0\n0.1,0,0.0\n1.9,0,2.0\n"
@@ -61,7 +61,7 @@ class TestAte:
     @pytest.mark.parametrize("estimator", ["matching", "weight", "bc", "dr"])
     def test_byte_order_mark_changes_only_the_input_line(self, tmp_path, estimator):
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
-        save_csv(generate(logistic_dgp(), 300, seed=2), plain)
+        save_csv(generate(300, seed=2), plain)
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         reports = []
         for path in (plain, marked):
@@ -69,6 +69,15 @@ class TestAte:
             assert code == 0
             reports.append(text.replace(f"input={path}\n", ""))
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("estimator", ["matching", "weight"])
+    def test_overflowing_estimate_exits_two(self, tmp_path, capsys, estimator):
+        # a matched mean sums M outcomes of 1.7e308 and overflows; the true ATE is 0
+        path = tmp_path / "huge.csv"
+        path.write_text("x0,d,y\n" + "".join(f"0.{k},{k % 2},1.7e308\n" for k in range(1, 7)))
+        assert cli.main(["ate", "--input", str(path), "--estimator", estimator, "--m", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: the {estimator} estimate overflowed: tau=nan\n"
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code = cli.main(["ate", "--input", str(tmp_path / "nope.csv"), "--m", "1"])
@@ -88,7 +97,7 @@ class TestAte:
         # 20k rows in d=2 at the default M=55: the match's row blocks dominate
         # the peak, 7.7x the parsed (n, d+2) matrix with 2^16-entry blocks
         path = tmp_path / "data.csv"
-        data = generate(logistic_dgp(), 20_000, seed=0)
+        data = generate(20_000, seed=0)
         save_csv(data, path)
         matrix_bytes = data.n * (data.d + 2) * 8
         argv = ["ate", "--input", str(path), "--estimator", "dr", "--output", str(tmp_path / "r")]
@@ -333,8 +342,11 @@ class TestSimulate:
             _, second = run(tmp_path, *argv, "--jobs", "2")
             assert first == second
 
-    def test_unknown_dgp_exits_two(self, tmp_path):
-        assert cli.main(["simulate", "--dgp", "nope", "--n", "100", "--reps", "2"]) == 2
+    def test_unknown_dgp_exits_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["simulate", "--dgp", "nope", "--n", "100", "--reps", "2"])
+        assert exit_info.value.code == 2
+        assert "argument --dgp: invalid choice: 'nope'" in capsys.readouterr().err
 
     def test_pool_starts_no_more_workers_than_tasks(self, tmp_path, monkeypatch):
         sizes = []

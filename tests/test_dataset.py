@@ -1,5 +1,6 @@
 import builtins
 import csv
+import hashlib
 import re
 import tempfile
 import tracemalloc
@@ -14,16 +15,16 @@ from rieszmatch import (
     LOGISTIC_TRUE_ATE,
     ObservationalDataset,
     TwoSampleData,
-    builtin_dgp,
+    cli,
     generate,
     load_csv,
     load_points_csv,
-    logistic_dgp,
+    logistic_means,
+    logistic_propensity,
     save_csv,
     save_points_csv,
 )
 from rieszmatch import dataset
-from rieszmatch.dataset import DgpSpec
 from rieszmatch.lsif import gaussian_grid_basis, indicator_dre, polynomial_feature_matrix
 from rieszmatch.neighbors import _tree
 
@@ -229,7 +230,7 @@ class TestStreamedReader:
     def test_byte_order_mark_is_skipped_bit_for_bit(self, tmp_path, loader):
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
         if loader is load_csv:
-            save_csv(generate(logistic_dgp(), 200, seed=8), plain)
+            save_csv(generate(200, seed=8), plain)
         else:
             save_points_csv(np.random.default_rng(8).standard_normal((200, 3)), plain)
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
@@ -475,75 +476,94 @@ class TestOnePointsReading:
         assert np.shares_memory(dataset._points(x[:, 0], "points"), x)
 
 
-def constant_half_spec(d=1):
-    return DgpSpec(
-        dimension=d,
-        propensity=lambda x: np.full(len(x), 0.5),
-        outcome_mean_treated=lambda x: 2.0 + 0.0 * x[:, 0],
-        outcome_mean_control=lambda x: 0.0 * x[:, 0],
-        noise_sd=0.0,
-        overlap_epsilon=0.4,
-        true_ate=2.0,
-        covariate_sampler=lambda rng, n: rng.uniform(-1, 1, size=(n, d)),
-    )
+# sha256 of the covariate, treatment and outcome bytes of generate(n, seed, dimension),
+# recorded from the generator that took a DgpSpec, before the design became plain functions
+GENERATE_SHA256 = {
+    (500, 3, 2): (
+        "04784a621b3d13bf884e70ca61abf89b3e32738c30b488d99ed6216762a9492e",
+        "e23764ec4c4c80d3a905dcb6c1858d243c3c348ca2dbfbfeb091cc32cf975eaf",
+        "a3e51f4ff056dcf41d0ce8ee43559ade3d4c64c4ddb269b4ccbba0277414ad6d",
+    ),
+    (2000, 0, 1): (
+        "8dcc768c3a13429cf2dfa9706a5f04a00382eb0bc05786e9f5180a2ea1855cfa",
+        "53dedfaae362064090e15341b3a8ca3d58cf4e030077881c9915b191417a378c",
+        "5e701f9c70661b968899d9f082ba253397119c859798ded30b48b6adac3f8b71",
+    ),
+    (300, 7, 17): (
+        "67154563860b96b2e69efe5c72124d6c2e469dba67e4ce879cb3d48c4946a52f",
+        "dfb7d4788cd6bad74dd671774f475090b1288337cc9aabf468feb23320a1b15d",
+        "729787e8061c0fa976d0b02aaf158986504384f9e4710719ec8fe38d0b7337df",
+    ),
+}
 
 
 class TestGenerate:
     def test_seed_determinism(self):
-        spec = logistic_dgp()
-        a = generate(spec, 200, seed=11)
-        b = generate(spec, 200, seed=11)
-        c = generate(spec, 200, seed=12)
+        a = generate(200, seed=11)
+        b = generate(200, seed=11)
+        c = generate(200, seed=12)
         np.testing.assert_array_equal(a.covariates, b.covariates)
         np.testing.assert_array_equal(a.treatment, b.treatment)
         np.testing.assert_array_equal(a.outcome, b.outcome)
         assert not np.array_equal(a.outcome, c.outcome)
 
+    @pytest.mark.parametrize("key", sorted(GENERATE_SHA256))
+    def test_draws_are_pinned(self, key):
+        data = generate(*key)
+        arrays = (data.covariates, data.treatment, data.outcome)
+        assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == GENERATE_SHA256[key]
+
     def test_treated_fraction_half_propensity(self):
-        data = generate(constant_half_spec(), 1000, seed=7)
+        # e(x) - 1/2 is odd in x1 and X1 ~ Uniform[-1, 1], so E[e(X)] = 1/2
+        data = generate(1000, seed=7)
         frac = data.n_treated / data.n
         assert abs(frac - 0.5) <= 5 * np.sqrt(0.25 / 1000)
 
     def test_noiseless_contrast_exact(self):
-        spec = constant_half_spec()
-        data = generate(spec, 500, seed=3)
-        mu1 = spec.outcome_mean_treated(data.covariates)
-        mu0 = spec.outcome_mean_control(data.covariates)
-        np.testing.assert_array_equal(mu1 - mu0, np.full(data.n, 2.0))
-        observed = np.where(data.treatment == 1, mu1, mu0)
-        np.testing.assert_array_equal(data.outcome, observed)
+        # the draws are covariates, treatment uniforms, then the noise z: y = mu_D(x) + z
+        data = generate(500, seed=3)
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1.0, 1.0, size=(500, 2))
+        u = rng.random(500)
+        z = rng.standard_normal(500)
+        assert x.tobytes() == data.covariates.tobytes()
+        np.testing.assert_array_equal(data.treatment, u < logistic_propensity(x))
+        mu1, mu0 = logistic_means(x)
+        assert (np.where(data.treatment == 1, mu1, mu0) + z).tobytes() == data.outcome.tobytes()
 
     def test_logistic_sample_contrast_near_true_ate(self):
-        spec = logistic_dgp()
-        data = generate(spec, 2000, seed=1)
-        diff = spec.outcome_mean_treated(data.covariates) - spec.outcome_mean_control(
-            data.covariates
-        )
+        data = generate(2000, seed=1)
+        mu1, mu0 = logistic_means(data.covariates)
+        diff = mu1 - mu0
         ated = diff.mean()
         tol = 3 * diff.std(ddof=1) / np.sqrt(data.n)
-        assert abs(ated - spec.true_ate) < tol
+        assert abs(ated - LOGISTIC_TRUE_ATE) < tol
 
     def test_logistic_true_ate_mc_oracle(self):
         # 1e6 fresh draws agree with the frozen analytic constant
-        spec = logistic_dgp()
         rng = np.random.default_rng(987)
-        x = spec.covariate_sampler(rng, 10**6)
-        diff = spec.outcome_mean_treated(x) - spec.outcome_mean_control(x)
+        mu1, mu0 = logistic_means(rng.uniform(-1.0, 1.0, size=(10**6, 2)))
+        diff = mu1 - mu0
         se = diff.std(ddof=1) / 1000.0
         assert abs(diff.mean() - LOGISTIC_TRUE_ATE) < 4 * se
 
     def test_overlap_probes_within_epsilon_band(self):
-        spec = logistic_dgp()
         rng = np.random.default_rng(0)
-        x = spec.covariate_sampler(rng, 10**5)
-        e = spec.propensity(x)
-        assert e.min() >= spec.overlap_epsilon
-        assert e.max() <= 1 - spec.overlap_epsilon
+        e = logistic_propensity(rng.uniform(-1.0, 1.0, size=(10**5, 2)))
+        assert e.min() >= 0.1
+        assert e.max() <= 0.9
 
     def test_n_too_small(self):
         with pytest.raises(ValueError, match="n must be >= 2"):
-            generate(logistic_dgp(), 1, seed=0)
+            generate(1, seed=0)
 
-    def test_unknown_builtin(self):
-        with pytest.raises(ValueError, match="unknown DGP"):
-            builtin_dgp("nope")
+    def test_dimension_below_one(self):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            generate(10, seed=0, dimension=0)
+
+    def test_unknown_builtin(self, capsys):
+        # the logistic design is the one built-in; argparse refuses any other name
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["weights", "--dgp", "nope"])
+        assert exit_info.value.code == 2
+        assert "argument --dgp: invalid choice: 'nope'" in capsys.readouterr().err

@@ -16,7 +16,6 @@ from rieszmatch import (
     ate_weight_form,
     fit_outcome,
     generate,
-    logistic_dgp,
     matching_structures,
 )
 import rieszmatch
@@ -93,23 +92,17 @@ class TestAteMatching:
         assert ate_matching(data, matching_structures(data, 2)) == 0.0
 
     def test_null_effect_near_zero(self):
-        # treatment-independent noisy outcome: mean tau over seeds is near zero
-        from rieszmatch.dataset import DgpSpec
-
-        base = logistic_dgp()
-        null_spec = DgpSpec(
-            dimension=base.dimension,
-            propensity=base.propensity,
-            outcome_mean_treated=base.outcome_mean_control,
-            outcome_mean_control=base.outcome_mean_control,
-            noise_sd=1.0,
-            overlap_epsilon=base.overlap_epsilon,
-            true_ate=0.0,
-            covariate_sampler=base.covariate_sampler,
-        )
+        # treatment-independent noisy outcome: mean tau over seeds is near zero.  Each
+        # draw keeps generate's covariates and treatment and sets y = x1 + z, with z
+        # generate's own noise draw, the third after the covariates and treatment
         taus = []
         for s in range(100):
-            data = generate(null_spec, 1000, seed=s)
+            drawn = generate(1000, seed=s)
+            rng = np.random.default_rng(s)
+            rng.uniform(-1.0, 1.0, size=(1000, 2))
+            rng.random(1000)
+            y = drawn.covariates[:, 0] + rng.standard_normal(1000)
+            data = ObservationalDataset(drawn.covariates, drawn.treatment, y)
             taus.append(ate_matching(data, matching_structures(data, 1)))
         taus = np.array(taus)
         assert abs(taus.mean()) < 3 * taus.std(ddof=1) / np.sqrt(len(taus))
@@ -184,7 +177,7 @@ class TestFitOutcome:
             assert np.abs(grad).max() <= 1e-8
 
     def test_variance_reduction_on_logistic_dgp(self):
-        data = generate(logistic_dgp(), 1000, seed=21)
+        data = generate(1000, seed=21)
         mu1, mu0 = fit_outcome(data, degree=1)
         resid = data.outcome - np.where(data.treatment == 1, mu1, mu0)
         for arm in (0, 1):
@@ -199,7 +192,7 @@ class TestFitOutcome:
             fit_outcome(data, degree=1)
 
     def test_stored_means_are_the_fitted_values(self):
-        data = generate(logistic_dgp(), 300, seed=5)
+        data = generate(300, seed=5)
         mu1, mu0 = fit_outcome(data, degree=2)
         features = polynomial_feature_matrix(data.covariates, 2)
         for arm, mu in ((1, mu1), (0, mu0)):
@@ -209,13 +202,13 @@ class TestFitOutcome:
 
     @pytest.mark.parametrize("degree", [4, -1])
     def test_degree_out_of_range_is_refused(self, degree):
-        data = generate(logistic_dgp(), 50, seed=5)
+        data = generate(50, seed=5)
         with pytest.raises(ValueError, match=r"^degree must be in 0\.\.3$"):
             fit_outcome(data, degree)
 
     def test_model_fitted_on_other_rows_is_rejected(self):
-        data = generate(logistic_dgp(), 300, seed=5)
-        model = fit_outcome(generate(logistic_dgp(), 299, seed=5), degree=1)
+        data = generate(300, seed=5)
+        model = fit_outcome(generate(299, seed=5), degree=1)
         structures = matching_structures(data, 3)
         with pytest.raises(ValueError, match="fitted on 299 rows"):
             ate_regression(data, model)
@@ -291,9 +284,9 @@ class TestDrRiesz:
 
 def estimator_case(name):
     if name == "random":
-        return generate(logistic_dgp(), 3000, seed=21), 9
+        return generate(3000, seed=21), 9
     if name == "d17":
-        return generate(logistic_dgp(dimension=17), 2000, seed=21), 7
+        return generate(2000, seed=21, dimension=17), 7
     rng = np.random.default_rng(21)
     x = rng.integers(0, 4, size=(3000, 2)).astype(float)  # a tied integer grid
     treat = (rng.random(3000) < 0.5).astype(int)
@@ -326,7 +319,7 @@ class TestInPlaceArithmetic:
         # one score vector beside the representer's two; the one-line formula
         # held five n-vectors at once.  160 KB vectors stay below numpy's
         # 256 KiB threshold for reusing temporaries, so none is elided here
-        data = generate(logistic_dgp(), 20_000, seed=21)
+        data = generate(20_000, seed=21)
         structures, outcome = matching_structures(data, 9), fit_outcome(data, 1)
         tracemalloc.start()
         try:
@@ -391,7 +384,7 @@ class TestEstimatorInvariances:
     def designs():
         """The logistic design and 4- and 50-level integer grids, n=2000 each."""
         rng = np.random.default_rng(0)
-        out = [generate(logistic_dgp(), 2000, seed=0)]
+        out = [generate(2000, seed=0)]
         for levels in (4, 50):
             x = rng.integers(0, levels, size=(2000, 2)).astype(float)
             d = rng.integers(0, 2, size=2000)
@@ -485,7 +478,7 @@ class TestMatchOnce:
 
     def test_simulate_replication_matches_once(self, monkeypatch):
         calls = count_matches(monkeypatch)
-        taus = cli._simulate_replication("logistic", 300, 8, 1, 7)
+        taus = cli._simulate_replication(300, 8, 1, 7)
         assert abs(taus[0] - taus[1]) <= 1e-12
         assert len(calls) == 1
 

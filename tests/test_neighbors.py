@@ -15,7 +15,7 @@ from oracles import (
     query_indices,
 )
 from rieszmatch import TwoSampleData, matching_structures
-from rieszmatch import generate, logistic_dgp, neighbors
+from rieszmatch import generate, neighbors
 from rieszmatch.dataset import ObservationalDataset
 from rieszmatch.neighbors import (
     _knn_blocks,
@@ -278,7 +278,7 @@ class TestMatchingStructures:
                 built.append(len(data))
 
         monkeypatch.setattr(neighbors, "cKDTree", TrackedTree)
-        data = generate(logistic_dgp(), 500, seed=3)
+        data = generate(500, seed=3)
         structures = matching_structures(data, 4)
         assert len(live) == 0
         assert built == [data.n_treated, data.n_control]
@@ -308,7 +308,7 @@ class TestMatchingStructures:
     def test_arm_trees_own_their_rows(self):
         # each tree keeps a read-only copy of its rows; the caller's arrays
         # stay writable, and writing to them changes no query
-        data = generate(logistic_dgp(), 2_000, seed=0)
+        data = generate(2_000, seed=0)
         for tree, t in zip(arm_trees(data), (1, 0)):
             assert not tree.data.flags.writeable
             rows = data.covariates[data.treatment == t]
@@ -417,7 +417,7 @@ class TestBlockedQueries:
         # the (n, M) match sets would grow with M; reducing each row block as
         # it arrives keeps the peak at a few n-vectors for every M
         monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 1 << 12)
-        data = generate(logistic_dgp(), 20_000, seed=0)
+        data = generate(20_000, seed=0)
         for m in (30, 120):
             tracemalloc.start()
             try:
@@ -430,7 +430,7 @@ class TestBlockedQueries:
     def test_default_blocks_bound_match_memory(self):
         # leaf-ordered queries in blocks of _BLOCK_ENTRIES candidates at the
         # library default: 11.2 MB traced with 2^18-entry blocks in file order
-        data = generate(logistic_dgp(), 20_000, seed=0)
+        data = generate(20_000, seed=0)
         tracemalloc.start()
         try:
             matching_structures(data, 55)
