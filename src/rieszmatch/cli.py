@@ -57,9 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_dre.add_argument("--grid", type=int, default=4, help="per-dimension Gaussian grid size")
 
     p_w = sub.add_parser("weights", help="per-unit matching weights")
-    p_w.add_argument("--input", default=None, help="dataset CSV (oracle column is na)")
+    source = p_w.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="dataset CSV (oracle column is na)")
     dgp_help = "the built-in logistic design (enables the oracle column)"
-    p_w.add_argument("--dgp", choices=["logistic"], default=None, help=dgp_help)
+    source.add_argument("--dgp", choices=["logistic"], help=dgp_help)
     # absent unless given, so that --input can refuse them
     p_w.add_argument("--n", type=int, default=argparse.SUPPRESS, help="--dgp size (default 500)")
     p_w.add_argument("--m", type=int, default=None)
@@ -118,7 +119,7 @@ def _estimate(variant: str, data, structures, outcome) -> float:
     return matching.ate_dr_riesz(data, structures, outcome)
 
 
-def cmd_ate(args) -> tuple[str, int]:
+def cmd_ate(args) -> tuple[list, list, int]:
     data = ds.load_csv(args.input)
     m = args.m if args.m is not None else default_match_count(data.n)
     structures = matching_structures(data, m)
@@ -129,7 +130,6 @@ def cmd_ate(args) -> tuple[str, int]:
     if not math.isfinite(tau):
         raise ValueError(f"the {args.estimator} estimate overflowed: tau={tau}")
     header = [
-        ("command", "ate"),
         ("input", args.input),
         ("estimator", args.estimator),
         ("m", m),
@@ -142,10 +142,10 @@ def cmd_ate(args) -> tuple[str, int]:
     ]
     max_weight = float(structures.weights.max())
     record = [("tau", tau), ("variant", variant), ("m", m), ("max_weight", max_weight)]
-    return render_report(header, [record]), 0
+    return header, [record], 0
 
 
-def cmd_dre(args) -> tuple[str, int]:
+def cmd_dre(args) -> tuple[list, list, int]:
     den = ds.load_points_csv(args.denominator)
     num = ds.load_points_csv(args.numerator)
     points = ds.load_points_csv(args.eval_points)
@@ -166,7 +166,6 @@ def cmd_dre(args) -> tuple[str, int]:
         # another order and change the last bit of r_hat
         values = [float(np.dot(beta, row)) for row in phi]
     header = [
-        ("command", "dre"),
         ("denominator", args.denominator),
         ("numerator", args.numerator),
         ("eval_points", args.eval_points),
@@ -183,12 +182,10 @@ def cmd_dre(args) -> tuple[str, int]:
         rec += [(f"x{k}", float(point[k])) for k in range(len(point))]
         rec.append(("r_hat", value))
         records.append(rec)
-    return render_report(header, records), 0
+    return header, records, 0
 
 
-def cmd_weights(args) -> tuple[str, int]:
-    if (args.input is None) == (args.dgp is None):
-        raise ValueError("pass exactly one of --input or --dgp")
+def cmd_weights(args) -> tuple[list, list, int]:
     oracle = None
     if args.input is not None:
         if "n" in args or "seed" in args:
@@ -204,7 +201,7 @@ def cmd_weights(args) -> tuple[str, int]:
     m = args.m if args.m is not None else default_match_count(data.n)
     structures = matching_structures(data, m)
     weights = structures.weights
-    header = [("command", "weights")] + source + [("m", m), ("metric", "euclidean")]
+    header = source + [("m", m), ("metric", "euclidean")]
     header += [("n", data.n)] if oracle is None else []  # a --dgp source names its n
     header.append(("max_weight", float(weights.max())))
     records = []
@@ -217,7 +214,7 @@ def cmd_weights(args) -> tuple[str, int]:
             ("oracle", "na" if oracle is None else float(oracle[i])),
         ]
         records.append(rec)
-    return render_report(header, records), 0
+    return header, records, 0
 
 
 def _simulate_replication(n: int, m: int, degree: int, seed: int) -> list[float]:
@@ -228,7 +225,7 @@ def _simulate_replication(n: int, m: int, degree: int, seed: int) -> list[float]
     return [_estimate(variant, data, structures, outcome) for variant in _SIM_VARIANTS]
 
 
-def cmd_simulate(args) -> tuple[str, int]:
+def cmd_simulate(args) -> tuple[list, list, int]:
     if args.reps < 1:
         raise ValueError("--reps must be >= 1")
     m = args.m if args.m is not None else default_match_count(args.n)
@@ -236,7 +233,6 @@ def cmd_simulate(args) -> tuple[str, int]:
     replicate = functools.partial(_simulate_replication, args.n, m, args.degree)
     rows = _pool_map(replicate, args.jobs, seeds)
     header = [
-        ("command", "simulate"),
         ("dgp", args.dgp),
         ("n", args.n),
         ("reps", args.reps),
@@ -258,17 +254,16 @@ def cmd_simulate(args) -> tuple[str, int]:
         [("rep", rep), ("seed", seeds[rep])] + [(f"tau_{v}", t) for v, t in zip(_SIM_VARIANTS, row)]
         for rep, row in enumerate(rows)
     ]
-    return render_report(header, records), 0
+    return header, records, 0
 
 
-def cmd_verify(args) -> tuple[str, int]:
+def cmd_verify(args) -> tuple[list, list, int]:
     if args.instances < 1:
         raise ValueError("--instances must be >= 1")
     seeds = eq.instance_seeds(args.seed, args.instances)
     results = _pool_map(eq.run_instance, args.jobs, seeds)
     passed = all(eq.max_judged_gap(gaps) <= eq.GAP_THRESHOLD for gaps in results)
     header = [
-        ("command", "verify"),
         ("seed", args.seed),
         ("instances", args.instances),
         ("metric", "euclidean"),
@@ -281,7 +276,7 @@ def cmd_verify(args) -> tuple[str, int]:
         [("instance", i), ("seed", seed)] + list(gaps.items())
         for i, (seed, gaps) in enumerate(zip(seeds, results))
     ]
-    return render_report(header, records), 0 if passed else 1
+    return header, records, 0 if passed else 1
 
 
 _DISPATCH = {
@@ -306,8 +301,8 @@ def main(argv=None) -> int:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         if "seed" in args and not 0 <= args.seed < 2**64:
             raise ValueError(f"--seed must be in [0, 2^64), got {args.seed}")
-        body, status = _DISPATCH[args.command](args)
-        _emit(body, args.output)
+        header, records, status = _DISPATCH[args.command](args)
+        _emit(render_report([("command", args.command), *header], records), args.output)
     except (*_PATH_ERRORS, ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,12 @@ Outcome = tuple[np.ndarray, np.ndarray]  # (mu_treated, mu_control) at every row
 
 def fit_outcome(dataset: ObservationalDataset, degree: int) -> Outcome:
     """Least-squares polynomial fit of each arm's outcome mean; ``degree`` is 0..3."""
-    features = polynomial_feature_matrix(dataset.covariates, degree)
+    # a column whose largest |x| lies outside [2^-8, 2^8) is scaled by the power of two
+    # that puts it in [1, 2): exact, the same polynomial space, and a well-scaled lstsq
+    x = dataset.covariates
+    e = np.frexp(np.maximum(x.max(axis=0), -x.min(axis=0)))[1]
+    shift = np.where((e < -7) | (e > 8), 1 - e, 0)
+    features = polynomial_feature_matrix(np.ldexp(x, shift) if shift.any() else x, degree)
     n_coef = features.shape[1]
     coefs = {}
     for arm, name in ((1, "treated"), (0, "control")):

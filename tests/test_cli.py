@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from oracles import fit_on, fitted_value, parse_report
-from rieszmatch import TwoSampleData, cli, generate, lsif, save_csv, save_points_csv
+from rieszmatch import (
+    ObservationalDataset, TwoSampleData, cli, generate, lsif, save_csv, save_points_csv,
+)
 from rieszmatch.report import RECORD_SEPARATOR
 
 FOUR_UNIT_CSV = "x0,d,y\n0.0,1,1.0\n2.0,1,3.0\n0.1,0,0.0\n1.9,0,2.0\n"
@@ -78,6 +80,29 @@ class TestAte:
         assert cli.main(["ate", "--input", str(path), "--estimator", estimator, "--m", "2"]) == 2
         err = capsys.readouterr().err
         assert err == f"error: the {estimator} estimate overflowed: tau=nan\n"
+
+    @pytest.mark.parametrize("estimator", ["bc", "dr"])
+    def test_constant_huge_outcome_within_one_ulp(self, tmp_path, estimator):
+        # the true ATE of a constant outcome is 0; roundoff at 1.7e308 is below one ulp
+        path = tmp_path / "huge.csv"
+        path.write_text("x0,d,y\n" + "".join(f"0.{k},{k % 2},1.7e308\n" for k in range(1, 7)))
+        code, text = run(tmp_path, "ate", "--input", str(path), "--estimator", estimator, "--m", "2")
+        assert code == 0
+        assert abs(float(parse_report(text)[0]["tau"])) <= np.spacing(1.7e308)
+
+    def test_outcome_fit_takes_any_covariate_scale(self, tmp_path):
+        # the fit scales a column by a power of two, so x 8192 gives the same tau
+        data = generate(20_000, seed=0)
+        taus = {}
+        for scale in (1.0, 8192.0, 1e150):
+            path = tmp_path / f"x{scale}.csv"
+            save_csv(ObservationalDataset(data.covariates * scale, data.treatment, data.outcome), path)
+            argv = ["ate", "--input", str(path), "--estimator", "dr", "--degree", "3"]
+            code, text = run(tmp_path, *argv)
+            assert code == 0
+            taus[scale] = float(parse_report(text)[0]["tau"])
+        assert abs(taus[8192.0] - taus[1.0]) <= 1e-12
+        assert np.isfinite(taus[1e150])
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code = cli.main(["ate", "--input", str(tmp_path / "nope.csv"), "--m", "1"])
@@ -274,9 +299,13 @@ class TestWeights:
         oracles = np.array([float(r["oracle"]) for r in records])
         assert np.all(oracles > 1.0)  # inverse propensities exceed 1
 
-    def test_requires_exactly_one_source(self, tmp_path, four_unit_file):
-        assert cli.main(["weights", "--input", str(four_unit_file), "--dgp", "logistic"]) == 2
-        assert cli.main(["weights"]) == 2
+    def test_requires_exactly_one_source(self, tmp_path, capsys, four_unit_file):
+        both = ["--input", str(four_unit_file), "--dgp", "logistic"]
+        for argv, message in (([], "one of the arguments"), (both, "not allowed with")):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(["weights", *argv])
+            assert exit_info.value.code == 2
+            assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--n", "4"], ["--seed", "0"], ["--n", "500", "--seed", "0"]])
     def test_input_refuses_the_dgp_draw_flags(self, tmp_path, capsys, four_unit_file, flag):
@@ -530,6 +559,24 @@ def test_overflowing_squared_distance_exits_two(tmp_path, capsys, command):
 
 
 class TestReportFormat:
+    @pytest.mark.parametrize("command", ["ate", "dre", "weights", "simulate", "verify"])
+    def test_command_key_first_and_each_header_key_once(self, tmp_path, four_unit_file, command):
+        for name, text in (("den", DEN_CSV), ("num", NUM_CSV), ("pts", PTS_CSV)):
+            (tmp_path / f"{name}.csv").write_text(text)
+        argv = {
+            "ate": ["--input", str(four_unit_file), "--m", "1"],
+            "dre": ["--denominator", str(tmp_path / "den.csv"), "--numerator",
+                    str(tmp_path / "num.csv"), "--eval-points", str(tmp_path / "pts.csv")],
+            "weights": ["--dgp", "logistic", "--n", "40", "--m", "1"],
+            "simulate": ["--n", "50", "--reps", "2"],
+            "verify": ["--instances", "1"],
+        }[command]
+        code, text = run(tmp_path, command, *argv)
+        lines = text.split(RECORD_SEPARATOR)[0].splitlines()
+        keys = [line.split("=", 1)[0] for line in lines]
+        assert code == 0 and lines[0] == f"command={command}"
+        assert len(keys) == len(set(keys)), keys
+
     def test_numbers_round_trip(self, tmp_path):
         _, text = run(tmp_path, "verify", "--instances", "2", "--seed", "7")
         header, records = parse_report(text)

@@ -370,9 +370,9 @@ class TestEstimatorInvariances:
                 assert abs(variant(data, match) - variant(shifted, match_s)) <= 1e-10
 
     @staticmethod
-    def taus(data, m=26):
-        """tau of ``ate --estimator`` matching, weight, bc and dr at degree 1."""
-        match, outcome = matching_structures(data, m), fit_outcome(data, 1)
+    def taus(data, m=26, degree=1):
+        """tau of ``ate --estimator`` matching, weight, bc and dr at ``degree``."""
+        match, outcome = matching_structures(data, m), fit_outcome(data, degree)
         return np.array([
             ate_matching(data, match),
             ate_weight_form(data, match),
@@ -397,12 +397,17 @@ class TestEstimatorInvariances:
             np.testing.assert_allclose(self.taus(swapped), -self.taus(data), rtol=0, atol=1e-12)
 
     def test_power_of_two_scaling_keeps_the_match(self):
-        for data in self.designs():
-            scaled = rescaled(data, 8.0)
+        # the outcome fit must not refuse, or move tau on, badly scaled covariates
+        for data, scale in itertools.product(self.designs(), (8.0, 2.0**13, 2.0**-20, 2.0**30)):
+            scaled = rescaled(data, scale)
             match, match_s = matching_structures(data, 26), matching_structures(scaled, 26)
             np.testing.assert_array_equal(match_s.matched_outcome, match.matched_outcome)
             np.testing.assert_array_equal(match_s.matched_times, match.matched_times)
-            np.testing.assert_allclose(self.taus(scaled), self.taus(data), rtol=0, atol=1e-12)
+            for degree in (1, 2, 3):
+                np.testing.assert_allclose(
+                    self.taus(scaled, degree=degree), self.taus(data, degree=degree),
+                    rtol=0, atol=1e-12, err_msg=f"scale {scale}, degree {degree}",
+                )
 
     @pytest.mark.xfail(
         strict=True,
