@@ -165,12 +165,13 @@ def cmd_dre(args) -> tuple[list, list, int]:
         # one dot per row, not phi @ beta: a matrix-vector product may sum in
         # another order and change the last bit of r_hat
         values = [float(np.dot(beta, row)) for row in phi]
+    param = {"indicator": "m", "poly": "degree", "gauss": "grid"}[args.basis]  # what the fit used
     header = [
         ("denominator", args.denominator),
         ("numerator", args.numerator),
         ("eval_points", args.eval_points),
         ("basis", args.basis),
-        ("m", args.m),
+        (param, getattr(args, param)),
         ("lambda", float(lam)),
         ("metric", "euclidean"),
         ("n_denominator", data.n_denominator),

@@ -11,7 +11,8 @@ import pytest
 
 from oracles import fit_on, fitted_value, parse_report
 from rieszmatch import (
-    ObservationalDataset, TwoSampleData, cli, generate, lsif, save_csv, save_points_csv,
+    ObservationalDataset, TwoSampleData, cli, generate, logistic_propensity, lsif, save_csv,
+    save_points_csv,
 )
 from rieszmatch.report import RECORD_SEPARATOR
 
@@ -151,6 +152,26 @@ class TestDre:
         assert code == 0
         header, records = parse_report(text)
         assert float(records[0]["r_hat"]) == 2.0
+
+    @pytest.mark.parametrize(
+        "basis,flag,value", [("poly", "--degree", "3"), ("gauss", "--grid", "5")]
+    )
+    def test_header_names_the_basis_parameter(self, tmp_path, basis, flag, value):
+        # two fits that differ only in --degree or --grid get different headers
+        for name, body in (("den", DEN_CSV), ("num", NUM_CSV), ("pts", PTS_CSV)):
+            (tmp_path / f"{name}.csv").write_text(body)
+        code, text = run(
+            tmp_path,
+            "dre", "--denominator", str(tmp_path / "den.csv"),
+            "--numerator", str(tmp_path / "num.csv"),
+            "--eval-points", str(tmp_path / "pts.csv"),
+            "--basis", basis, flag, value, "--lambda", "0.1",
+        )
+        assert code == 0
+        header, _ = parse_report(text)
+        keys = list(header)
+        assert keys[keys.index("basis") + 1] == flag[2:] and header[flag[2:]] == value
+        assert "m" not in header
 
     @pytest.mark.parametrize("grid", ["0", "-1"])
     @pytest.mark.parametrize("lam", [[], ["--lambda", "0.1"]])
@@ -298,6 +319,16 @@ class TestWeights:
         assert len(records) == 80
         oracles = np.array([float(r["oracle"]) for r in records])
         assert np.all(oracles > 1.0)  # inverse propensities exceed 1
+        # the columns are the draw's own: its treatment, 1 + k/m and the arm's 1/e or 1/(1-e)
+        data = generate(80, 4)
+        e = logistic_propensity(data.covariates)
+        assert [int(r["d"]) for r in records] == data.treatment.tolist()
+        assert [r["w"] for r in records] == [repr(1.0 + int(r["k"]) / 2) for r in records]
+        expected = [
+            repr(float(1.0 / p if treated else 1.0 / (1.0 - p)))
+            for treated, p in zip(data.treatment, e)
+        ]
+        assert [r["oracle"] for r in records] == expected
 
     def test_requires_exactly_one_source(self, tmp_path, capsys, four_unit_file):
         both = ["--input", str(four_unit_file), "--dgp", "logistic"]
