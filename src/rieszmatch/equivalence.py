@@ -48,8 +48,9 @@ from .neighbors import MatchStructures, _mth_sq_radius_batch, arm_trees, matchin
 from .riesz import fit_weight_arm, nn_representer_values, riesz_fit
 
 GAP_THRESHOLD = 1e-12
-# Random instances draw their dimension from 1..3 and M from 1..5.
-_MAX_D, _MAX_M = 3, 5
+# Random instances draw their dimension from 1..3 and M from 1..5; verify's
+# have at most 160 units per sample.
+_MAX_D, _MAX_M, _MAX_N = 3, 5, 160
 
 
 def random_two_sample_instance(
@@ -153,12 +154,12 @@ def max_judged_gap(gaps: dict[str, float]) -> float:
     return float(np.max([gap for name, gap in gaps.items() if name != "separability_gap"]))
 
 
-def run_instance(seed: int, max_n: int = 160) -> dict[str, float]:
+def run_instance(seed: int) -> dict[str, float]:
     """All equivalence gaps on one random instance pair, by name in report order;
     worker for ``verify``."""
     rng = np.random.default_rng(seed)
-    two_sample, m2 = random_two_sample_instance(rng, max_n=max_n)
-    dataset, scale, m_obs = random_observational_instance(rng, max_n=max_n)
+    two_sample, m2 = random_two_sample_instance(rng, max_n=_MAX_N)
+    dataset, scale, m_obs = random_observational_instance(rng, max_n=_MAX_N)
     lsif_values, one_step = verify_theorem1_all(two_sample, m2)
     gaps = {"theorem1_gap": float(np.abs(lsif_values - one_step).max())}
     # a plain Euclidean scale of 1.0 needs no rescaled copy

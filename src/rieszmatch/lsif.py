@@ -6,13 +6,15 @@ empirical quadratic risk
     J(beta) = (1/2) beta' H beta - beta' h + (lambda/2) |beta|^2,
 
 where H averages Phi Phi' over the denominator sample and h averages Phi over
-the numerator sample.  The unique minimizer is (H + lambda I)^{-1} h, solved
-by ``ridge_solve`` (shared with Riesz regression) through a symmetric
-positive-definite factorization with explicit singularity detection (nothing
-is silently regularized).  A basis is a plain function from (k, d) points to
-their (k, b) feature matrix.  ``fit`` takes it evaluated at both samples, runs
-``check_features``, the one check of every LSIF and Riesz fit, on each, and
-returns the ridge (by default 1e-6 trace(H)/b, for numerical safety) and beta.
+the numerator sample.  The unique minimizer is (H + lambda I)^{-1} h.  LSIF and
+Riesz regression share this fit: ``_moments`` builds H and h for both (an
+arm's Riesz moments are LSIF's with that arm as the denominator and n in place
+of its size), and ``ridge_solve`` factors the system with LAPACK's Cholesky
+pair and explicit singularity detection (nothing is silently regularized).  A
+basis is a plain function from (k, d) points to their (k, b) feature matrix.
+``fit`` takes it evaluated at both samples, runs ``check_features``, the one
+check of every LSIF and Riesz fit, on each, and returns the ridge (by default
+1e-6 trace(H)/b, read off the H it builds, for numerical safety) and beta.
 The sample objective and its gradient, which the tests check the fit against,
 live in ``tests/oracles.py``.
 
@@ -55,32 +57,22 @@ def _check_lambda(lam: float) -> None:
         raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
 
 
-def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a symmetric positive-definite system by LAPACK's Cholesky pair
-    dpotrf/dpotrs, the routines scipy's cho_factor/cho_solve wrap.
-
-    The factor overwrites an F-contiguous float64 ``matrix``; LAPACK copies
-    a matrix in any other layout first and leaves it as it was.  Raises
-    numpy.linalg.LinAlgError when the matrix is not positive definite or when
-    the relative pivot ratio falls below 1e-12 or is NaN, as on a NaN matrix.
-    """
-    a = np.atleast_2d(np.asarray(matrix, dtype=float))
-    factor, info = dpotrf(a, lower=True, overwrite_a=True, clean=False)
-    if info != 0:
-        raise np.linalg.LinAlgError("matrix is singular or not positive definite")
-    pivots = np.diag(factor) ** 2
-    if not pivots.min() > _PIVOT_RTOL * pivots.max():
-        raise np.linalg.LinAlgError(
-            f"matrix is numerically singular (relative pivot below {_PIVOT_RTOL:g})"
-        )
-    return dpotrs(factor, np.asarray(rhs, dtype=float), lower=True)[0]
+def _moments(phi_sq: np.ndarray, phi_lin: np.ndarray, count: int):
+    """The moments of every quadratic-risk fit: H = phi_sq' phi_sq / count and h, the
+    mean row of ``phi_lin``; LSIF's from the two samples, an arm's Riesz ones from
+    the arm's rows, every unit's and n."""
+    h_mat = phi_sq.T @ phi_sq
+    h_mat /= count
+    return h_mat, phi_lin.mean(axis=0)
 
 
 def ridge_solve(h_mat: np.ndarray, h_vec: np.ndarray, lam: float, singular: str) -> np.ndarray:
     """Solve (H + lambda I) beta = h, the minimizer of a ridge-penalized quadratic
-    risk.  Moments that overflowed float64 raise LinAlgError that says so, and a
-    singular system raises LinAlgError with ``singular`` formatted at ``lam``;
-    each caller checks its lambda before it assembles the moments.
+    risk, by LAPACK's Cholesky pair dpotrf/dpotrs (what scipy's cho_factor and
+    cho_solve wrap).  Moments that overflowed float64 raise LinAlgError that says
+    so; a system not positive definite, or whose relative pivot ratio is not above
+    1e-12, raises it with ``singular`` formatted at ``lam``.  Each caller checks
+    its lambda before it assembles the moments.
 
     The system is one copy of ``h_mat``, factored in place through its
     F-contiguous transpose.  Every caller builds ``h_mat`` from ``A.T @ A``
@@ -90,10 +82,12 @@ def ridge_solve(h_mat: np.ndarray, h_vec: np.ndarray, lam: float, singular: str)
         raise np.linalg.LinAlgError("non-finite moments: the feature products overflow float64")
     system = h_mat.copy()
     system.reshape(-1)[:: len(system) + 1] += lam
-    try:
-        return solve_spd(system.T, h_vec)
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(singular.format(lam=lam)) from None
+    factor, info = dpotrf(system.T, lower=True, overwrite_a=True, clean=False)
+    if info == 0:
+        pivots = np.diag(factor) ** 2
+        if pivots.min() > _PIVOT_RTOL * pivots.max():
+            return dpotrs(factor, h_vec, lower=True)[0]
+    raise np.linalg.LinAlgError(singular.format(lam=lam))
 
 
 def check_features(phi, rows: int | None = None, columns: int | None = None) -> np.ndarray:
@@ -119,13 +113,10 @@ def fit(phi_den, phi_num, lam: float | None = None) -> tuple[float, np.ndarray]:
     if lam is not None:
         _check_lambda(lam)
     phi_den = check_features(phi_den)
-    n_den, b = phi_den.shape
+    phi_num = check_features(phi_num, columns=phi_den.shape[1])
+    h_mat, h_vec = _moments(phi_den, phi_num, len(phi_den))
     if lam is None:
-        lam = 1e-6 * (float(np.sum(phi_den * phi_den)) / n_den) / b
-    phi_num = check_features(phi_num, columns=b)
-    h_mat = phi_den.T @ phi_den
-    h_mat /= n_den
-    h_vec = phi_num.mean(axis=0)
+        lam = 1e-6 * float(np.trace(h_mat)) / len(h_mat)
     singular = (
         "singular moment matrix at lambda={lam:g}; "
         "the basis has no unique minimizer on this sample"

@@ -2,12 +2,14 @@
 
 The inverse propensity weights 1/e(x) and 1/(1-e(x)) are density ratios
 (marginal covariate density over the within-arm joint density), so each arm's
-weight function can be fitted by the same quadratic risk as LSIF: the squared
-term averages over the arm, the linear term over the whole sample.  Fitting
-both arms at once minimizes the joint Riesz regression risk; the joint system
-is block diagonal, so the coefficients coincide with the two arm-wise fits.
-Both fits take the basis evaluated at every unit by their caller and check it
-with ``lsif.check_features``, as ``lsif.fit`` does its two feature matrices, so
+weight function is fitted by LSIF's quadratic risk: ``lsif._moments`` builds
+the moments with the arm's rows as the denominator sample and n in place of
+its size, and ``lsif.ridge_solve`` solves them, so an arm's coefficients are
+n/N_a times those of LSIF at ridge lambda * n/N_a.  Fitting both arms at once
+minimizes the joint Riesz regression risk; the joint system is block
+diagonal, so the coefficients coincide with the two arm-wise fits.  Both fits
+take the basis evaluated at every unit by their caller and check it with
+``lsif.check_features``, as ``lsif.fit`` does its two feature matrices, so
 ``equivalence.separability_max_gap`` runs all three solves on one evaluation.
 
 With the per-point catchment indicator basis and no ridge penalty the fitted
@@ -23,24 +25,17 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import ObservationalDataset
-from .lsif import _check_lambda, check_features, ridge_solve
+from .lsif import _check_lambda, _moments, check_features, ridge_solve
 from .neighbors import MatchStructures
-
-
-def _arm_moments(dataset: ObservationalDataset, arm: int, phi: np.ndarray):
-    """One arm's moments from the basis evaluated at every unit."""
-    if arm not in (0, 1):
-        raise ValueError("arm must be 0 or 1")
-    phi_arm = phi[dataset.treatment == arm]
-    h_mat = phi_arm.T @ phi_arm / dataset.n
-    h_vec = phi.mean(axis=0)
-    return h_mat, h_vec
 
 
 def fit_weight_arm(dataset: ObservationalDataset, arm: int, phi: np.ndarray, lam: float):
     """Closed-form coefficients of one arm's inverse-propensity weight model."""
     _check_lambda(lam)
-    h_mat, h_vec = _arm_moments(dataset, arm, check_features(phi, dataset.n))
+    phi = check_features(phi, dataset.n)
+    if arm not in (0, 1):
+        raise ValueError("arm must be 0 or 1")
+    h_mat, h_vec = _moments(phi[dataset.treatment == arm], phi, dataset.n)
     singular = f"singular moment matrix for arm {arm} at lambda={{lam:g}}"
     return ridge_solve(h_mat, h_vec, lam, singular)
 
@@ -52,7 +47,7 @@ def riesz_fit(dataset: ObservationalDataset, phi: np.ndarray, lam: float):
     arms, so each half matches ``fit_weight_arm``."""
     _check_lambda(lam)
     phi = check_features(phi, dataset.n)
-    (h1, h_vec), (h0, _) = _arm_moments(dataset, 1, phi), _arm_moments(dataset, 0, phi)
+    (h1, h_vec), (h0, _) = (_moments(phi[dataset.treatment == a], phi, dataset.n) for a in (1, 0))
     b = phi.shape[1]
     joint = np.zeros((2 * b, 2 * b))
     joint[:b, :b], joint[b:, b:] = h1, h0

@@ -43,7 +43,6 @@ from rieszmatch.neighbors import (
     _tree,
 )
 from rieszmatch.report import RECORD_SEPARATOR
-from rieszmatch.riesz import _arm_moments
 
 
 def query_indices(tree, m: int, queries) -> np.ndarray:
@@ -274,9 +273,11 @@ def arm_objective_value(
 def arm_objective_gradient(
     dataset: ObservationalDataset, arm: int, phi: np.ndarray, lam: float, theta: np.ndarray
 ) -> np.ndarray:
-    h_mat, h_vec = _arm_moments(dataset, arm, phi)
+    """Analytic gradient (H_arm + lambda I) theta - h of the arm risk, where H_arm
+    sums Phi Phi' over the arm's units and divides by n, and h averages Phi."""
+    phi_arm = phi[dataset.treatment == arm]
     theta = np.asarray(theta, dtype=float)
-    return h_mat @ theta + lam * theta - h_vec
+    return (phi_arm.T @ phi_arm / dataset.n) @ theta + lam * theta - phi.mean(axis=0)
 
 
 def parse_report(text: str) -> tuple[dict, list[dict]]:

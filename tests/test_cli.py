@@ -499,8 +499,8 @@ class TestVerify:
         corruptions = {"theorem1_gap": lambda gap: gap + 1e-6, "eq1_gap": lambda gap: np.nan}
         for name, corrupt in corruptions.items():
 
-            def broken(seed, max_n=160):
-                gaps = real(seed, max_n)
+            def broken(seed):
+                gaps = real(seed)
                 return {**gaps, name: corrupt(gaps[name])} if seed == last else gaps
 
             monkeypatch.setattr(cli.eq, "run_instance", broken)

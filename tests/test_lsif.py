@@ -28,7 +28,7 @@ from rieszmatch import (
 )
 from rieszmatch import lsif, neighbors
 from rieszmatch.equivalence import random_two_sample_instance
-from rieszmatch.lsif import _rows_in, check_features, indicator_dre, solve_spd
+from rieszmatch.lsif import _rows_in, check_features, indicator_dre, ridge_solve
 
 
 def poly(degree):
@@ -132,10 +132,24 @@ class TestFit:
             tracemalloc.stop()
         assert peak < 2.5 * b * b * 8, peak / (b * b * 8)
         assert held < 0.1 * b * b * 8, held / (b * b * 8)
-        # the out-of-place formula, bit for bit
+        # the out-of-place formula and scipy's Cholesky pair, bit for bit
         h_mat = phi_den.T @ phi_den / data.n_denominator
         h_vec = phi_num.mean(axis=0)
-        np.testing.assert_array_equal(beta, solve_spd(h_mat + lam * np.eye(b), h_vec))
+        factor = scipy.linalg.cho_factor(h_mat + lam * np.eye(b), lower=True)
+        np.testing.assert_array_equal(beta, scipy.linalg.cho_solve(factor, h_vec))
+
+    def test_default_ridge_holds_no_feature_copy(self):
+        # the default ridge is read off H: a sum of the squared features held a
+        # (k, b) copy of the denominator's, 1.0x its bytes
+        phi_den = np.random.default_rng(13).normal(size=(200_000, 20))
+        phi_num = phi_den[:100]
+        tracemalloc.start()
+        try:
+            fit(phi_den, phi_num)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * phi_den.nbytes, peak / phi_den.nbytes
 
     def test_h_symmetric_psd(self):
         rng = np.random.default_rng(8)
@@ -358,7 +372,7 @@ class TestRowsIn:
             np.testing.assert_array_equal(_rows_in(points, ref), expected)
 
 
-class TestSolveSpd:
+class TestRidgeSolve:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_bit_equal_to_scipy_cholesky(self, order):
         rng = np.random.default_rng(67)
@@ -368,24 +382,28 @@ class TestSolveSpd:
             rhs = rng.normal(size=b)
             factor = scipy.linalg.cho_factor(system, lower=True, check_finite=False)
             expected = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-            got = solve_spd(np.array(system, order=order), rhs)
+            h_mat = np.array(system, order=order)
+            got = ridge_solve(h_mat, rhs, 0.0, "singular")
             assert got.tobytes() == expected.tobytes()
+            np.testing.assert_array_equal(h_mat, system)  # factored in a copy
 
-    def test_errors_keep_their_text(self):
-        with pytest.raises(
-            np.linalg.LinAlgError, match="^matrix is singular or not positive definite$"
-        ):
-            solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
-        with pytest.raises(
-            np.linalg.LinAlgError,
-            match=r"^matrix is numerically singular \(relative pivot below 1e-12\)$",
-        ):
-            solve_spd(np.diag([1.0, 1e-13]), np.ones(2))
+    def test_singular_systems_raise_the_callers_text(self):
+        singular = "no fit at lambda={lam:g}"
+        # not positive definite: LAPACK stops at the second pivot
+        with pytest.raises(np.linalg.LinAlgError, match="^no fit at lambda=0$"):
+            ridge_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2), 0.0, singular)
+        # positive definite, but the relative pivot ratio is not above 1e-12
+        with pytest.raises(np.linalg.LinAlgError, match="^no fit at lambda=1e-14$"):
+            ridge_solve(np.diag([1.0, 0.0]), np.ones(2), 1e-14, singular)
+        beta = ridge_solve(np.diag([1.0, 0.0]), np.ones(2), 1e-11, singular)
+        np.testing.assert_allclose(beta, [1.0 / (1 + 1e-11), 1e11], rtol=1e-14)
 
-    def test_nan_matrix_is_refused(self):
-        # LAPACK factors it with info 0 and a NaN pivot, and the solve was all NaN
-        with pytest.raises(np.linalg.LinAlgError, match="^matrix is numerically singular"):
-            solve_spd(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
+    def test_non_finite_moments_are_refused(self):
+        # LAPACK factors a NaN matrix with info 0 and a NaN pivot
+        message = "^non-finite moments: the feature products overflow float64$"
+        for h_mat, h_vec in (([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]), (np.eye(2), [np.inf, 1.0])):
+            with pytest.raises(np.linalg.LinAlgError, match=message):
+                ridge_solve(np.array(h_mat), np.array(h_vec), 0.0, "singular")
 
 
 class TestOptimality:
@@ -447,7 +465,7 @@ class TestOptimality:
         h_mat, h_vec = lsif_moments(data, basis)
         system = h_mat + lam * np.eye(len(beta))
         for s in (0.5, 2.0, -3.0):
-            scaled = solve_spd(system, s * h_vec)
+            scaled = scipy.linalg.cho_solve(scipy.linalg.cho_factor(system), s * h_vec)
             np.testing.assert_allclose(scaled, s * beta, rtol=1e-12)
 
 
@@ -564,7 +582,7 @@ class TestBuiltInBases:
         else:
             basis = gaussian_grid_basis(data.denominator, per_dim=3)
         phi = basis(data.denominator)
-        lam = 1e-6 * (float(np.sum(phi * phi)) / data.n_denominator) / phi.shape[1]
+        lam = 1e-6 * np.trace(phi.T @ phi / data.n_denominator) / phi.shape[1]
         default_lam, beta = fit_on(data, basis)
         assert default_lam == lam
         np.testing.assert_array_equal(beta, fit_on(data, basis, lam)[1])

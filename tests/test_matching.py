@@ -502,8 +502,8 @@ class TestMatchOnce:
                 super().__init__(data, *args, **kwargs)
 
         rng = np.random.default_rng(12345)
-        two_sample, _ = equivalence.random_two_sample_instance(rng, max_n=160)
-        dataset, _, _ = random_observational_instance(rng, max_n=160)
+        two_sample, _ = equivalence.random_two_sample_instance(rng, max_n=equivalence._MAX_N)
+        dataset, _, _ = random_observational_instance(rng, max_n=equivalence._MAX_N)
 
         for module in (lsif, equivalence, matching):
             monkeypatch.setattr(module, "polynomial_feature_matrix", counted_features)
@@ -520,8 +520,8 @@ class TestMatchOnce:
         # seed 9 draws a weighted observational instance in d=2, whose match
         # differs from the plain Euclidean one
         rng = np.random.default_rng(9)
-        equivalence.random_two_sample_instance(rng, max_n=160)
-        raw, scale, m = equivalence.random_observational_instance(rng, max_n=160)
+        equivalence.random_two_sample_instance(rng, max_n=equivalence._MAX_N)
+        raw, scale, m = equivalence.random_observational_instance(rng, max_n=equivalence._MAX_N)
         matched = rescaled(raw, scale)
         plain_times = matching_structures(raw, m).matched_times
         assert np.any(matching_structures(matched, m).matched_times != plain_times)

@@ -16,8 +16,8 @@ from rieszmatch import (
     polynomial_feature_matrix,
     riesz_fit,
 )
-from rieszmatch import neighbors
-from rieszmatch.equivalence import random_observational_instance
+from rieszmatch import lsif, neighbors
+from rieszmatch.equivalence import random_observational_instance, well_posed_degree
 from rieszmatch.lsif import _indicator_values
 from rieszmatch.neighbors import _mth_sq_radius_batch, _tree
 
@@ -67,6 +67,25 @@ class TestFitWeightArm:
             theta = fit_weight_arm(data, arm, phi, lam=1e-3)
             grad = arm_objective_gradient(data, arm, phi, 1e-3, theta)
             assert np.abs(grad).max() <= 1e-10
+
+    def test_arm_fit_is_lsif_with_the_arm_as_denominator(self):
+        # the paper's step 2: an arm's Riesz moments are LSIF's with the arm as
+        # the denominator sample and n in place of N_a, so theta = (n / N_a) beta
+        # at ridge lambda n / N_a; this pins the count each fit divides by
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for _ in range(300):
+            data, _, _ = random_observational_instance(rng, max_n=160)
+            phi = polynomial_feature_matrix(data.covariates, well_posed_degree(data))
+            for arm in (0, 1):
+                rows = data.treatment == arm
+                ratio = data.n / rows.sum()
+                for lam in (0.0, 1e-3):
+                    theta = fit_weight_arm(data, arm, phi, lam)
+                    beta = lsif.fit(phi[rows], phi, lam * ratio)[1]
+                    gap = np.abs(theta - ratio * beta) / np.maximum(1.0, np.abs(theta))
+                    worst = max(worst, float(gap.max()))
+        assert worst <= 1e-12, worst
 
     def test_invalid_arm(self):
         data = balanced_dataset()
@@ -216,8 +235,6 @@ class TestRieszFit:
         assert alpha[1] == pytest.approx(-2.0)
 
     def test_separability_exact(self):
-        from rieszmatch.equivalence import well_posed_degree
-
         rng = np.random.default_rng(19)
         for _ in range(20):
             data, _, _ = random_observational_instance(rng, max_n=120)
