@@ -80,17 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0, help="root seed (64-bit unsigned)")
 
     jobs_help = "worker pool size of simulate and verify; ate, dre and weights ignore it"
-    for p in (p_ate, p_dre, p_w, p_sim, p_ver):
+    handlers = (cmd_ate, cmd_dre, cmd_weights, cmd_simulate, cmd_verify)
+    for p, handler in zip((p_ate, p_dre, p_w, p_sim, p_ver), handlers):
         p.add_argument("--jobs", type=int, default=1, help=jobs_help)
         p.add_argument("--output", type=str, default=None, help="write the report here")
+        p.set_defaults(run=handler)
     return parser
-
-
-def _emit(body: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(body)
-    else:
-        Path(output).write_text(body)
 
 
 def _pool_map(worker, jobs: int, tasks: list) -> list:
@@ -280,15 +275,6 @@ def cmd_verify(args) -> tuple[list, list, int]:
     return header, records, 0 if passed else 1
 
 
-_DISPATCH = {
-    "ate": cmd_ate,
-    "dre": cmd_dre,
-    "weights": cmd_weights,
-    "simulate": cmd_simulate,
-    "verify": cmd_verify,
-}
-
-
 # An --input or --output that cannot be opened.  Other OS errors (a closed
 # stdout pipe, a worker pool that cannot start) are not input errors.
 _PATH_ERRORS = (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError)
@@ -302,8 +288,12 @@ def main(argv=None) -> int:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         if "seed" in args and not 0 <= args.seed < 2**64:
             raise ValueError(f"--seed must be in [0, 2^64), got {args.seed}")
-        header, records, status = _DISPATCH[args.command](args)
-        _emit(render_report([("command", args.command), *header], records), args.output)
+        header, records, status = args.run(args)
+        body = render_report([("command", args.command), *header], records)
+        if args.output is None:
+            sys.stdout.write(body)
+        else:
+            Path(args.output).write_text(body)
     except (*_PATH_ERRORS, ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -48,13 +48,13 @@ from .neighbors import MatchStructures, _mth_sq_radius_batch, arm_trees, matchin
 from .riesz import fit_weight_arm, nn_representer_values, riesz_fit
 
 GAP_THRESHOLD = 1e-12
-# Random instances draw their dimension from 1..3 and M from 1..5; verify's
-# have at most 160 units per sample.
+# Random instances draw their dimension from 1..3, M from 1..5 and, unless a
+# caller sets max_n, at most 160 units per sample.
 _MAX_D, _MAX_M, _MAX_N = 3, 5, 160
 
 
 def random_two_sample_instance(
-    rng: np.random.Generator, max_n: int = 300
+    rng: np.random.Generator, max_n: int = _MAX_N
 ) -> tuple[TwoSampleData, int]:
     """Random continuous two-sample instance, already rescaled; points are distinct a.s."""
     m = int(rng.integers(1, _MAX_M + 1))
@@ -68,7 +68,7 @@ def random_two_sample_instance(
 
 
 def random_observational_instance(
-    rng: np.random.Generator, max_n: int = 300
+    rng: np.random.Generator, max_n: int = _MAX_N
 ) -> tuple[ObservationalDataset, np.ndarray | float, int]:
     """Random observational instance with both arms at least m large, and the
     per-coordinate scale to match it in."""
@@ -158,8 +158,8 @@ def run_instance(seed: int) -> dict[str, float]:
     """All equivalence gaps on one random instance pair, by name in report order;
     worker for ``verify``."""
     rng = np.random.default_rng(seed)
-    two_sample, m2 = random_two_sample_instance(rng, max_n=_MAX_N)
-    dataset, scale, m_obs = random_observational_instance(rng, max_n=_MAX_N)
+    two_sample, m2 = random_two_sample_instance(rng)
+    dataset, scale, m_obs = random_observational_instance(rng)
     lsif_values, one_step = verify_theorem1_all(two_sample, m2)
     gaps = {"theorem1_gap": float(np.abs(lsif_values - one_step).max())}
     # a plain Euclidean scale of 1.0 needs no rescaled copy

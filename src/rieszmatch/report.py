@@ -13,8 +13,6 @@ RECORD_SEPARATOR = "==records=="
 
 
 def format_value(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):

@@ -35,6 +35,13 @@ def run(tmp_path, *argv):
     return code, out.read_text()
 
 
+def source_env():
+    """The environment of a child interpreter that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 class TestAte:
     @pytest.mark.parametrize(
         "estimator,expected,variant,max_weight",
@@ -118,6 +125,17 @@ class TestAte:
     def test_directory_input_exits_two(self, tmp_path, capsys):
         assert cli.main(["ate", "--input", str(tmp_path), "--m", "1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_piped_malformed_csv_names_its_row(self):
+        # a pipe cannot rewind for the row-by-row scan, so the loader holds it once
+        out = subprocess.run(
+            [sys.executable, "-m", "rieszmatch.cli", "ate", "--input", "/dev/stdin"],
+            input="x0,d,y\n0.1,1,1\n0.2,0,abc\n",
+            env=source_env(), capture_output=True, text=True,
+        )
+        assert out.returncode == 2
+        assert out.stderr == "error: malformed row at row 3: unparseable number\n"
+        assert out.stdout == ""
 
     def test_dr_traced_peak_stays_near_the_parsed_matrix(self, tmp_path):
         # 20k rows in d=2 at the default M=55: the match's row blocks dominate
@@ -438,12 +456,10 @@ class TestSimulate:
 
     def test_import_leaves_multiprocessing_unloaded(self):
         # a serial run starts no pool, so it need not pay for loading one
-        src = str(Path(cli.__file__).resolve().parents[1])
-        paths = [src, os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         probe = "import sys, rieszmatch.cli; print('multiprocessing' in sys.modules)"
         out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", probe],
+            env=source_env(), capture_output=True, text=True, check=True,
         )
         assert out.stdout == "False\n"
 
@@ -485,7 +501,7 @@ class TestVerify:
         def fail(args):
             raise BlockingIOError("resource temporarily unavailable")
 
-        monkeypatch.setitem(cli._DISPATCH, "verify", fail)
+        monkeypatch.setattr(cli, "cmd_verify", fail)
         with pytest.raises(BlockingIOError):
             cli.main(["verify", "--instances", "1"])
 
@@ -589,24 +605,38 @@ def test_overflowing_squared_distance_exits_two(tmp_path, capsys, command):
     assert err == "error: covariates too far apart: a squared distance overflows float64\n"
 
 
+def small_argv(tmp_path, four_unit_file, command):
+    """A quick run of ``command`` on small inputs."""
+    for name, text in (("den", DEN_CSV), ("num", NUM_CSV), ("pts", PTS_CSV)):
+        (tmp_path / f"{name}.csv").write_text(text)
+    return [command] + {
+        "ate": ["--input", str(four_unit_file), "--m", "1"],
+        "dre": ["--denominator", str(tmp_path / "den.csv"), "--numerator",
+                str(tmp_path / "num.csv"), "--eval-points", str(tmp_path / "pts.csv")],
+        "weights": ["--dgp", "logistic", "--n", "40", "--m", "1"],
+        "simulate": ["--n", "50", "--reps", "2"],
+        "verify": ["--instances", "1"],
+    }[command]
+
+
 class TestReportFormat:
     @pytest.mark.parametrize("command", ["ate", "dre", "weights", "simulate", "verify"])
     def test_command_key_first_and_each_header_key_once(self, tmp_path, four_unit_file, command):
-        for name, text in (("den", DEN_CSV), ("num", NUM_CSV), ("pts", PTS_CSV)):
-            (tmp_path / f"{name}.csv").write_text(text)
-        argv = {
-            "ate": ["--input", str(four_unit_file), "--m", "1"],
-            "dre": ["--denominator", str(tmp_path / "den.csv"), "--numerator",
-                    str(tmp_path / "num.csv"), "--eval-points", str(tmp_path / "pts.csv")],
-            "weights": ["--dgp", "logistic", "--n", "40", "--m", "1"],
-            "simulate": ["--n", "50", "--reps", "2"],
-            "verify": ["--instances", "1"],
-        }[command]
-        code, text = run(tmp_path, command, *argv)
+        code, text = run(tmp_path, *small_argv(tmp_path, four_unit_file, command))
         lines = text.split(RECORD_SEPARATOR)[0].splitlines()
         keys = [line.split("=", 1)[0] for line in lines]
         assert code == 0 and lines[0] == f"command={command}"
         assert len(keys) == len(set(keys)), keys
+
+    @pytest.mark.parametrize("command", ["ate", "dre", "weights", "simulate", "verify"])
+    def test_stdout_report_is_the_output_file(self, tmp_path, capsys, four_unit_file, command):
+        # without --output the report goes to stdout byte for byte; with it, nothing does
+        argv = small_argv(tmp_path, four_unit_file, command)
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out
+        code, written = run(tmp_path, *argv)
+        assert code == 0 and capsys.readouterr().out == ""
+        assert printed == written
 
     def test_numbers_round_trip(self, tmp_path):
         _, text = run(tmp_path, "verify", "--instances", "2", "--seed", "7")

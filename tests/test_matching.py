@@ -502,8 +502,8 @@ class TestMatchOnce:
                 super().__init__(data, *args, **kwargs)
 
         rng = np.random.default_rng(12345)
-        two_sample, _ = equivalence.random_two_sample_instance(rng, max_n=equivalence._MAX_N)
-        dataset, _, _ = random_observational_instance(rng, max_n=equivalence._MAX_N)
+        two_sample, _ = equivalence.random_two_sample_instance(rng)
+        dataset, _, _ = random_observational_instance(rng)
 
         for module in (lsif, equivalence, matching):
             monkeypatch.setattr(module, "polynomial_feature_matrix", counted_features)
