@@ -20,16 +20,17 @@ A candidate whose squared distance overflows float64 is a ValueError: the tree
 reports it as missing.
 
 Every query runs through ``_knn_blocks`` in row blocks of at most
-``_BLOCK_ENTRIES`` = 2^15 candidate distances.  Only the rows still short are
-queried again, at doubled k, in sub-blocks under the same bound, and callers
-reduce each block as it arrives, so memory stays O(n) plus one block for every
-M, on ties too.  ``matching_structures`` sends each arm's queries in the leaf
-order of that arm's own kd-tree, gathering each block's rows as it goes, so a
-block's rows are spatially compact and its tree walks and candidate arrays
-stay in cache; a row's result depends on that row alone, so the order changes
-no bit.  The match keeps only per-unit reductions and its two arm trees
-(``arm_trees``), which it builds once and frees on return unless the caller
-built them to reuse, at this M or any other.
+``_BLOCK_ENTRIES`` = 2^15 candidate distances.  Widening is one recursive
+step, ``_nearest``: each distinct point among a block's short rows is queried
+again, at doubled k, in sub-blocks under the same bound, so tied rows share one
+query.  Callers reduce each block as it arrives, so memory stays O(n) plus one
+block per doubling level, for every M, on ties too.  ``matching_structures``
+sends each arm's queries in the leaf order of that arm's own kd-tree, gathering
+each block's rows as it goes, so a block's rows are spatially compact and its
+tree walks and candidate arrays stay in cache; a row's result depends on that
+row alone, so the order changes no bit.  The match keeps only per-unit
+reductions and its two arm trees (``arm_trees``), which it builds once and
+frees on return unless the caller built them to reuse, at this M or any other.
 The per-point oracles the tests compare with live in ``tests/oracles.py``.
 """
 
@@ -104,9 +105,10 @@ def _row_blocks(n_rows: int, width: int):
     return (slice(start, start + step) for start in range(0, n_rows, step))
 
 
-def _tree_candidates(tree: cKDTree, m: int, q: np.ndarray, k: int):
-    """The k candidates the tree proposes per row, in (squared distance, index)
-    order, and a mask of the rows whose M nearest may lie beyond them."""
+def _nearest(tree: cKDTree, m: int, q: np.ndarray, k: int):
+    """Squared distances and indices of each row's tie-broken M nearest references,
+    in (distance, index) order, from the tree's k candidates per row.  Each distinct
+    point of the rows whose M nearest may lie beyond them is asked again at 2k."""
     idx = tree.query(q, k=k)[1].reshape(len(q), k)  # drop the tree's distances
     if idx.max() == tree.n:  # k <= tree.n: the mark of an infinite distance
         raise ValueError("covariates too far apart: a squared distance overflows float64")
@@ -114,34 +116,31 @@ def _tree_candidates(tree: cKDTree, m: int, q: np.ndarray, k: int):
     # Points not returned lie at least as far as the last candidate, up to the
     # tree's rounding, so a row whose M-th distance comes that close may be short.
     short = (k < tree.n) & (sq[:, m - 1] >= (1 - _TREE_ROUNDING) * sq[:, -1])
-    return sq, idx, short
+    if short.any():
+        # a row's answer depends on its coordinates alone, -0.0 and 0.0 alike
+        points, inverse = np.unique(q[short], axis=0, return_inverse=True)
+        wide_sq, wide_idx = np.empty((len(points), m)), np.empty((len(points), m), idx.dtype)
+        k = min(tree.n, 2 * k)
+        for sub in _row_blocks(len(points), k):
+            wide_sq[sub], wide_idx[sub] = _nearest(tree, m, points[sub], k)
+        inverse = inverse.ravel()  # numpy 2.0.0 shapes it otherwise
+        sq[short, :m], idx[short, :m] = wide_sq[inverse], wide_idx[inverse]
+    return sq[:, :m], idx[:, :m]
 
 
 def _knn_blocks(tree: cKDTree, m: int, queries, order=None):
     """Yield ``(rows, sq, idx)`` per row block of the queries: squared distances
     and indices of each row's tie-broken M nearest references in ``tree``,
     (distance, index) order.  With ``order`` the queries are ``queries[order]``,
-    gathered one block at a time.  Short rows alone are queried again, at
-    doubled k, in sub-blocks."""
-    n_ref = tree.n
-    _check_m(m, n_ref, f"the reference size {n_ref}")
+    gathered one block at a time.  A block is answered by ``_nearest``, which
+    widens each distinct short point once, at doubled k, in sub-blocks."""
+    _check_m(m, tree.n, f"the reference size {tree.n}")
     pts = _points(queries, "queries", tree.data.shape[1])
-    first_k = min(n_ref, m + 1)
+    first_k = min(tree.n, m + 1)
     n_rows = len(pts) if order is None else len(order)
     for rows in _row_blocks(n_rows, first_k):
         q = pts[rows] if order is None else pts[order[rows]]
-        sq, idx, short = _tree_candidates(tree, m, q, first_k)
-        open_rows, k_req = np.flatnonzero(short), first_k
-        while len(open_rows):
-            k_req, still_open = min(n_ref, 2 * k_req), []
-            for sub in _row_blocks(len(open_rows), k_req):
-                at = open_rows[sub]
-                wide_sq, wide_idx, short = _tree_candidates(tree, m, q[at], k_req)
-                sq[at, :m], idx[at, :m] = wide_sq[:, :m], wide_idx[:, :m]
-                still_open.append(at[short])
-                del wide_sq, wide_idx  # free before the next sub-block's query
-            open_rows = np.concatenate(still_open)
-        yield rows, sq[:, :m], idx[:, :m]
+        yield rows, *_nearest(tree, m, q, first_k)
 
 
 def _mth_sq_radius_batch(tree: cKDTree, m: int, queries) -> np.ndarray:

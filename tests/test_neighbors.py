@@ -472,6 +472,50 @@ class TestBlockedQueries:
         assert peak < 64 * 2**20, peak
         _assert_reduced(structures, data, brute_force_match_sets(data, m))
 
+    def test_each_distinct_point_widens_once_per_block(self, monkeypatch):
+        # one binary covariate: every row ties with about half its opposite arm
+        # and widens, but each widened k sends each distinct point to the tree
+        # once per first-level block, not once per row
+        rng = np.random.default_rng(23)
+        n, m = 4000, 1
+        x = rng.integers(0, 2, size=(n, 1)).astype(float)
+        treat = (rng.random(n) < 0.5).astype(int)
+        data = ObservationalDataset(covariates=x, treatment=treat, outcome=rng.standard_normal(n))
+        rows_at_k = {}
+        real_sq_dists = neighbors._sq_dists
+
+        def counting_sq_dists(a, b, idx=None):
+            if idx is not None:
+                rows_at_k[idx.shape[1]] = rows_at_k.get(idx.shape[1], 0) + len(a)
+            return real_sq_dists(a, b, idx)
+
+        monkeypatch.setattr(neighbors, "_sq_dists", counting_sq_dists)
+        structures = matching_structures(data, m)
+        first_blocks = sum(
+            len(list(neighbors._row_blocks(size, m + 1)))
+            for size in (data.n_treated, data.n_control)
+        )
+        widened = {k: rows for k, rows in rows_at_k.items() if k > m + 1}
+        assert widened
+        assert max(widened.values()) <= len(np.unique(x, axis=0)) * first_blocks, widened
+        _assert_reduced(structures, data, brute_force_match_sets(data, m))
+
+    @pytest.mark.parametrize("entries", [1, 997, _DEFAULT_BLOCK_ENTRIES])
+    def test_signed_zeros_widen_as_one_point(self, monkeypatch, entries):
+        # widening merges -0.0 with 0.0: their squares are equal and the tree
+        # walks them alike, so the merge changes no bit
+        rng = np.random.default_rng(29)
+        levels = np.array([-0.0, 0.0, 1.0])
+        ref = levels[rng.integers(0, 3, size=(60, 1))]
+        queries = levels[rng.integers(0, 3, size=(40, 1))]
+        zero_signs = np.signbit(queries[queries == 0])
+        assert zero_signs.any() and not zero_signs.all()
+        monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", entries)
+        sq, idx = _knn_answer(_tree(ref), 5, queries)
+        want_sq, want_idx = brute_force_sq_knn(queries, ref, 5)
+        np.testing.assert_array_equal(sq.view(np.uint64), want_sq.view(np.uint64))
+        np.testing.assert_array_equal(idx, want_idx)
+
 
 def _lexsort_rows(sq, idx):
     """Oracle: sort each row on its own by (squared distance, index)."""
